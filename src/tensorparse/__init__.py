@@ -2,8 +2,6 @@
 forms with unigram pair features of the query and each candidate's
 canonical utterance."""
 
-from ._ops import BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

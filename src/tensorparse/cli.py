@@ -195,7 +195,7 @@ def main(argv=None) -> int:
     except (
         GraphError,
         DatasetError,
-        learner.ConfigError,
+        logform.ConfigError,
         learner.ModelFormatError,
         logform.LfParseError,
         logform.UnsupportedShapeError,

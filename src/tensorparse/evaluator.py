@@ -16,7 +16,7 @@ from . import learner, logform
 from .dataset import DatasetExample
 from .features import normalize_phrase, tokenize
 from .kgraph import KnowledgeGraph
-from .learner import ConfigError
+from .logform import ConfigError
 
 
 def normalize_answer_set(answers: Iterable[str]) -> frozenset:
@@ -44,6 +44,13 @@ def f1(predicted: Iterable[str], gold: Iterable[str]) -> float:
     precision = hits / len(p)
     recall = hits / len(g)
     return 2.0 * precision * recall / (precision + recall)
+
+
+def candidate_f1s(
+    candidates: list[logform.Candidate], gold: Iterable[str], kg: KnowledgeGraph
+) -> list[float]:
+    """F1 of each candidate's denotation against the gold answers, in order."""
+    return [f1(denotation_names(kg, c.denotation), gold) for c in candidates]
 
 
 @dataclass(frozen=True)
@@ -78,22 +85,20 @@ def evaluate(
         tokens = tokenize(example.question)
         candidates = logform.generate_candidates(tokens, kg, gen_cfg) if tokens else []
         predicted = learner.predict(model, tokens, candidates)
+        scores = candidate_f1s(candidates, example.answers, kg)
         if predicted is None:
             pred_form = None
             pred_f1 = 0.0
         else:
             pred_form = logform.serialize(predicted.logical_form)
-            pred_f1 = f1(denotation_names(kg, predicted.denotation), example.answers)
-        oracle = 0.0
-        for c in candidates:
-            oracle = max(oracle, f1(denotation_names(kg, c.denotation), example.answers))
+            pred_f1 = scores[candidates.index(predicted)]
         rows.append(
             PerQueryResult(
                 index=index,
                 question=example.question,
                 predicted_form=pred_form,
                 predicted_f1=pred_f1,
-                oracle_f1=oracle,
+                oracle_f1=max(scores, default=0.0),
                 candidate_count=len(candidates),
             )
         )

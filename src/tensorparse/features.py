@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Iterable
 
-from . import _ops
-
 if TYPE_CHECKING:
     from .logform import Candidate
 
@@ -76,9 +74,15 @@ def parse_key(text: str):
 def tensor_pair_features(query_vec: dict, utterance_vec: dict) -> dict:
     """All pairwise products of the two side-local vectors.
 
-    Output size is exactly ``len(query_vec) * len(utterance_vec)``.
+    Keys are ``p:<q>|<u>`` in query-major insertion order; output size is
+    exactly ``len(query_vec) * len(utterance_vec)``.
     """
-    return _ops.tensor_pair(query_vec, utterance_vec)
+    out = {}
+    for qt, qval in query_vec.items():
+        prefix = PAIR_PREFIX + qt + "|"
+        for ut, uval in utterance_vec.items():
+            out[prefix + ut] = qval * uval
+    return out
 
 
 def denotation_size_bucket(size: int) -> str:

@@ -7,14 +7,18 @@ oracle.  Both are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-from . import _ops
-
-BACKEND = _ops.BACKEND
-
 
 def dot(a: dict, b: dict) -> float:
     """Sum over shared keys of the products of values; symmetric."""
-    return _ops.dot(a, b)
+    if len(b) < len(a):
+        a, b = b, a
+    total = 0.0
+    get = b.get
+    for k, v in a.items():
+        w = get(k)
+        if w is not None:
+            total += v * w
+    return total
 
 
 def tensor_kernel(q1: dict, u1: dict, q2: dict, u2: dict) -> float:
@@ -23,4 +27,4 @@ def tensor_kernel(q1: dict, u1: dict, q2: dict, u2: dict) -> float:
     Computed as the product of the side dot products, which equals the
     dot product of the two explicit pair-feature maps.
     """
-    return _ops.dot(q1, q2) * _ops.dot(u1, u2)
+    return dot(q1, q2) * dot(u1, u2)

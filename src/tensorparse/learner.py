@@ -18,16 +18,12 @@ from . import features, logform
 from .dataset import DatasetExample
 from .kernel import dot
 from .kgraph import KnowledgeGraph
-from .logform import Candidate, GenConfig
+from .logform import Candidate, ConfigError, GenConfig
 
 MODEL_MAGIC = "tensorparse-model"
 MODEL_VERSION = 1
 
 _ADA_EPS = 1e-8
-
-
-class ConfigError(Exception):
-    pass
 
 
 class ModelFormatError(Exception):
@@ -107,15 +103,13 @@ def label_candidates(
     candidates: list[Candidate], gold_answers: Iterable[str], kg: KnowledgeGraph
 ) -> list[tuple[Candidate, bool]]:
     """Max-F1 candidates with F1 > 0 are positive; all others negative."""
-    from .evaluator import denotation_names, f1
+    from .evaluator import candidate_f1s  # evaluator imports this module
 
-    scored = [
-        (c, f1(denotation_names(kg, c.denotation), gold_answers)) for c in candidates
-    ]
-    best = max((s for _, s in scored), default=0.0)
+    scores = candidate_f1s(candidates, gold_answers, kg)
+    best = max(scores, default=0.0)
     if best <= 0.0:
-        return [(c, False) for c, _ in scored]
-    return [(c, s == best) for c, s in scored]
+        return [(c, False) for c in candidates]
+    return [(c, s == best) for c, s in zip(candidates, scores)]
 
 
 def _build_instances(data, kg, gen_cfg, cfg):

@@ -65,6 +65,10 @@ class Candidate:
     denotation: frozenset
 
 
+class ConfigError(ValueError):
+    """A setting outside its allowed range."""
+
+
 @dataclass(frozen=True)
 class GenConfig:
     max_candidates: int = 200
@@ -73,9 +77,9 @@ class GenConfig:
 
     def __post_init__(self):
         if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
+            raise ConfigError("max_candidates must be >= 1")
         if self.max_span_length < 1:
-            raise ValueError("max_span_length must be >= 1")
+            raise ConfigError("max_span_length must be >= 1")
 
 
 def serialize(lf: LogicalForm) -> str:

@@ -179,3 +179,26 @@ def test_cli_train_deterministic(workspace, tmp_path):
     assert cli.main(argv + ["--out", str(out_a)]) == 0
     assert cli.main(argv + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize("flag", [["--max-span", "0"], ["--max-candidates", "0"]],
+                         ids=["max-span", "max-candidates"])
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "cv"])
+def test_cli_bad_gen_config_is_one_line_error(workspace, tmp_path, capsys, command, flag):
+    argv = [command,
+            "--kg", str(workspace / "triples.tsv"),
+            "--catalog", str(workspace / "catalog.tsv")]
+    if command != "predict":
+        argv += ["--data", str(workspace / "dataset.jsonl")]
+    argv += {
+        "train": ["--out", str(tmp_path / "m.model")],
+        "eval": ["--model", str(workspace / "toy.model")],
+        "predict": ["--model", str(workspace / "toy.model"),
+                    "--question", "what currency does brazil use?"],
+        "cv": [],
+    }[command]
+    assert cli.main(argv + flag) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err

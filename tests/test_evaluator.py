@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from tensorparse import evaluator, learner
+from tensorparse import evaluator, learner, logform
 from tensorparse.dataset import DatasetExample
 from tensorparse.evaluator import (
     ConfigError,
     SplitSpec,
     cross_validate,
+    candidate_f1s,
     evaluate,
     f1,
     format_report,
@@ -92,6 +93,25 @@ def test_evaluate_oracle_dominates(mini_kg):
     assert report.average_f1 == pytest.approx(
         sum(r.predicted_f1 for r in report.per_query) / len(report.per_query)
     )
+
+
+def test_candidate_f1s_feed_label_and_evaluate(mini_kg):
+    gold = ("kenya", "sudan")
+    tokens = ["what", "adjoins", "ethiopia"]
+    candidates = logform.generate_candidates(tokens, mini_kg, GenConfig())
+    scores = candidate_f1s(candidates, gold, mini_kg)
+    assert scores == [
+        brute_force_f1({mini_kg.entity(e).name for e in c.denotation}, gold)
+        for c in candidates
+    ]
+    assert max(scores) == 1.0
+    labels = [pos for _, pos in learner.label_candidates(candidates, gold, mini_kg)]
+    assert labels == [s == 1.0 for s in scores]
+    (row,) = evaluate(zero_model(), [DatasetExample("what adjoins ethiopia?", gold)],
+                      mini_kg, GenConfig()).per_query
+    predicted = learner.predict(zero_model(), tokens, candidates)
+    assert row.predicted_f1 == scores[candidates.index(predicted)]
+    assert row.oracle_f1 == max(scores)
 
 
 def test_report_format(mini_kg):

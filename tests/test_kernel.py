@@ -1,14 +1,8 @@
 import random
 
 import numpy as np
-import pytest
 
-from tensorparse import _pyops, kernel
-
-try:
-    from tensorparse import _speedups
-except ImportError:
-    _speedups = None
+from tensorparse import kernel
 
 
 # Independent oracle: explicit pair maps and a naive dot, built with
@@ -92,15 +86,3 @@ def test_gram_psd():
         )
         assert np.linalg.eigvalsh(gram).min() >= -1e-8
 
-
-@pytest.mark.skipif(_speedups is None, reason="compiled extension not built")
-def test_backends_agree():
-    rng = random.Random(4)
-    for _ in range(200):
-        a = random_binary_vec(rng)
-        b = random_binary_vec(rng)
-        assert _pyops.dot(a, b) == _speedups.dot(a, b)
-        py = _pyops.tensor_pair(a, b)
-        cy = _speedups.tensor_pair(a, b)
-        assert py == cy
-        assert list(py) == list(cy)  # identical insertion order
