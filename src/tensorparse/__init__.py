@@ -4,4 +4,12 @@ canonical utterance."""
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"]
+__all__ = ["ConfigError", "TensorparseError", "__version__"]
+
+
+class TensorparseError(Exception):
+    """Base of every error that bad input files or settings raise."""
+
+
+class ConfigError(TensorparseError, ValueError):
+    """A setting outside its allowed range."""

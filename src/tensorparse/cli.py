@@ -5,10 +5,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import evaluator, kgraph, learner, logform, toy
-from .dataset import DatasetError, load_dataset
+from . import TensorparseError, evaluator, kgraph, learner, logform, toy
+from .dataset import load_dataset
 from .features import tokenize
-from .kgraph import GraphError
 
 
 def _add_kg_flags(p):
@@ -134,13 +133,11 @@ def _cmd_predict(args) -> int:
     model = learner.load_model(args.model)
     tokens = tokenize(args.question)
     if not tokens:
-        print("error: question has no tokens", file=sys.stderr)
-        return 1
+        raise TensorparseError("question has no tokens")
     candidates = logform.generate_candidates(tokens, kg, _gen_cfg(args))
     best = learner.predict(model, tokens, candidates)
     if best is None:
-        print("error: no candidate logical forms for this question", file=sys.stderr)
-        return 1
+        raise TensorparseError("no candidate logical forms for this question")
     print(logform.serialize(best.logical_form))
     print(" ".join(best.utterance_tokens))
     for name in sorted(kg.entity(eid).name for eid in best.denotation):
@@ -192,15 +189,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (
-        GraphError,
-        DatasetError,
-        logform.ConfigError,
-        learner.ModelFormatError,
-        logform.LfParseError,
-        logform.UnsupportedShapeError,
-        OSError,
-    ) as exc:
+    except (TensorparseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,10 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import TensorparseError
 
-class DatasetError(Exception):
+
+class DatasetError(TensorparseError):
     def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number

@@ -12,20 +12,14 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import learner, logform
+from . import ConfigError, learner, logform
 from .dataset import DatasetExample
 from .features import normalize_phrase, tokenize
 from .kgraph import KnowledgeGraph
-from .logform import ConfigError
 
 
 def normalize_answer_set(answers: Iterable[str]) -> frozenset:
     return frozenset(normalize_phrase(a) for a in answers)
-
-
-def denotation_names(kg: KnowledgeGraph, entity_ids: Iterable[str]) -> frozenset:
-    """Normalized display names for a set of entity ids."""
-    return frozenset(normalize_phrase(kg.entity(eid).name) for eid in entity_ids)
 
 
 def f1(predicted: Iterable[str], gold: Iterable[str]) -> float:
@@ -50,7 +44,7 @@ def candidate_f1s(
     candidates: list[logform.Candidate], gold: Iterable[str], kg: KnowledgeGraph
 ) -> list[float]:
     """F1 of each candidate's denotation against the gold answers, in order."""
-    return [f1(denotation_names(kg, c.denotation), gold) for c in candidates]
+    return [f1((kg.entity(eid).name for eid in c.denotation), gold) for c in candidates]
 
 
 @dataclass(frozen=True)

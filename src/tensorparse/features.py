@@ -14,8 +14,6 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:
     from .logform import Candidate
 
-FeatureVector = dict
-
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
 
 PAIR_PREFIX = "p:"

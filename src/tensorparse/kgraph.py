@@ -9,10 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+from . import TensorparseError
 from .features import normalize_phrase
 
 
-class GraphError(Exception):
+class GraphError(TensorparseError):
     pass
 
 

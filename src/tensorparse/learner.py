@@ -14,11 +14,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import features, logform
+from . import ConfigError, TensorparseError, features, logform
 from .dataset import DatasetExample
 from .kernel import dot
 from .kgraph import KnowledgeGraph
-from .logform import Candidate, ConfigError, GenConfig
+from .logform import Candidate, GenConfig
 
 MODEL_MAGIC = "tensorparse-model"
 MODEL_VERSION = 1
@@ -26,7 +26,7 @@ MODEL_VERSION = 1
 _ADA_EPS = 1e-8
 
 
-class ModelFormatError(Exception):
+class ModelFormatError(TensorparseError):
     pass
 
 
@@ -48,10 +48,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be > 0 and finite")
+        if not 0 <= self.l2 < math.inf:
+            raise ConfigError("l2 must be >= 0 and finite")
         if self.negative_cap < 1:
             raise ConfigError("negative_cap must be >= 1")
 
@@ -183,6 +183,8 @@ def train(
                 weights[key] = w
         penalty = 0.5 * cfg.l2 * sum(w * w for w in weights.values())
         epoch_losses.append(loss / len(instances) + penalty)
+    if not math.isfinite(epoch_losses[-1]):
+        raise ConfigError(f"training diverged: final epoch loss is {epoch_losses[-1]}")
     weights = {k: w for k, w in weights.items() if w != 0.0}
     return TrainResult(
         model=Model(weights=weights, config_fingerprint=digest),
@@ -236,4 +238,6 @@ def load_model(path) -> Model:
             weights[key] = float(value)
         except ValueError:
             raise ModelFormatError(f"line {lineno}: bad weight {value!r}") from None
+        if not math.isfinite(weights[key]):
+            raise ModelFormatError(f"line {lineno}: weight {value!r} is not finite")
     return Model(weights=weights, config_fingerprint=header[2], version=version)

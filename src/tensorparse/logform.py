@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from . import kgraph
+from . import ConfigError, TensorparseError, kgraph
 from .features import tokenize
 
 
-class LfParseError(Exception):
+class LfParseError(TensorparseError):
     """Malformed serialized logical form."""
 
     def __init__(self, message: str, position: int):
@@ -28,7 +28,7 @@ class LfParseError(Exception):
         self.position = position
 
 
-class UnsupportedShapeError(Exception):
+class UnsupportedShapeError(TensorparseError):
     """Logical form does not match any utterance template."""
 
 
@@ -63,10 +63,6 @@ class Candidate:
     logical_form: LogicalForm
     utterance_tokens: tuple[str, ...]
     denotation: frozenset
-
-
-class ConfigError(ValueError):
-    """A setting outside its allowed range."""
 
 
 @dataclass(frozen=True)

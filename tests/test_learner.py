@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from tensorparse import learner
@@ -168,6 +170,18 @@ def test_train_config_validation():
         TrainConfig(l2=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", math.nan),
+    ("learning_rate", math.inf),
+    ("learning_rate", 1e308),  # finite, but the weights overflow
+    ("l2", math.nan),
+    ("l2", math.inf),
+])
+def test_non_finite_training_settings_are_config_errors(sep_kg, field, value):
+    with pytest.raises(ConfigError):
+        train(SEP_DATA, sep_kg, GenConfig(), TrainConfig(**{field: value}))
+
+
 def test_top_features_ordering():
     m = Model(
         weights={"p:a|a": 1.0, "p:b|b": 2.0, "p:a|b": 2.0, "lf:denot.empty": -3.0},
@@ -208,3 +222,7 @@ def test_model_file_errors(tmp_path):
     bad.write_text("tensorparse-model v1 abc\np:a|b no-tab\n")
     with pytest.raises(ModelFormatError):
         load_model(bad)
+    for weight in ("nan", "inf", "-inf"):
+        bad.write_text(f"tensorparse-model v1 abc\np:a|b\t{weight}\n")
+        with pytest.raises(ModelFormatError, match=f"line 2: weight '{weight}' is not finite"):
+            load_model(bad)
