@@ -75,16 +75,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _utf8_lines(fh, path):
+    """The lines of a text file; bytes that are not UTF-8 are an error naming it."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise TensorparseError(f"{path}: not UTF-8 ({exc.reason})") from None
+
+
 def _load_graph(args):
     with open(args.kg, encoding="utf-8") as triples, open(
         args.catalog, encoding="utf-8"
     ) as catalog:
-        return kgraph.load_graph(triples, catalog)
+        return kgraph.load_graph(_utf8_lines(triples, args.kg),
+                                 _utf8_lines(catalog, args.catalog))
 
 
 def _load_data(path):
     with open(path, encoding="utf-8") as fh:
-        return load_dataset(fh)
+        return load_dataset(_utf8_lines(fh, path))
 
 
 def _gen_cfg(args) -> logform.GenConfig:
@@ -189,7 +198,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (TensorparseError, OSError, UnicodeDecodeError) as exc:
+    except (TensorparseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

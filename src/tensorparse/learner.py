@@ -4,6 +4,12 @@ Training is answer-supervised: per query, candidates whose denotation
 reaches the maximum nonzero F1 against the gold answers are positives,
 everything else is negative.  Optimization is AdaGrad with proximal L2
 shrinkage, single-threaded and bit-reproducible for a fixed seed.
+
+Training interns feature keys: each run builds an index from key to
+integer id, an instance is the tuple of its feature ids (every assembled
+feature has value 1.0), and the weights and squared-gradient sums are
+flat lists indexed by id.  The returned :class:`Model` maps key text to
+weight, so scoring, prediction and the model file see plain dicts.
 """
 
 from __future__ import annotations
@@ -88,15 +94,18 @@ def score(model: Model, vector: dict) -> float:
 def predict(
     model: Model, query_tokens, candidates: list[Candidate]
 ) -> Optional[Candidate]:
-    """Highest-scoring candidate; ties broken by ascending serialized form."""
-    best = None
-    best_key = None
-    for c in candidates:
-        key = (-score(model, features.assemble(query_tokens, c)),
-               logform.serialize(c.logical_form))
-        if best_key is None or key < best_key:
-            best, best_key = c, key
-    return best
+    """Highest-scoring candidate; ties broken by ascending serialized form.
+
+    Only the candidates tied at the best score are serialized.
+    """
+    if not candidates:
+        return None
+    scores = [score(model, features.assemble(query_tokens, c)) for c in candidates]
+    best = max(scores)
+    tied = [c for c, s in zip(candidates, scores) if s == best]
+    if len(tied) == 1:
+        return tied[0]
+    return min(tied, key=lambda c: logform.serialize(c.logical_form))
 
 
 def label_candidates(
@@ -113,6 +122,13 @@ def label_candidates(
 
 
 def _build_instances(data, kg, gen_cfg, cfg):
+    """Interned training instances: ``(instances, names, any_positive)``.
+
+    Each instance is ``(feature ids in assemble order, label)``, and
+    ``names[i]`` is the feature key of id ``i``.  Every assembled feature
+    has value 1.0, so the ids alone are the vector.
+    """
+    index: dict = {}
     instances = []
     any_positive = False
     for example in data:
@@ -129,8 +145,75 @@ def _build_instances(data, kg, gen_cfg, cfg):
                 negatives_kept += 1
             else:
                 any_positive = True
-            instances.append((features.assemble(tokens, candidate), 1.0 if positive else 0.0))
-    return instances, any_positive
+            vector = features.assemble(tokens, candidate)
+            for key in vector:
+                if key not in index:
+                    index[key] = len(index)
+            instances.append((tuple(map(index.__getitem__, vector)), 1.0 if positive else 0.0))
+    return instances, list(index), any_positive
+
+
+def _fit(instances, names, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:
+    """Per-coordinate AdaGrad with proximal L2 over interned instances.
+
+    Returns the ``{name: weight}`` dict, zero weights dropped, and the
+    per-epoch losses.  Every float, and the dict's key order, is what the
+    same loop over string-keyed dicts, scored with ``kernel.dot``, gives.
+    """
+    n = len(names)
+    weights = [0.0] * n
+    grad_sq = [0.0] * n
+    rng = random.Random(cfg.seed)
+    order = list(range(len(instances)))
+    rng.shuffle(order)
+    # rank: each id's place among the first epoch's first updates, which is
+    # the dict loop's key order.  kernel.dot walks the smaller operand: the
+    # weight dict, in that order, when it holds no more keys than the
+    # instance.  Such an instance is summed in rank order, untouched ids
+    # (weight 0.0, which leaves a sum unchanged) last.  That is the first few
+    # instances of the first epoch, and one that holds every feature.
+    rank: dict = {}
+    first_epoch = list(instances)
+    for idx in order:
+        ids, label = instances[idx]
+        if len(rank) <= len(ids):
+            first_epoch[idx] = (tuple(sorted(ids, key=lambda i: rank.get(i, n))), label)
+        for i in ids:
+            rank.setdefault(i, len(rank))
+    later_epochs = [first_epoch[idx] if len(ids) == n else instances[idx]
+                    for idx, (ids, _) in enumerate(instances)]
+
+    lr, l2, sqrt, log = cfg.learning_rate, cfg.l2, math.sqrt, math.log
+    epoch_losses = []
+    for epoch in range(cfg.epochs):
+        if epoch:
+            rng.shuffle(order)
+        epoch_instances = later_epochs if epoch else first_epoch
+        loss = 0.0
+        for idx in order:
+            ids, label = epoch_instances[idx]
+            s = 0.0
+            for i in ids:
+                s += weights[i]
+            p = sigmoid(s)
+            # log-loss measured before the update
+            loss += -log(max(p if label else 1.0 - p, 1e-300))
+            g = p - label
+            g2 = g * g
+            for i in ids:
+                acc = grad_sq[i] + g2
+                grad_sq[i] = acc
+                eta = lr / (sqrt(acc) + _ADA_EPS)
+                w = weights[i] - eta * g
+                if l2:
+                    w /= 1.0 + eta * l2  # proximal shrinkage
+                weights[i] = w
+        penalty = 0.5 * l2 * sum(weights[i] * weights[i] for i in rank)
+        epoch_losses.append(loss / len(instances) + penalty)
+    if not math.isfinite(epoch_losses[-1]):
+        raise ConfigError(f"training diverged: final epoch loss is {epoch_losses[-1]}")
+    model_weights = {names[i]: weights[i] for i in rank if weights[i] != 0.0}
+    return model_weights, tuple(epoch_losses)
 
 
 def train(
@@ -149,46 +232,17 @@ def train(
     if not data:
         raise ConfigError("training data must be non-empty")
     digest = fingerprint(gen_cfg, cfg)
-    instances, any_positive = _build_instances(data, kg, gen_cfg, cfg)
+    instances, names, any_positive = _build_instances(data, kg, gen_cfg, cfg)
     if not any_positive:
         return TrainResult(
             model=Model(weights={}, config_fingerprint=digest),
             epoch_losses=(),
             all_negative=True,
         )
-
-    weights: dict = {}
-    grad_sq: dict = {}
-    rng = random.Random(cfg.seed)
-    order = list(range(len(instances)))
-    epoch_losses = []
-    for _ in range(cfg.epochs):
-        rng.shuffle(order)
-        loss = 0.0
-        for idx in order:
-            vector, label = instances[idx]
-            s = dot(weights, vector)
-            p = sigmoid(s)
-            # log-loss measured before the update
-            loss += -math.log(max(p if label else 1.0 - p, 1e-300))
-            base_grad = p - label
-            for key, value in vector.items():
-                g = base_grad * value
-                acc = grad_sq.get(key, 0.0) + g * g
-                grad_sq[key] = acc
-                eta = cfg.learning_rate / (math.sqrt(acc) + _ADA_EPS)
-                w = weights.get(key, 0.0) - eta * g
-                if cfg.l2:
-                    w /= 1.0 + eta * cfg.l2  # proximal shrinkage
-                weights[key] = w
-        penalty = 0.5 * cfg.l2 * sum(w * w for w in weights.values())
-        epoch_losses.append(loss / len(instances) + penalty)
-    if not math.isfinite(epoch_losses[-1]):
-        raise ConfigError(f"training diverged: final epoch loss is {epoch_losses[-1]}")
-    weights = {k: w for k, w in weights.items() if w != 0.0}
+    weights, epoch_losses = _fit(instances, names, cfg)
     return TrainResult(
         model=Model(weights=weights, config_fingerprint=digest),
-        epoch_losses=tuple(epoch_losses),
+        epoch_losses=epoch_losses,
         all_negative=False,
     )
 
@@ -215,7 +269,10 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{path}: not UTF-8 ({exc.reason})") from None
     if not lines:
         raise ModelFormatError("empty model file")
     header = lines[0].split(" ")

@@ -1,6 +1,7 @@
 """CLI fuzz gate: bad flags and bad files end in exit status 1 with one
 ``error:`` line on stderr, or in argparse's usage exit 2.  Nothing else
-escapes ``cli.main``, and a run that exits 0 prints no ``nan``/``inf``.
+escapes ``cli.main``, a run that exits 0 prints no ``nan``/``inf``, and a
+file that is not UTF-8 is named in the error.
 
 The cases run in-process on the toy corpus with ``--epochs 1`` and
 ``--folds 2``.  The last occurrence of a repeated flag wins, so each case
@@ -106,6 +107,8 @@ def test_cli_bad_input_is_one_line_error(toy_dir, corpus, tmp_path, capsys,
     out, err = capsys.readouterr()
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        if value == "non-utf8":
+            assert f"error: {bad[value]}: not UTF-8 (" in err
     else:
         assert code == 0
         assert not NON_FINITE.search(out + err)

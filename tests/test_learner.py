@@ -1,8 +1,12 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensorparse import learner
+from tensorparse import features, kgraph, learner, logform, toy
+from tensorparse.dataset import load_dataset
 from tensorparse.dataset import DatasetExample
 from tensorparse.learner import (
     ConfigError,
@@ -81,6 +85,28 @@ def test_predict_tie_breaks_by_serialization():
     b = make_candidate(Join("currency", EntityLit("brazil")), ["same"], {"x"})
     chosen = predict(zero_model(), ["q"], [b, a])
     assert serialize(chosen.logical_form) == "join(adjoins, ent(brazil))"
+
+
+def test_predict_unique_maximum_serializes_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(learner.logform, "serialize", lambda lf: calls.append(lf) or "")
+    m = Model(weights={"p:q|good": 1.0}, config_fingerprint="x")
+    good = make_candidate(Join("currency", EntityLit("brazil")), ["good"], {"x"})
+    bad = make_candidate(Join("adjoins", EntityLit("brazil")), ["bad"], {"x"})
+    assert predict(m, ["q"], [bad, good, bad]) is good
+    assert calls == []
+
+
+def test_predict_three_way_tie_takes_smallest_form():
+    m = Model(weights={"p:q|same": 1.0, "p:q|low": -1.0}, config_fingerprint="x")
+    forms = [Join("film", EntityLit("p1")), Join("actor", EntityLit("p1")),
+             Join("character", EntityLit("p1"))]
+    tied = [make_candidate(form, ["same"], {"x"}) for form in forms]
+    low = make_candidate(EntityLit("brazil"), ["low"], {"x"})  # smallest form, lower score
+    chosen = predict(m, ["q"], [tied[0], low, tied[1], tied[2]])
+    assert chosen is tied[1]
+    assert serialize(chosen.logical_form) == "join(actor, ent(p1))"
+    assert serialize(low.logical_form) < serialize(chosen.logical_form)
 
 
 def test_predict_argmax_scale_invariant():
@@ -226,3 +252,172 @@ def test_model_file_errors(tmp_path):
         bad.write_text(f"tensorparse-model v1 abc\np:a|b\t{weight}\n")
         with pytest.raises(ModelFormatError, match=f"line 2: weight '{weight}' is not finite"):
             load_model(bad)
+
+
+# -- old-vs-new oracle ----------------------------------------------------------
+#
+# The training loop as it was over string-keyed dicts, kept verbatim as the
+# reference: learner.train must give the same weights, in the same key order,
+# and the same epoch losses, to the last bit.
+
+
+def reference_dot(a: dict, b: dict) -> float:
+    """Sum over shared keys of the products of values; symmetric."""
+    if len(b) < len(a):
+        a, b = b, a
+    total = 0.0
+    get = b.get
+    for k, v in a.items():
+        w = get(k)
+        if w is not None:
+            total += v * w
+    return total
+
+
+def reference_build_instances(data, kg, gen_cfg, cfg):
+    instances = []
+    any_positive = False
+    for example in data:
+        tokens = features.tokenize(example.question)
+        if not tokens:
+            continue
+        candidates = logform.generate_candidates(tokens, kg, gen_cfg)
+        labeled = label_candidates(candidates, example.answers, kg)
+        negatives_kept = 0
+        for candidate, positive in labeled:  # candidates arrive sorted by form
+            if not positive:
+                if negatives_kept >= cfg.negative_cap:
+                    continue
+                negatives_kept += 1
+            else:
+                any_positive = True
+            instances.append((features.assemble(tokens, candidate), 1.0 if positive else 0.0))
+    return instances, any_positive
+
+
+def reference_fit(instances, cfg):
+    weights: dict = {}
+    grad_sq: dict = {}
+    rng = random.Random(cfg.seed)
+    order = list(range(len(instances)))
+    epoch_losses = []
+    for _ in range(cfg.epochs):
+        rng.shuffle(order)
+        loss = 0.0
+        for idx in order:
+            vector, label = instances[idx]
+            s = reference_dot(weights, vector)
+            p = learner.sigmoid(s)
+            # log-loss measured before the update
+            loss += -math.log(max(p if label else 1.0 - p, 1e-300))
+            base_grad = p - label
+            for key, value in vector.items():
+                g = base_grad * value
+                acc = grad_sq.get(key, 0.0) + g * g
+                grad_sq[key] = acc
+                eta = cfg.learning_rate / (math.sqrt(acc) + learner._ADA_EPS)
+                w = weights.get(key, 0.0) - eta * g
+                if cfg.l2:
+                    w /= 1.0 + eta * cfg.l2  # proximal shrinkage
+                weights[key] = w
+        penalty = 0.5 * cfg.l2 * sum(w * w for w in weights.values())
+        epoch_losses.append(loss / len(instances) + penalty)
+    weights = {k: w for k, w in weights.items() if w != 0.0}
+    return list(weights.items()), tuple(epoch_losses)
+
+
+@pytest.fixture(scope="module")
+def toy_corpora(tmp_path_factory):
+    corpora = {}
+    for seed in range(5):
+        out = tmp_path_factory.mktemp(f"toy{seed}")
+        toy.gen_toy(out, seed=seed)
+        with open(out / toy.TRIPLES_FILE) as triples, open(out / toy.CATALOG_FILE) as catalog:
+            kg = kgraph.load_graph(triples, catalog)
+        with open(out / toy.DATASET_FILE) as fh:
+            corpora[seed] = (load_dataset(fh), kg)
+    return corpora
+
+
+# The first epoch and a later one; tests/test_golden.py pins the default 15.
+ORACLE_EPOCHS = 2
+
+
+@pytest.mark.parametrize("negative_cap", [1, 50])
+@pytest.mark.parametrize("toy_seed", range(5))
+def test_train_matches_dict_loop_on_toy(toy_corpora, toy_seed, negative_cap, monkeypatch):
+    data, kg = toy_corpora[toy_seed]
+    build_cfg = TrainConfig(negative_cap=negative_cap)
+    instances, any_positive = reference_build_instances(data, kg, GenConfig(), build_cfg)
+    assert any_positive
+    # The instances depend on neither the train seed nor l2: build them once.
+    built = learner._build_instances(data, kg, GenConfig(), build_cfg)
+    monkeypatch.setattr(learner, "_build_instances", lambda *args: built)
+    for seed in (42, 7):
+        for l2 in (0.0, 1e-4, 1.0):
+            cfg = TrainConfig(epochs=ORACLE_EPOCHS, seed=seed, l2=l2,
+                              negative_cap=negative_cap)
+            result = train(data, kg, GenConfig(), cfg)
+            weights, losses = reference_fit(instances, cfg)
+            assert list(result.model.weights.items()) == weights
+            assert result.epoch_losses == losses
+
+
+def fit_both(keyed_instances, cfg):
+    """learner._fit on the interned instances, and the reference on the dicts."""
+    index: dict = {}
+    interned = [(tuple(index.setdefault(k, len(index)) for k in keys), label)
+                for keys, label in keyed_instances]
+    weights, losses = learner._fit(interned, list(index), cfg)
+    vectors = [({k: 1.0 for k in keys}, label) for keys, label in keyed_instances]
+    return (list(weights.items()), losses), reference_fit(vectors, cfg)
+
+
+FEATURE_NAMES = [f"f{i}" for i in range(8)]
+
+keyed_instance_sets = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(FEATURE_NAMES), min_size=1, max_size=8, unique=True),
+        st.sampled_from([0.0, 1.0]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+train_configs = st.builds(
+    TrainConfig,
+    epochs=st.integers(1, 4),
+    learning_rate=st.sampled_from([0.1, 0.7, 3.0]),
+    l2=st.sampled_from([0.0, 1e-4, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_instance_sets, train_configs)
+def test_fit_matches_dict_loop_on_random_instances(keyed_instances, cfg):
+    new, old = fit_both(keyed_instances, cfg)
+    assert new == old
+
+
+# kernel.dot walks the weight dict, in key-insertion order, while it holds no
+# more keys than the instance: early in the first epoch, and for an instance
+# holding every feature.  Summing these in the instance's own order changes
+# the last bits.
+DOT_ORDER_CASES = {
+    "first-epoch": (
+        [(["f0"], 0.0), (["f5", "f2", "f1"], 0.0), (["f2", "f1", "f0", "f4", "f5"], 1.0),
+         (["f1", "f2", "f3", "f4"], 1.0)],
+        TrainConfig(epochs=1, learning_rate=0.1, l2=1e-4, seed=90),
+    ),
+    "every-feature": (
+        [(["f4", "f5", "f3", "f2"], 0.0), (["f0", "f1", "f3", "f4", "f2", "f5"], 0.0)],
+        TrainConfig(epochs=2, learning_rate=3.0, l2=1e-4, seed=96),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DOT_ORDER_CASES)
+def test_fit_sums_in_dot_order(case):
+    new, old = fit_both(*DOT_ORDER_CASES[case])
+    assert new == old
