@@ -140,20 +140,16 @@ class SplitSpec:
 
 
 def _ordered(data: list, spec: SplitSpec) -> list:
+    """Positions of ``data`` in split order."""
     if spec.mode == "alphabetical":
-        return sorted(data, key=lambda ex: ex.question)
-    shuffled = list(data)
-    random.Random(spec.seed).shuffle(shuffled)
-    return shuffled
+        return sorted(range(len(data)), key=lambda i: data[i].question)
+    order = list(range(len(data)))
+    random.Random(spec.seed).shuffle(order)
+    return order
 
 
-def make_splits(data: list, spec: SplitSpec):
-    """Deterministic (train, test) partitions.
-
-    Alphabetical mode sorts by raw question text then slices contiguous
-    folds; random mode shuffles with the seed first.  Fold sizes differ
-    by at most one.
-    """
+def _split_positions(data: list, spec: SplitSpec):
+    """:func:`make_splits` as positions in ``data``."""
     n = len(data)
     ordered = _ordered(data, spec)
     if spec.holdout is not None:
@@ -173,6 +169,17 @@ def make_splits(data: list, spec: SplitSpec):
     return splits
 
 
+def make_splits(data: list, spec: SplitSpec):
+    """Deterministic (train, test) partitions.
+
+    Alphabetical mode sorts by raw question text then slices contiguous
+    folds; random mode shuffles with the seed first.  Fold sizes differ
+    by at most one.
+    """
+    return [([data[i] for i in train], [data[i] for i in test])
+            for train, test in _split_positions(data, spec)]
+
+
 @dataclass(frozen=True)
 class CvSummary:
     mean_average_f1: float
@@ -187,11 +194,20 @@ def cross_validate(
     train_cfg: learner.TrainConfig,
     spec: SplitSpec,
 ):
-    """Train and evaluate per fold; returns (reports, summary)."""
+    """Train and evaluate per fold; returns (reports, summary).
+
+    Each question is turned into training rows once, and each fold trains
+    on its questions' rows: the same model as :func:`learner.train` on
+    that fold's data.
+    """
+    splits = _split_positions(data, spec)
+    index: dict = {}
+    rows = [learner.question_rows(example, kg, gen_cfg, train_cfg, index) for example in data]
+    names = list(index)
     reports = []
-    for train_data, test_data in make_splits(data, spec):
-        result = learner.train(train_data, kg, gen_cfg, train_cfg)
-        reports.append(evaluate(result.model, test_data, kg, gen_cfg))
+    for train_pos, test_pos in splits:
+        result = learner.train_rows([rows[i] for i in train_pos], names, gen_cfg, train_cfg)
+        reports.append(evaluate(result.model, [data[i] for i in test_pos], kg, gen_cfg))
     scores = [r.average_f1 for r in reports]
     summary = CvSummary(
         mean_average_f1=statistics.fmean(scores),

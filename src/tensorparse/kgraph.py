@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from . import TensorparseError
+from . import TensorparseError, logform
 from .features import normalize_phrase
 
 
@@ -198,25 +198,23 @@ def denotation(lf, kg: KnowledgeGraph) -> frozenset:
     Raises :class:`ReferentialError` for ids missing from the graph; an
     empty result is not an error.
     """
-    from .logform import EntityLit, Intersect, Join, ReverseJoin
-
-    if isinstance(lf, EntityLit):
+    if isinstance(lf, logform.EntityLit):
         kg.entity(lf.entity_id)
         return frozenset((lf.entity_id,))
-    if isinstance(lf, Join):
+    if isinstance(lf, logform.Join):
         kg.relation(lf.relation_id)
         sub = denotation(lf.sub, kg)
         out: set = set()
         for s in sub:
             out |= kg.forward(s, lf.relation_id)
         return frozenset(out)
-    if isinstance(lf, ReverseJoin):
+    if isinstance(lf, logform.ReverseJoin):
         kg.relation(lf.relation_id)
         sub = denotation(lf.sub, kg)
         out = set()
         for s in sub:
             out |= kg.backward(s, lf.relation_id)
         return frozenset(out)
-    if isinstance(lf, Intersect):
+    if isinstance(lf, logform.Intersect):
         return denotation(lf.left, kg) & denotation(lf.right, kg)
     raise TypeError(f"not a logical form: {lf!r}")

@@ -64,3 +64,17 @@ def toy_kg(toy_dir):
 def toy_data(toy_dir):
     with open(toy_dir / toy.DATASET_FILE) as fh:
         return load_dataset(fh)
+
+
+@pytest.fixture(scope="session")
+def toy_corpora(tmp_path_factory):
+    """``{seed: (dataset, graph)}`` of the toy corpus for seeds 0-4."""
+    corpora = {}
+    for seed in range(5):
+        out = tmp_path_factory.mktemp(f"toy{seed}")
+        toy.gen_toy(out, seed=seed)
+        with open(out / toy.TRIPLES_FILE) as triples, open(out / toy.CATALOG_FILE) as catalog:
+            kg = kgraph.load_graph(triples, catalog)
+        with open(out / toy.DATASET_FILE) as fh:
+            corpora[seed] = (load_dataset(fh), kg)
+    return corpora

@@ -222,3 +222,37 @@ def test_cross_validate_too_many_folds(toy_kg, toy_data):
             learner.TrainConfig(epochs=1),
             SplitSpec(mode="random", folds=5, seed=0),
         )
+
+
+@pytest.mark.parametrize("negative_cap", [2, 50])
+@pytest.mark.parametrize("mode", ["random", "alphabetical"])
+@pytest.mark.parametrize("toy_seed", range(3))
+def test_cv_fold_models_match_train_on_the_fold(toy_corpora, toy_seed, mode, negative_cap,
+                                                monkeypatch, tmp_path):
+    data, kg = toy_corpora[toy_seed]
+    cfg = learner.TrainConfig(epochs=2, negative_cap=negative_cap)
+    spec = SplitSpec(mode=mode, folds=5, seed=toy_seed)
+    fold_args, fold_results = [], []
+    train_rows = learner.train_rows
+
+    def recording_train_rows(*args):
+        fold_args.append(args)
+        fold_results.append(train_rows(*args))
+        return fold_results[-1]
+
+    monkeypatch.setattr(learner, "train_rows", recording_train_rows)
+    reports, _ = cross_validate(data, kg, GenConfig(), cfg, spec)
+    splits = make_splits(data, spec)
+    assert len(fold_results) == len(reports) == len(splits) == 5
+    for (train_data, test_data), (rows, names, *_), result, report in zip(
+        splits, fold_args, fold_results, reports
+    ):
+        # the fold's own ids, names and feature count, as if indexed alone
+        assert learner._renumber(rows, names) == learner._build_instances(
+            train_data, kg, GenConfig(), cfg)
+        alone = learner.train(train_data, kg, GenConfig(), cfg)
+        assert result.epoch_losses == alone.epoch_losses
+        learner.save_model(result.model, tmp_path / "cv.model")
+        learner.save_model(alone.model, tmp_path / "alone.model")
+        assert (tmp_path / "cv.model").read_bytes() == (tmp_path / "alone.model").read_bytes()
+        assert report == evaluate(alone.model, test_data, kg, GenConfig())

@@ -1,8 +1,15 @@
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tensorparse
 from tensorparse import kgraph
 from tensorparse.kgraph import (
     GraphParseError,
@@ -155,3 +162,70 @@ def test_intersection_subset_property():
         both = denotation(Intersect(a, b), kg)
         assert both <= denotation(a, kg)
         assert both <= denotation(b, kg)
+
+
+@pytest.mark.parametrize("first", ["logform", "kgraph"])
+def test_denotation_after_either_import_order(first):
+    # kgraph and logform import each other; either may be imported first.
+    code = (
+        f"import tensorparse.{first}\n"
+        "from tensorparse.kgraph import Entity, KnowledgeGraph, Relation, Triple, denotation\n"
+        "from tensorparse.logform import EntityLit, Join\n"
+        "kg = KnowledgeGraph({e: Entity(e, e, (e,)) for e in 'ab'}, {'r': Relation('r', 'r')},"
+        " [Triple('a', 'r', 'b')])\n"
+        "print(sorted(denotation(Join('r', EntityLit('a')), kg)))\n"
+    )
+    src = str(Path(tensorparse.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['b']\n"
+
+
+# Catalog text: any printable characters but the field and alias separators.
+field_text = st.text(st.characters(exclude_categories=("Cc", "Cs"), exclude_characters="|"),
+                     max_size=8)
+ids = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_.", min_size=1, max_size=6)
+
+
+@st.composite
+def catalogs(draw):
+    """``(entities, relations, triples)`` in the shape ``load_graph`` returns."""
+    entities = {}
+    for eid in draw(st.lists(ids, min_size=1, max_size=6, unique=True)):
+        name = draw(field_text.filter(bool))
+        others = draw(st.lists(field_text.filter(bool), max_size=3))
+        aliases = list(others)
+        aliases.insert(draw(st.integers(0, len(others))), name)
+        entities[eid] = kgraph.Entity(eid, name, tuple(aliases))
+    relations = {
+        rid: kgraph.Relation(rid, draw(field_text.filter(bool)), draw(field_text),
+                             draw(field_text))
+        for rid in draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    }
+    triples = draw(st.lists(st.builds(Triple, st.sampled_from(sorted(entities)),
+                                      st.sampled_from(sorted(relations)),
+                                      st.sampled_from(sorted(entities))), max_size=12))
+    return entities, relations, triples
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalogs())
+def test_load_graph_round_trip(tmp_path_factory, catalog):
+    entities, relations, triples = catalog
+    root = tmp_path_factory.mktemp("graph")
+    with open(root / "catalog.tsv", "w", encoding="utf-8") as fh:
+        for e in entities.values():
+            fh.write(f"E\t{e.id}\t{e.name}\t{'|'.join(e.aliases)}\n")
+        for r in relations.values():
+            fh.write(f"R\t{r.id}\t{r.phrase}\t{r.domain_type}\t{r.range_type}\n")
+    with open(root / "triples.tsv", "w", encoding="utf-8") as fh:
+        fh.writelines(f"{s}\t{r}\t{o}\n" for s, r, o in triples)
+    with open(root / "triples.tsv", encoding="utf-8") as t, open(
+        root / "catalog.tsv", encoding="utf-8"
+    ) as c:
+        kg = load_graph(t, c)
+    assert kg.entities == entities
+    assert kg.relations == relations
+    assert kg.triples == frozenset(triples)

@@ -1,12 +1,12 @@
 import math
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorparse import features, kgraph, learner, logform, toy
-from tensorparse.dataset import load_dataset
+from tensorparse import features, learner, logform
 from tensorparse.dataset import DatasetExample
 from tensorparse.learner import (
     ConfigError,
@@ -254,6 +254,71 @@ def test_model_file_errors(tmp_path):
             load_model(bad)
 
 
+def test_failed_save_keeps_the_previous_model(tmp_path, monkeypatch):
+    path = tmp_path / "m.model"
+    save_model(Model(weights={"p:a|b": 1.5}, config_fingerprint="old"), path)
+    before = path.read_bytes()
+
+    class HalfWriter:
+        """Writes the first half of the text, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError("no space left on device")
+
+    real_open = open
+    monkeypatch.setattr(learner, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
+                        raising=False)
+    weights = {f"p:q{i}|u{i}": float(i) for i in range(100)}
+    with pytest.raises(OSError, match="no space"):
+        save_model(Model(weights=weights, config_fingerprint="new"), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.model"]
+
+
+def test_save_into_missing_directory_names_the_model_file(tmp_path):
+    path = tmp_path / "missing" / "m.model"
+    with pytest.raises(FileNotFoundError) as exc:
+        save_model(zero_model(), path)
+    assert str(exc.value).endswith(f"'{path}'")
+    assert os.listdir(tmp_path) == []
+
+
+tokens = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=6)
+feature_keys = st.one_of(
+    st.builds(features.pair_key, tokens, tokens),
+    st.sampled_from(sorted(features.lf_key(name) for name in features.LF_FEATURE_NAMES)),
+)
+finite_weights = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308]),
+)
+
+
+fingerprints = st.text("0123456789abcdef", min_size=1, max_size=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(feature_keys, finite_weights, max_size=30), fingerprints)
+def test_model_file_round_trip_property(tmp_path_factory, weights, digest):
+    path = tmp_path_factory.mktemp("model") / "m.model"
+    save_model(Model(weights=weights, config_fingerprint=digest), path)
+    loaded = load_model(path)
+    assert loaded.config_fingerprint == digest
+    assert list(loaded.weights.items()) == sorted(weights.items())
+    assert [repr(w) for w in loaded.weights.values()] == [repr(weights[k]) for k in sorted(weights)]
+
+
 # -- old-vs-new oracle ----------------------------------------------------------
 #
 # The training loop as it was over string-keyed dicts, kept verbatim as the
@@ -324,19 +389,6 @@ def reference_fit(instances, cfg):
         epoch_losses.append(loss / len(instances) + penalty)
     weights = {k: w for k, w in weights.items() if w != 0.0}
     return list(weights.items()), tuple(epoch_losses)
-
-
-@pytest.fixture(scope="module")
-def toy_corpora(tmp_path_factory):
-    corpora = {}
-    for seed in range(5):
-        out = tmp_path_factory.mktemp(f"toy{seed}")
-        toy.gen_toy(out, seed=seed)
-        with open(out / toy.TRIPLES_FILE) as triples, open(out / toy.CATALOG_FILE) as catalog:
-            kg = kgraph.load_graph(triples, catalog)
-        with open(out / toy.DATASET_FILE) as fh:
-            corpora[seed] = (load_dataset(fh), kg)
-    return corpora
 
 
 # The first epoch and a later one; tests/test_golden.py pins the default 15.
@@ -420,4 +472,42 @@ DOT_ORDER_CASES = {
 @pytest.mark.parametrize("case", DOT_ORDER_CASES)
 def test_fit_sums_in_dot_order(case):
     new, old = fit_both(*DOT_ORDER_CASES[case])
+    assert new == old
+
+
+def qu_instance(query, utterance, label):
+    """Pair features of one (query, utterance) pair: the Q x U product."""
+    return [features.pair_key(q, u) for q in query.split() for u in utterance.split()], label
+
+
+# Two questions with two candidates each, as the learner sees them: every
+# query term pairs with every utterance term, so a question's pairs with the
+# words its candidates share occur in exactly the same instances.
+QU_INSTANCES = [
+    qu_instance("what currency brazil", "the currency of brazil", 1.0),
+    qu_instance("what currency brazil", "the adjoins of brazil", 0.0),
+    qu_instance("which money kenya", "the currency of kenya", 1.0),
+    qu_instance("which money kenya", "the adjoins of kenya", 0.0),
+    qu_instance("what adjoins kenya", "the adjoins of kenya", 1.0),
+]
+
+
+@pytest.mark.parametrize("cfg", [
+    TrainConfig(epochs=3, learning_rate=0.1, l2=0.0, seed=1),
+    TrainConfig(epochs=3, learning_rate=0.7, l2=1e-4, seed=2),
+    TrainConfig(epochs=2, learning_rate=3.0, l2=0.5, seed=3),
+])
+def test_fit_merges_co_occurring_features(cfg):
+    index: dict = {}
+    interned = [(tuple(index.setdefault(k, len(index)) for k in keys), label)
+                for keys, label in QU_INSTANCES]
+    columns = learner._columns(interned, len(index))
+    assert len(set(columns)) < len(index)
+    # ids share a column exactly when they occur in the same instances
+    occurs = [frozenset(n for n, (ids, _) in enumerate(interned) if i in ids)
+              for i in range(len(index))]
+    for i in range(len(index)):
+        for j in range(len(index)):
+            assert (columns[i] == columns[j]) == (occurs[i] == occurs[j])
+    new, old = fit_both(QU_INSTANCES, cfg)
     assert new == old
