@@ -196,9 +196,10 @@ def cross_validate(
 ):
     """Train and evaluate per fold; returns (reports, summary).
 
-    Each question is turned into training rows once, and each fold trains
-    on its questions' rows: the same model as :func:`learner.train` on
-    that fold's data.
+    Each question is turned into training rows once, with one key index
+    for the whole run, and each fold trains on its questions' rows with
+    the run's ids: the same model as :func:`learner.train` on that fold's
+    data.
     """
     splits = _split_positions(data, spec)
     index: dict = {}

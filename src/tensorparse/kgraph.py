@@ -122,6 +122,15 @@ def _content_lines(source: Iterable[str]):
         yield lineno, line
 
 
+def _check_id(kind: str, ident: str, lineno: int) -> None:
+    """Reject an id that a serialized logical form could not hold."""
+    if not ident or not logform.ID_FORBIDDEN.isdisjoint(ident):
+        raise GraphParseError(
+            f"{kind} id {ident!r} must be non-empty, with no '(', ')', ',' or whitespace",
+            lineno,
+        )
+
+
 def _parse_catalog(catalog_source: Iterable[str]):
     entities: dict = {}
     relations: dict = {}
@@ -135,6 +144,7 @@ def _parse_catalog(catalog_source: Iterable[str]):
                     lineno,
                 )
             _, eid, name, alias_field = fields
+            _check_id("entity", eid, lineno)
             if not name:
                 raise GraphParseError("entity name must be non-empty", lineno)
             if eid in entities:
@@ -150,6 +160,7 @@ def _parse_catalog(catalog_source: Iterable[str]):
                     lineno,
                 )
             _, rid, phrase, domain_type, range_type = fields
+            _check_id("relation", rid, lineno)
             if not phrase:
                 raise GraphParseError("relation phrase must be non-empty", lineno)
             if rid in relations:

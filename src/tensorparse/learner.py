@@ -9,11 +9,11 @@ Training interns feature keys.  Rows: :func:`question_rows` turns one
 question into its rows, ``(feature ids, label)`` for the positives and
 the first ``negative_cap`` negatives, ids taken from a key index shared
 by the whole run (every assembled feature has value 1.0, so the ids are
-the vector).  Training on a set of questions renumbers their rows by
-first appearance, which gives the ids, names and feature count of an
-index built on those questions alone; so cross-validation builds each
-question's rows once and every fold trains the model :func:`train`
-gives on that fold.
+the vector).  :func:`train_rows` trains on any set of questions' rows
+with the run's own ids: columns come from co-occurrence and the key
+order from the first epoch's updates, so no float depends on an id's
+number.  So cross-validation builds each question's rows once and every
+fold trains the model :func:`train` gives on that fold.
 
 Columns: ids that occur in exactly the same instances get the same
 gradient at the same steps from the same zero start, so their weights
@@ -167,39 +167,6 @@ def question_rows(
     return rows
 
 
-def _renumber(rows_per_question, names):
-    """``(instances, names, any_positive)`` for the given questions' rows.
-
-    Ids are renumbered by first appearance, so the result is what
-    :func:`_build_instances` gives on those questions alone, whatever
-    index the rows were built with.
-    """
-    local: dict = {}
-    instances = []
-    any_positive = False
-    for rows in rows_per_question:
-        for ids, label in rows:
-            for i in ids:
-                if i not in local:
-                    local[i] = len(local)
-            instances.append((tuple(map(local.__getitem__, ids)), label))
-            if label:
-                any_positive = True
-    return instances, [names[i] for i in local], any_positive
-
-
-def _build_instances(data, kg, gen_cfg, cfg):
-    """Interned training instances: ``(instances, names, any_positive)``.
-
-    Each instance is ``(feature ids in assemble order, label)``, and
-    ``names[i]`` is the feature key of id ``i``.  Every assembled feature
-    has value 1.0, so the ids alone are the vector.
-    """
-    index: dict = {}
-    rows = [question_rows(example, kg, gen_cfg, cfg, index) for example in data]
-    return _renumber(rows, list(index))
-
-
 def _columns(instances, n):
     """Each id's column: ids that occur in exactly the same instances share one.
 
@@ -224,9 +191,11 @@ def _columns(instances, n):
 def _fit(instances, names, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:
     """Per-coordinate AdaGrad with proximal L2 over interned instances.
 
-    Returns the ``{name: weight}`` dict, zero weights dropped, and the
-    per-epoch losses.  Every float, and the dict's key order, is what the
-    same loop over string-keyed dicts, scored with ``kernel.dot``, gives.
+    ``names[i]`` is the key of id ``i``; keys of ids that no instance
+    holds stay out of the model.  Returns the ``{name: weight}`` dict, zero
+    weights dropped, and the per-epoch losses.  Every float, and the dict's
+    key order, is what the same loop over string-keyed dicts, scored with
+    ``kernel.dot``, gives.
     """
     n = len(names)
     col = _columns(instances, n)
@@ -247,7 +216,8 @@ def _fit(instances, names, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:
     # weight dict, in that order, when it holds no more keys than the
     # instance.  Such an instance is summed in rank order, untouched ids
     # (weight 0.0, which leaves a sum unchanged) last.  That is the first few
-    # instances of the first epoch, and one that holds every feature.
+    # instances of the first epoch, and one that holds every id in rank,
+    # which after the first epoch is every id the instances hold.
     rank: dict = {}
     first_epoch = list(shared)
     for idx in order:
@@ -257,7 +227,7 @@ def _fit(instances, names, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:
             first_epoch[idx] = (tuple(map(col.__getitem__, ranked)), shared[idx][1], label)
         for i in ids:
             rank.setdefault(i, len(rank))
-    later_epochs = [first_epoch[idx] if len(ids) == n else shared[idx]
+    later_epochs = [first_epoch[idx] if len(ids) == len(rank) else shared[idx]
                     for idx, (ids, _) in enumerate(instances)]
 
     # the penalty and the returned dict read every id through its column, in rank order
@@ -311,21 +281,21 @@ def train(
     """
     if not data:
         raise ConfigError("training data must be non-empty")
-    return _train_instances(*_build_instances(data, kg, gen_cfg, cfg), gen_cfg, cfg)
+    index: dict = {}
+    rows = [question_rows(example, kg, gen_cfg, cfg, index) for example in data]
+    return train_rows(rows, list(index), gen_cfg, cfg)
 
 
 def train_rows(rows_per_question, names, gen_cfg: GenConfig, cfg: TrainConfig) -> TrainResult:
     """:func:`train` on questions already turned into rows by :func:`question_rows`.
 
-    ``names`` is the key list of the index the rows were built with; the
-    result is what :func:`train` gives on those questions.
+    ``names`` is the key list of the index the rows were built with, which
+    may also hold keys of questions left out; the result is what
+    :func:`train` gives on the given questions.
     """
-    return _train_instances(*_renumber(rows_per_question, names), gen_cfg, cfg)
-
-
-def _train_instances(instances, names, any_positive, gen_cfg, cfg) -> TrainResult:
+    instances = [row for rows in rows_per_question for row in rows]
     digest = fingerprint(gen_cfg, cfg)
-    if not any_positive:
+    if not any(label for _, label in instances):
         return TrainResult(
             model=Model(weights={}, config_fingerprint=digest),
             epoch_losses=(),
@@ -397,6 +367,8 @@ def load_model(path) -> Model:
         key, sep, value = line.partition("\t")
         if not sep:
             raise ModelFormatError(f"line {lineno}: expected key<TAB>weight")
+        if key in weights:
+            raise ModelFormatError(f"line {lineno}: duplicate key {key!r}")
         try:
             weights[key] = float(value)
         except ValueError:

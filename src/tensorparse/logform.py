@@ -90,7 +90,11 @@ def serialize(lf: LogicalForm) -> str:
     raise TypeError(f"not a logical form: {lf!r}")
 
 
-_ID_FORBIDDEN = set("(),") | set(" \t\n\r\f\v")
+# Characters no entity or relation id may hold: the form delimiters and every
+# character str.isspace() accepts (none lies above U+3000).  With them an id
+# could serialize like another form, or lose its leading characters to
+# skip_ws.  kgraph rejects catalog ids that hold any.
+ID_FORBIDDEN = frozenset("(),") | frozenset(filter(str.isspace, map(chr, range(0x3001))))
 
 
 class _Parser:
@@ -112,7 +116,7 @@ class _Parser:
 
     def ident(self) -> str:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in _ID_FORBIDDEN:
+        while self.pos < len(self.text) and self.text[self.pos] not in ID_FORBIDDEN:
             self.pos += 1
         if self.pos == start:
             self.error("expected identifier")

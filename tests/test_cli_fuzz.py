@@ -1,7 +1,8 @@
 """CLI fuzz gate: bad flags and bad files end in exit status 1 with one
 ``error:`` line on stderr, or in argparse's usage exit 2.  Nothing else
 escapes ``cli.main``, a run that exits 0 prints no ``nan``/``inf``, and a
-file that is not UTF-8 is named in the error.
+file that is not UTF-8 is named in the error.  A catalog id that a logical
+form cannot hold, and a model key given twice, must end in exit status 1.
 
 The cases run in-process on the toy corpus with ``--epochs 1`` and
 ``--folds 2``.  The last occurrence of a repeated flag wins, so each case
@@ -35,6 +36,9 @@ FILE_FLAGS = {
 
 BAD_FILES = ["non-utf8", "truncated-header", "directory"]
 
+# files that would otherwise load: each must end in exit status 1
+MUST_FAIL = {"duplicate-key": "duplicate key", "forbidden-id": "must be non-empty"}
+
 HUGE = "9" * 20
 
 
@@ -50,7 +54,8 @@ def _cases():
             cases += [(command, flag, value) for value in values]
     for command, flags in FILE_FLAGS.items():
         for flag in flags:
-            kinds = BAD_FILES + (["nan-weight"] if flag == "--model" else [])
+            kinds = BAD_FILES + {"--model": ["nan-weight", "duplicate-key"],
+                                 "--catalog": ["forbidden-id"]}.get(flag, [])
             cases += [(command, flag, kind) for kind in kinds]
     return cases
 
@@ -68,11 +73,16 @@ def corpus(toy_dir, tmp_path_factory):
                      "--data", str(toy_dir / "dataset.jsonl"),
                      "--out", str(model), "--epochs", "1"]) == 0
     bad = {"non-utf8": root / "non-utf8", "truncated-header": root / "truncated",
-           "directory": root / "directory", "nan-weight": root / "nan.model"}
+           "directory": root / "directory", "nan-weight": root / "nan.model",
+           "duplicate-key": root / "duplicate.model", "forbidden-id": root / "catalog.tsv"}
     bad["non-utf8"].write_bytes(b"\xff\xfe\x00 not utf-8\n")
     bad["truncated-header"].write_text("tensorparse-model v")
     bad["directory"].mkdir()
     bad["nan-weight"].write_text("tensorparse-model v1 0123456789abcdef\np:a|b\tnan\n")
+    lines = model.read_text().splitlines(keepends=True)
+    bad["duplicate-key"].write_text("".join(lines + lines[1:2]))
+    catalog = (toy_dir / "catalog.tsv").read_text()
+    bad["forbidden-id"].write_text(catalog + "E\tpeso, ent(x)\tPeso\t\n")
     return model, bad
 
 
@@ -102,9 +112,11 @@ def test_cli_bad_input_is_one_line_error(toy_dir, corpus, tmp_path, capsys,
     try:
         code = cli.main(argv)
     except SystemExit as exc:
-        assert exc.code == 2
+        assert exc.code == 2 and value not in MUST_FAIL
         return
     out, err = capsys.readouterr()
+    if value in MUST_FAIL:
+        assert code == 1 and MUST_FAIL[value] in err
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         if value == "non-utf8":

@@ -224,6 +224,12 @@ def test_cross_validate_too_many_folds(toy_kg, toy_data):
         )
 
 
+def keyed(rows_per_question, names):
+    """Every row of the questions, in order, with its ids mapped to key text."""
+    return [(tuple(names[i] for i in ids), label)
+            for rows in rows_per_question for ids, label in rows]
+
+
 @pytest.mark.parametrize("negative_cap", [2, 50])
 @pytest.mark.parametrize("mode", ["random", "alphabetical"])
 @pytest.mark.parametrize("toy_seed", range(3))
@@ -242,14 +248,17 @@ def test_cv_fold_models_match_train_on_the_fold(toy_corpora, toy_seed, mode, neg
 
     monkeypatch.setattr(learner, "train_rows", recording_train_rows)
     reports, _ = cross_validate(data, kg, GenConfig(), cfg, spec)
+    monkeypatch.undo()  # learner.train below trains through train_rows too
     splits = make_splits(data, spec)
     assert len(fold_results) == len(reports) == len(splits) == 5
     for (train_data, test_data), (rows, names, *_), result, report in zip(
         splits, fold_args, fold_results, reports
     ):
-        # the fold's own ids, names and feature count, as if indexed alone
-        assert learner._renumber(rows, names) == learner._build_instances(
-            train_data, kg, GenConfig(), cfg)
+        # the fold's rows, keyed, are the rows of the fold indexed alone
+        index: dict = {}
+        alone_rows = [learner.question_rows(example, kg, GenConfig(), cfg, index)
+                      for example in train_data]
+        assert keyed(rows, names) == keyed(alone_rows, list(index))
         alone = learner.train(train_data, kg, GenConfig(), cfg)
         assert result.epoch_losses == alone.epoch_losses
         learner.save_model(result.model, tmp_path / "cv.model")

@@ -65,6 +65,24 @@ def test_catalog_errors():
         graph_from_strings("", "Z\tx\ta\t\n")  # unknown record kind
 
 
+# Ids a serialized form cannot hold.  A relation "a, ent(b)), join(c" and an
+# entity "b)), join(c, ent(d" would make join(<that relation>, ent(d))
+# serialize like a different form, and generation deduplicates by text.
+BAD_IDS = ["a, ent(b)), join(c", "b)), join(c, ent(d", "a(b", "a)b", "a,b", "a b",
+           "\u00a0a", "a\u3000", "a\x0bb", ""]
+
+
+@pytest.mark.parametrize("bad_id", BAD_IDS)
+@pytest.mark.parametrize("kind, template", [("entity", "E\t{}\tname\t"),
+                                            ("relation", "R\t{}\tphrase\tT\tT")])
+def test_catalog_rejects_ids_a_form_cannot_hold(kind, template, bad_id):
+    catalog = "E\tbrazil\tBrazil\t\n" + template.format(bad_id) + "\n"
+    with pytest.raises(GraphParseError) as exc:
+        graph_from_strings("", catalog)
+    assert exc.value.line_number == 2
+    assert f"{kind} id {bad_id!r} must be" in str(exc.value)
+
+
 def test_index_inversion_exhaustive(mini_kg):
     for s, r, o in mini_kg.triples:
         assert o in mini_kg.forward(s, r)

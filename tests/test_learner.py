@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -252,6 +253,9 @@ def test_model_file_errors(tmp_path):
         bad.write_text(f"tensorparse-model v1 abc\np:a|b\t{weight}\n")
         with pytest.raises(ModelFormatError, match=f"line 2: weight '{weight}' is not finite"):
             load_model(bad)
+    bad.write_text("tensorparse-model v1 abc\np:a|b\t1.5\np:a|b\t-7.0\n")
+    with pytest.raises(ModelFormatError, match=re.escape("line 3: duplicate key 'p:a|b'")):
+        load_model(bad)
 
 
 def test_failed_save_keeps_the_previous_model(tmp_path, monkeypatch):
@@ -402,9 +406,21 @@ def test_train_matches_dict_loop_on_toy(toy_corpora, toy_seed, negative_cap, mon
     build_cfg = TrainConfig(negative_cap=negative_cap)
     instances, any_positive = reference_build_instances(data, kg, GenConfig(), build_cfg)
     assert any_positive
-    # The instances depend on neither the train seed nor l2: build them once.
-    built = learner._build_instances(data, kg, GenConfig(), build_cfg)
-    monkeypatch.setattr(learner, "_build_instances", lambda *args: built)
+    # The rows depend on neither the train seed nor l2: build each question's
+    # once, and replay them into the caller's index in the order it would fill.
+    question_rows = learner.question_rows
+    keyed_rows = {}
+
+    def memo_question_rows(example, kg, gen_cfg, cfg, index):
+        if example not in keyed_rows:
+            own: dict = {}
+            rows = question_rows(example, kg, gen_cfg, cfg, own)
+            names = list(own)
+            keyed_rows[example] = [(tuple(names[i] for i in ids), label) for ids, label in rows]
+        return [(tuple(index.setdefault(k, len(index)) for k in keys), label)
+                for keys, label in keyed_rows[example]]
+
+    monkeypatch.setattr(learner, "question_rows", memo_question_rows)
     for seed in (42, 7):
         for l2 in (0.0, 1e-4, 1.0):
             cfg = TrainConfig(epochs=ORACLE_EPOCHS, seed=seed, l2=l2,

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +20,8 @@ from tensorparse.logform import (
     serialize,
 )
 
-ids = st.text(alphabet="abcdefg_.0123456789", min_size=1, max_size=6)
+# every id a catalog accepts
+ids = st.text(st.characters(exclude_characters=logform.ID_FORBIDDEN), min_size=1, max_size=6)
 
 forms = st.recursive(
     st.builds(EntityLit, ids),
@@ -48,6 +51,11 @@ def test_parse_nested():
 @given(forms)
 def test_round_trip(lf):
     assert parse(serialize(lf)) == lf
+
+
+def test_id_forbidden_holds_every_space():
+    spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+    assert spaces <= logform.ID_FORBIDDEN
 
 
 @pytest.mark.parametrize(
