@@ -1,13 +1,22 @@
 """In-memory triple store with alias lookup and logical-form execution.
 
-Graphs are immutable once built by :func:`load_graph`; all lookup methods
-are safe for concurrent use.
+The graph is indexed by the only questions asked of it: which objects a
+subject reaches through a relation (:meth:`KnowledgeGraph.forward`), which
+subjects reach an object (:meth:`KnowledgeGraph.backward`) and which
+entities an alias names.  :func:`load_graph` hands the indexes the
+catalog's own id strings, and no separate triple set is kept;
+``kg.triples`` is a read-only view over the forward index.
+
+Graphs are immutable once built; all lookup methods are safe for
+concurrent use.
 """
 
 from __future__ import annotations
 
+import gc
+from collections.abc import Set
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import TensorparseError, logform
 from .features import normalize_phrase
@@ -51,14 +60,59 @@ class Triple(NamedTuple):
 
 
 _EMPTY: frozenset = frozenset()
+_NO_FACTS: dict = {}
+
+
+def _freeze(index: dict) -> int:
+    """Freeze each set of an index in place; return how many members they hold."""
+    count = 0
+    for rels in index.values():
+        for r, members in rels.items():
+            rels[r] = frozenset(members)
+            count += len(members)
+    return count
+
+
+class TripleView(Set):
+    """The graph's distinct triples, read from its forward index.
+
+    ``len`` is O(1), iteration yields :class:`Triple`, and membership is two
+    dict lookups and a set lookup.  Set operators return frozensets.
+    """
+
+    __slots__ = ("_forward", "_count")
+
+    def __init__(self, forward: dict, count: int):
+        self._forward = forward
+        self._count = count
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Triple]:
+        for s, rels in self._forward.items():
+            for r, objs in rels.items():
+                for o in objs:
+                    yield Triple(s, r, o)
+
+    def __contains__(self, item) -> bool:
+        if not isinstance(item, tuple) or len(item) != 3:
+            return False
+        s, r, o = item
+        return o in self._forward.get(s, _NO_FACTS).get(r, _EMPTY)
 
 
 class KnowledgeGraph:
-    """Deduplicated triple set plus forward/backward indexes.
+    """Forward and backward indexes over a deduplicated set of triples.
 
-    forward maps (subject, relation) to the object set; backward maps
-    (object, relation) to the subject set.  The two indexes are exact
-    inverses by construction.
+    ``_forward`` maps subject to ``{relation: frozenset(objects)}`` and
+    ``_backward`` maps object to ``{relation: frozenset(subjects)}``; both
+    are built in one pass over the triples, so they are exact inverses.
+    ``triples`` is a :class:`TripleView` over ``_forward``.
     """
 
     def __init__(
@@ -69,28 +123,42 @@ class KnowledgeGraph:
     ):
         self.entities: dict = dict(entities)
         self.relations: dict = dict(relations)
-        self.triples: frozenset = frozenset(triples)
         forward: dict = {}
         backward: dict = {}
-        for s, r, o in self.triples:
-            forward.setdefault((s, r), set()).add(o)
-            backward.setdefault((o, r), set()).add(s)
-        self._forward = {k: frozenset(v) for k, v in forward.items()}
-        self._backward = {k: frozenset(v) for k, v in backward.items()}
+        for s, r, o in triples:
+            rels = forward.get(s)
+            if rels is None:
+                forward[s] = {r: {o}}
+            elif r in rels:
+                rels[r].add(o)
+            else:
+                rels[r] = {o}
+            rels = backward.get(o)
+            if rels is None:
+                backward[o] = {r: {s}}
+            elif r in rels:
+                rels[r].add(s)
+            else:
+                rels[r] = {s}
+        _freeze(backward)
+        self._forward = forward
+        self._backward = backward
+        self.triples = TripleView(forward, _freeze(forward))
         alias_index: dict = {}
         for ent in self.entities.values():
             keys = {normalize_phrase(a) for a in ent.aliases}
-            keys.add(normalize_phrase(ent.name))
+            if ent.name not in ent.aliases:
+                keys.add(normalize_phrase(ent.name))
             keys.discard("")
             for key in keys:
                 alias_index.setdefault(key, set()).add(ent.id)
         self._alias_index = {k: tuple(sorted(v)) for k, v in alias_index.items()}
 
     def forward(self, subject: str, relation: str) -> frozenset:
-        return self._forward.get((subject, relation), _EMPTY)
+        return self._forward.get(subject, _NO_FACTS).get(relation, _EMPTY)
 
     def backward(self, obj: str, relation: str) -> frozenset:
-        return self._backward.get((obj, relation), _EMPTY)
+        return self._backward.get(obj, _NO_FACTS).get(relation, _EMPTY)
 
     def entities_by_alias(self, span: Iterable[str]) -> tuple[Entity, ...]:
         """Entities whose normalized alias equals the normalized span.
@@ -173,6 +241,34 @@ def _parse_catalog(catalog_source: Iterable[str]):
     return entities, relations
 
 
+def _checked_triples(triple_source: Iterable[str], entities: dict, relations: dict):
+    """Yield each triple line's ids as the catalog's own string objects.
+
+    One dict ``get`` both checks that an id is in the catalog and finds the
+    catalog's copy, so the indexes hold one string per id, not one per line.
+    """
+    entity_ids = {eid: eid for eid in entities}
+    relation_ids = {rid: rid for rid in relations}
+    for lineno, line in _content_lines(triple_source):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise GraphParseError(
+                f"triple line needs 3 tab-separated fields, got {len(fields)}",
+                lineno,
+            )
+        s, r, o = fields
+        subject = entity_ids.get(s)
+        if subject is None:
+            raise ReferentialError(f"unknown subject entity id: {s}")
+        relation = relation_ids.get(r)
+        if relation is None:
+            raise ReferentialError(f"unknown relation id: {r}")
+        obj = entity_ids.get(o)
+        if obj is None:
+            raise ReferentialError(f"unknown object entity id: {o}")
+        yield subject, relation, obj
+
+
 def load_graph(
     triple_source: Iterable[str], catalog_source: Iterable[str]
 ) -> KnowledgeGraph:
@@ -182,25 +278,21 @@ def load_graph(
     are ``E<TAB>id<TAB>name<TAB>alias1|alias2|...`` or
     ``R<TAB>id<TAB>phrase<TAB>domainType<TAB>rangeType``.  Blank lines
     and ``#`` comments are ignored; duplicate triples deduplicate.
+
+    The cyclic garbage collector is paused while the graph is built and
+    then restored to the state it was in: nothing built here holds a
+    cycle, and each collection pass would rescan every set built so far.
     """
-    entities, relations = _parse_catalog(catalog_source)
-    triples = set()
-    for lineno, line in _content_lines(triple_source):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise GraphParseError(
-                f"triple line needs 3 tab-separated fields, got {len(fields)}",
-                lineno,
-            )
-        s, r, o = fields
-        if s not in entities:
-            raise ReferentialError(f"unknown subject entity id: {s}")
-        if r not in relations:
-            raise ReferentialError(f"unknown relation id: {r}")
-        if o not in entities:
-            raise ReferentialError(f"unknown object entity id: {o}")
-        triples.add(Triple(s, r, o))
-    return KnowledgeGraph(entities, relations, triples)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        entities, relations = _parse_catalog(catalog_source)
+        return KnowledgeGraph(
+            entities, relations, _checked_triples(triple_source, entities, relations)
+        )
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def denotation(lf, kg: KnowledgeGraph) -> frozenset:

@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import random
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorparse
-from tensorparse import kgraph
+from tensorparse import kgraph, toy
+from tensorparse.features import normalize_phrase
 from tensorparse.kgraph import (
     GraphParseError,
     KnowledgeGraph,
@@ -21,7 +23,7 @@ from tensorparse.kgraph import (
 )
 from tensorparse.logform import EntityLit, Intersect, Join, ReverseJoin
 
-from conftest import MINI_CATALOG, graph_from_strings
+from conftest import MINI_CATALOG, MINI_TRIPLES, graph_from_strings
 
 
 def test_duplicate_triples_deduplicate():
@@ -83,22 +85,108 @@ def test_catalog_rejects_ids_a_form_cannot_hold(kind, template, bad_id):
     assert f"{kind} id {bad_id!r} must be" in str(exc.value)
 
 
-def test_index_inversion_exhaustive(mini_kg):
-    for s, r, o in mini_kg.triples:
-        assert o in mini_kg.forward(s, r)
-        assert s in mini_kg.backward(o, r)
-    # nothing else is in either index
-    forward_facts = {
-        (s, r, o)
-        for (s, r), objs in mini_kg._forward.items()
-        for o in objs
-    }
-    backward_facts = {
-        (s, r, o)
-        for (o, r), subjs in mini_kg._backward.items()
-        for s in subjs
-    }
-    assert forward_facts == set(mini_kg.triples) == backward_facts
+def oracle_indexes(triples):
+    """``(triples, forward, backward)`` as the graph built them before its
+    per-entity indexes: tuple keys over a kept triple set."""
+    triples = frozenset(triples)
+    forward: dict = {}
+    backward: dict = {}
+    for s, r, o in triples:
+        forward.setdefault((s, r), set()).add(o)
+        backward.setdefault((o, r), set()).add(s)
+    return (triples, {k: frozenset(v) for k, v in forward.items()},
+            {k: frozenset(v) for k, v in backward.items()})
+
+
+def oracle_alias_index(entities):
+    alias_index: dict = {}
+    for ent in entities.values():
+        keys = {normalize_phrase(a) for a in ent.aliases}
+        keys.add(normalize_phrase(ent.name))
+        keys.discard("")
+        for key in keys:
+            alias_index.setdefault(key, set()).add(ent.id)
+    return {k: tuple(sorted(v)) for k, v in alias_index.items()}
+
+
+def assert_matches_oracle(kg, triples):
+    """Every lookup of ``kg``, over every entity and relation, against the oracle."""
+    expected, forward, backward = oracle_indexes(triples)
+    for e in kg.entities:
+        for r in kg.relations:
+            assert kg.forward(e, r) == forward.get((e, r), frozenset())
+            assert kg.backward(e, r) == backward.get((e, r), frozenset())
+            assert type(kg.forward(e, r)) is type(kg.backward(e, r)) is frozenset
+            for o in kg.entities:
+                assert ((e, r, o) in kg.triples) == ((e, r, o) in expected)
+    assert len(kg.triples) == len(expected)
+    assert set(kg.triples) == expected
+    assert kg.triples == expected and expected == kg.triples
+    assert all(type(t) is Triple for t in kg.triples)
+    assert ("x", "y") not in kg.triples and "abc" not in kg.triples
+    assert kg._alias_index == oracle_alias_index(kg.entities)
+
+
+def test_index_inversion_exhaustive(mini_kg, toy_kg, toy_dir):
+    mini = [tuple(line.split("\t")) for line in MINI_TRIPLES.splitlines()]
+    assert_matches_oracle(mini_kg, mini)
+    lines = (toy_dir / toy.TRIPLES_FILE).read_text(encoding="utf-8").splitlines()
+    toy_triples = [tuple(line.split("\t")) for line in lines if line and line[0] != "#"]
+    assert len(toy_triples) == 96
+    assert_matches_oracle(toy_kg, toy_triples)
+
+
+def test_index_holds_the_catalogs_id_strings(toy_dir):
+    # Split from the triple lines, every id would be a new string per line;
+    # the indexes hold the catalog's one string per id instead.
+    with open(toy_dir / toy.TRIPLES_FILE, encoding="utf-8") as t, open(
+        toy_dir / toy.CATALOG_FILE, encoding="utf-8"
+    ) as c:
+        kg = load_graph(t, c)
+    entity_ids = {e: e for e in kg.entities}
+    relation_ids = {r: r for r in kg.relations}
+    assert all(entity_ids[e] is e is kg.entities[e].id for e in kg.entities)
+    for index in (kg._forward, kg._backward):
+        assert index
+        for e, rels in index.items():
+            assert entity_ids[e] is e
+            for r, members in rels.items():
+                assert relation_ids[r] is r
+                assert all(entity_ids[m] is m for m in members)
+
+
+BAD_MID_TRIPLE = MINI_TRIPLES + "brazil\tcurrency\n" + MINI_TRIPLES
+BAD_CATALOG = MINI_CATALOG + "E\tatlantis\tAtlantis\n" + "E\tlemuria\tLemuria\t\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("triples, catalog, error", [
+    (MINI_TRIPLES, MINI_CATALOG, None),
+    (BAD_MID_TRIPLE, MINI_CATALOG, GraphParseError),
+    (MINI_TRIPLES + "atlantis\tcurrency\tbrazil\n", MINI_CATALOG, ReferentialError),
+    (MINI_TRIPLES, BAD_CATALOG, GraphParseError),
+], ids=["loads", "bad-triple-line", "unknown-id", "bad-catalog-line"])
+def test_load_graph_restores_gc_state(enabled, triples, catalog, error):
+    seen = []
+
+    def lines(text):
+        for line in io.StringIO(text):
+            seen.append(gc.isenabled())
+            yield line
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            load_graph(lines(triples), lines(catalog))
+        else:
+            with pytest.raises(error):
+                load_graph(lines(triples), lines(catalog))
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert after is enabled
+    assert seen and not any(seen)  # paused while the sources are read
 
 
 def test_entities_by_alias(mini_kg):
@@ -108,6 +196,19 @@ def test_entities_by_alias(mini_kg):
         "dominican_republic"
     ]
     assert mini_kg.entities_by_alias(["xyzzy"]) == ()
+
+
+def test_alias_index_covers_a_name_missing_from_the_aliases():
+    # _parse_catalog always puts the name among the aliases; a directly built
+    # Entity need not.
+    ents = {"nyc": kgraph.Entity("nyc", "New York City", ("the big apple", "NYC")),
+            "ny": kgraph.Entity("ny", "New York", ("New York",))}
+    kg = KnowledgeGraph(ents, {}, [])
+    assert kg._alias_index == oracle_alias_index(ents)
+    assert kg.entities_by_alias(["new", "york", "city"]) == (ents["nyc"],)
+    assert kg.entities_by_alias(["Big", "Apple"]) == ()
+    assert kg.entities_by_alias(["the", "big", "apple"]) == (ents["nyc"],)
+    assert kg.entities_by_alias(["new", "york"]) == (ents["ny"],)
 
 
 def test_denotation_forward_join(mini_kg):
@@ -228,6 +329,24 @@ def catalogs(draw):
     return entities, relations, triples
 
 
+@settings(max_examples=200, deadline=None)
+@given(catalogs(), st.data())
+def test_indexes_match_oracle_on_random_graphs(catalog, data):
+    entities, relations, triples = catalog
+    # Repeat some triples, and let some entities' aliases omit their name, as
+    # a directly built Entity may.
+    if triples:
+        triples = triples + data.draw(st.lists(st.sampled_from(triples), max_size=6))
+        triples = data.draw(st.permutations(triples))
+    entities = {
+        eid: kgraph.Entity(eid, e.name, tuple(a for a in e.aliases if a != e.name))
+        if data.draw(st.booleans()) else e
+        for eid, e in entities.items()
+    }
+    kg = KnowledgeGraph(entities, relations, iter(triples))
+    assert_matches_oracle(kg, triples)
+
+
 @settings(max_examples=100, deadline=None)
 @given(catalogs())
 def test_load_graph_round_trip(tmp_path_factory, catalog):
@@ -247,3 +366,4 @@ def test_load_graph_round_trip(tmp_path_factory, catalog):
     assert kg.entities == entities
     assert kg.relations == relations
     assert kg.triples == frozenset(triples)
+    assert_matches_oracle(kg, triples)
