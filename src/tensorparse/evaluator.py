@@ -2,7 +2,7 @@
 
 Answer sets are compared by normalized entity name (lowercased,
 punctuation-stripped, single-spaced), decoupling gold files from graph
-internals.
+internals.  A name with no letter or digit matches no name.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from .kgraph import KnowledgeGraph
 
 
 def normalize_answer_set(answers: Iterable[str]) -> frozenset:
-    return frozenset(normalize_phrase(a) for a in answers)
+    """Normalized names; a name with no letter or digit normalizes to
+    nothing and is left out, so it matches no other name."""
+    return frozenset(filter(None, map(normalize_phrase, answers)))
 
 
 def f1(predicted: Iterable[str], gold: Iterable[str]) -> float:
@@ -73,7 +75,10 @@ def evaluate(
     """Predict per query and score against gold answers.
 
     A query with no candidates scores 0 for both predicted and oracle F1.
+    Empty ``data`` is a :class:`ConfigError`.
     """
+    if not data:
+        raise ConfigError("evaluation data must be non-empty")
     rows = []
     for index, example in enumerate(data):
         tokens = tokenize(example.question)
@@ -97,8 +102,8 @@ def evaluate(
             )
         )
     n = len(rows)
-    avg = sum(r.predicted_f1 for r in rows) / n if n else 0.0
-    oracle_avg = sum(r.oracle_f1 for r in rows) / n if n else 0.0
+    avg = sum(r.predicted_f1 for r in rows) / n
+    oracle_avg = sum(r.oracle_f1 for r in rows) / n
     return EvalReport(average_f1=avg, oracle_f1=oracle_avg, per_query=tuple(rows))
 
 

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 
 def dot(a: dict, b: dict) -> float:
-    """Sum over shared keys of the products of values; symmetric."""
-    if len(b) < len(a):
-        a, b = b, a
+    """Sum over shared keys of the products of values.
+
+    Walks ``a`` in its key order and looks each key up in ``b``, so the
+    float sum follows ``a``'s order whatever the sizes of the two.
+    """
     total = 0.0
     get = b.get
     for k, v in a.items():

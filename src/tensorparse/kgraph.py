@@ -191,10 +191,14 @@ def _content_lines(source: Iterable[str]):
 
 
 def _check_id(kind: str, ident: str, lineno: int) -> None:
-    """Reject an id that a serialized logical form could not hold."""
-    if not ident or not logform.ID_FORBIDDEN.isdisjoint(ident):
+    """Reject an id that a serialized logical form or a triple line could not hold.
+
+    A triple line that begins with ``#`` is a comment, so an id may not.
+    """
+    if not ident or ident[0] == "#" or not logform.ID_FORBIDDEN.isdisjoint(ident):
         raise GraphParseError(
-            f"{kind} id {ident!r} must be non-empty, with no '(', ')', ',' or whitespace",
+            f"{kind} id {ident!r} must be non-empty, not start with '#', "
+            "and hold no '(', ')', ',' or whitespace",
             lineno,
         )
 

@@ -10,8 +10,9 @@ question into its rows, ``(feature ids, label)`` for the positives and
 the first ``negative_cap`` negatives, ids taken from a key index shared
 by the whole run (every assembled feature has value 1.0, so the ids are
 the vector).  :func:`train_rows` trains on any set of questions' rows
-with the run's own ids: columns come from co-occurrence and the key
-order from the first epoch's updates, so no float depends on an id's
+with the run's own ids: columns come from co-occurrence, a score adds
+its features in the instance's own order, and the L2 penalty and the
+model go in key order, the model file's, so no float depends on an id's
 number.  So cross-validation builds each question's rows once and every
 fold trains the model :func:`train` gives on that fold.
 
@@ -102,8 +103,11 @@ def sigmoid(x: float) -> float:
 
 
 def score(model: Model, vector: dict) -> float:
-    """Linear score; the classifier probability is sigmoid(score)."""
-    return dot(model.weights, vector)
+    """Linear score: the weights of ``vector``'s keys, added in its key order.
+
+    The classifier probability is sigmoid(score).
+    """
+    return dot(vector, model.weights)
 
 
 def predict(
@@ -192,55 +196,33 @@ def _fit(instances, names, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:
     """Per-coordinate AdaGrad with proximal L2 over interned instances.
 
     ``names[i]`` is the key of id ``i``; keys of ids that no instance
-    holds stay out of the model.  Returns the ``{name: weight}`` dict, zero
-    weights dropped, and the per-epoch losses.  Every float, and the dict's
-    key order, is what the same loop over string-keyed dicts, scored with
-    ``kernel.dot``, gives.
+    holds stay out of the model.  A score adds its ids' weights in the
+    instance's own order; the L2 penalty and the returned ``{name:
+    weight}`` dict, zero weights dropped, go in key order, the model
+    file's.  Returns that dict and the per-epoch losses, every float what
+    the same loop over string-keyed dicts gives.
     """
-    n = len(names)
-    col = _columns(instances, n)
+    col = _columns(instances, len(names))
     m = max(col, default=-1) + 1
     weights = [0.0] * m
     grad_sq = [0.0] * m
-    rng = random.Random(cfg.seed)
-    order = list(range(len(instances)))
-    rng.shuffle(order)
     # An instance is scored over the column of each of its ids, in id order,
     # and updated once per distinct column.
     shared = []
     for ids, label in instances:
         cols = tuple(map(col.__getitem__, ids))
         shared.append((cols, tuple(dict.fromkeys(cols)), label))
-    # rank: each id's place among the first epoch's first updates, which is
-    # the dict loop's key order.  kernel.dot walks the smaller operand: the
-    # weight dict, in that order, when it holds no more keys than the
-    # instance.  Such an instance is summed in rank order, untouched ids
-    # (weight 0.0, which leaves a sum unchanged) last.  That is the first few
-    # instances of the first epoch, and one that holds every id in rank,
-    # which after the first epoch is every id the instances hold.
-    rank: dict = {}
-    first_epoch = list(shared)
-    for idx in order:
-        ids, label = instances[idx]
-        if len(rank) <= len(ids):
-            ranked = sorted(ids, key=lambda i: rank.get(i, n))
-            first_epoch[idx] = (tuple(map(col.__getitem__, ranked)), shared[idx][1], label)
-        for i in ids:
-            rank.setdefault(i, len(rank))
-    later_epochs = [first_epoch[idx] if len(ids) == len(rank) else shared[idx]
-                    for idx, (ids, _) in enumerate(instances)]
-
-    # the penalty and the returned dict read every id through its column, in rank order
-    rank_cols = [col[i] for i in rank]
+    held = sorted({i for ids, _ in instances for i in ids}, key=names.__getitem__)
+    held_cols = [col[i] for i in held]
+    rng = random.Random(cfg.seed)
+    order = list(range(len(instances)))
     lr, l2, eps, sqrt, log = cfg.learning_rate, cfg.l2, _ADA_EPS, math.sqrt, math.log
     epoch_losses = []
-    for epoch in range(cfg.epochs):
-        if epoch:
-            rng.shuffle(order)
-        epoch_instances = later_epochs if epoch else first_epoch
+    for _ in range(cfg.epochs):
+        rng.shuffle(order)
         loss = 0.0
         for idx in order:
-            cols, distinct, label = epoch_instances[idx]
+            cols, distinct, label = shared[idx]
             s = 0.0
             for c in cols:
                 s += weights[c]
@@ -257,12 +239,12 @@ def _fit(instances, names, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:
                 if l2:
                     w /= 1.0 + eta * l2  # proximal shrinkage
                 weights[c] = w
-        ranked = [weights[c] for c in rank_cols]
-        penalty = 0.5 * l2 * sum(map(mul, ranked, ranked))
+        held_weights = [weights[c] for c in held_cols]
+        penalty = 0.5 * l2 * sum(map(mul, held_weights, held_weights))
         epoch_losses.append(loss / len(instances) + penalty)
     if not math.isfinite(epoch_losses[-1]):
         raise ConfigError(f"training diverged: final epoch loss is {epoch_losses[-1]}")
-    model_weights = {names[i]: weights[c] for i, c in zip(rank, rank_cols) if weights[c] != 0.0}
+    model_weights = {names[i]: weights[c] for i, c in zip(held, held_cols) if weights[c] != 0.0}
     return model_weights, tuple(epoch_losses)
 
 

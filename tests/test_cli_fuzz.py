@@ -2,7 +2,8 @@
 ``error:`` line on stderr, or in argparse's usage exit 2.  Nothing else
 escapes ``cli.main``, a run that exits 0 prints no ``nan``/``inf``, and a
 file that is not UTF-8 is named in the error.  A catalog id that a logical
-form cannot hold, and a model key given twice, must end in exit status 1.
+form cannot hold, a model key given twice, and a dataset with no questions
+must end in exit status 1.
 
 The cases run in-process on the toy corpus with ``--epochs 1`` and
 ``--folds 2``.  The last occurrence of a repeated flag wins, so each case
@@ -36,8 +37,10 @@ FILE_FLAGS = {
 
 BAD_FILES = ["non-utf8", "truncated-header", "directory"]
 
-# files that would otherwise load: each must end in exit status 1
-MUST_FAIL = {"duplicate-key": "duplicate key", "forbidden-id": "must be non-empty"}
+# files that would otherwise load: each must end in exit status 1 with this in
+# its error line
+MUST_FAIL = {"duplicate-key": "duplicate key", "forbidden-id": "must be non-empty",
+             "blank-lines": "error: "}
 
 HUGE = "9" * 20
 
@@ -55,7 +58,8 @@ def _cases():
     for command, flags in FILE_FLAGS.items():
         for flag in flags:
             kinds = BAD_FILES + {"--model": ["nan-weight", "duplicate-key"],
-                                 "--catalog": ["forbidden-id"]}.get(flag, [])
+                                 "--catalog": ["forbidden-id"],
+                                 "--data": ["blank-lines"]}.get(flag, [])
             cases += [(command, flag, kind) for kind in kinds]
     return cases
 
@@ -74,7 +78,8 @@ def corpus(toy_dir, tmp_path_factory):
                      "--out", str(model), "--epochs", "1"]) == 0
     bad = {"non-utf8": root / "non-utf8", "truncated-header": root / "truncated",
            "directory": root / "directory", "nan-weight": root / "nan.model",
-           "duplicate-key": root / "duplicate.model", "forbidden-id": root / "catalog.tsv"}
+           "duplicate-key": root / "duplicate.model", "forbidden-id": root / "catalog.tsv",
+           "blank-lines": root / "blank.jsonl"}
     bad["non-utf8"].write_bytes(b"\xff\xfe\x00 not utf-8\n")
     bad["truncated-header"].write_text("tensorparse-model v")
     bad["directory"].mkdir()
@@ -83,6 +88,7 @@ def corpus(toy_dir, tmp_path_factory):
     bad["duplicate-key"].write_text("".join(lines + lines[1:2]))
     catalog = (toy_dir / "catalog.tsv").read_text()
     bad["forbidden-id"].write_text(catalog + "E\tpeso, ent(x)\tPeso\t\n")
+    bad["blank-lines"].write_text("\n  \n\t\n")
     return model, bad
 
 

@@ -1,7 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tensorparse
 from tensorparse import cli
 from tensorparse.dataset import DatasetError, load_dataset
 
@@ -202,3 +206,24 @@ def test_cli_bad_gen_config_is_one_line_error(workspace, tmp_path, capsys, comma
     assert err.startswith("error:")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+def test_python_m_tensorparse_runs_as_a_process(tmp_path):
+    package_root = os.path.dirname(os.path.dirname(tensorparse.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "tensorparse", *args],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+
+    toy = tmp_path / "toy"
+    made = run("gen-toy", "--out", str(toy), "--seed", "0")
+    assert made.returncode == 0, made.stderr
+    assert (toy / "dataset.jsonl").is_file()
+    bad = run("train", "--kg", str(toy / "triples.tsv"), "--catalog", str(toy / "catalog.tsv"),
+              "--data", str(toy / "dataset.jsonl"), "--out", str(tmp_path / "m.model"),
+              "--epochs", "0")
+    assert bad.returncode == 1
+    assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
+    assert not (tmp_path / "m.model").exists()

@@ -50,6 +50,12 @@ def test_f1_normalizes_names():
     assert f1({"Brazilian Real!"}, {"brazilian real"}) == 1.0
 
 
+def test_f1_name_with_no_letter_or_digit_matches_nothing():
+    assert f1(["東京"], ["北京"]) == 0.0
+    assert f1(["!!!"], ["???"]) == 0.0
+    assert f1(["!!!", "Kenya"], ["kenya"]) == 1.0
+
+
 def test_f1_range_and_symmetry():
     rng = random.Random(5)
     universe = [f"x{i}" for i in range(10)]
@@ -78,6 +84,11 @@ def test_evaluate_no_candidates(mini_kg):
     assert row.oracle_f1 == 0.0
     assert row.candidate_count == 0
     assert row.predicted_form is None
+
+
+def test_evaluate_empty_data_is_config_error(mini_kg):
+    with pytest.raises(ConfigError, match="evaluation data must be non-empty"):
+        evaluate(zero_model(), [], mini_kg, GenConfig())
 
 
 def test_evaluate_oracle_dominates(mini_kg):

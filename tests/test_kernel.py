@@ -39,6 +39,14 @@ def test_dot_symmetric():
         assert kernel.dot(a, b) == kernel.dot(b, a)
 
 
+def test_dot_adds_in_first_operand_order():
+    # 1e16 + -1e16 + 1.0 is 1.0; 1.0 + 1e16 + -1e16 is 0.0
+    a = {"x": 1e16, "z": -1e16, "y": 1.0, "w": 5.0}
+    b = {"y": 1.0, "x": 1.0, "z": 1.0}
+    assert kernel.dot(a, b) == 1.0
+    assert kernel.dot(b, a) == 0.0
+
+
 def test_tensor_kernel_worked_example():
     q1, q2 = {"a": 1.0, "b": 1.0}, {"b": 1.0, "c": 1.0}
     u1, u2 = {"x": 1.0}, {"x": 1.0, "y": 1.0}

@@ -69,9 +69,10 @@ def test_catalog_errors():
 
 # Ids a serialized form cannot hold.  A relation "a, ent(b)), join(c" and an
 # entity "b)), join(c, ent(d" would make join(<that relation>, ent(d))
-# serialize like a different form, and generation deduplicates by text.
+# serialize like a different form, and generation deduplicates by text.  A
+# triple line that starts with "#x" is a comment, so "#x" could own no triple.
 BAD_IDS = ["a, ent(b)), join(c", "b)), join(c, ent(d", "a(b", "a)b", "a,b", "a b",
-           "\u00a0a", "a\u3000", "a\x0bb", ""]
+           "\u00a0a", "a\u3000", "a\x0bb", "", "#x"]
 
 
 @pytest.mark.parametrize("bad_id", BAD_IDS)

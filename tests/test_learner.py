@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -60,6 +61,15 @@ def test_score_zero_model():
 def test_score_dot():
     m = Model(weights={"p:borders|adjoins": 2.0}, config_fingerprint="x")
     assert score(m, {"p:borders|adjoins": 1.0}) == 2.0
+
+
+def test_score_sums_in_the_vector_order_whatever_the_model_key_order():
+    weights = {"p:a|x": 1e16, "p:b|x": 1.0, "p:c|x": -1e16}
+    vector = {"p:c|x": 1.0, "p:a|x": 1.0, "p:b|x": 1.0, "p:d|x": 1.0, "lf:denot.empty": 1.0}
+    # -1e16 + 1e16 + 1.0, in the vector's order
+    for keys in itertools.permutations(weights):
+        m = Model(weights={k: weights[k] for k in keys}, config_fingerprint="x")
+        assert score(m, vector) == 1.0
 
 
 def test_score_monotone_in_matching_feature():
@@ -230,6 +240,8 @@ def test_model_file_round_trip(tmp_path, sep_kg):
     save_model(result.model, path)
     loaded = load_model(path)
     assert loaded == result.model
+    # the trained weights are already in the file's key order
+    assert list(loaded.weights.items()) == list(result.model.weights.items())
     # byte-identical when re-saved
     again = tmp_path / "m2.model"
     save_model(loaded, again)
@@ -325,22 +337,11 @@ def test_model_file_round_trip_property(tmp_path_factory, weights, digest):
 
 # -- old-vs-new oracle ----------------------------------------------------------
 #
-# The training loop as it was over string-keyed dicts, kept verbatim as the
-# reference: learner.train must give the same weights, in the same key order,
-# and the same epoch losses, to the last bit.
-
-
-def reference_dot(a: dict, b: dict) -> float:
-    """Sum over shared keys of the products of values; symmetric."""
-    if len(b) < len(a):
-        a, b = b, a
-    total = 0.0
-    get = b.get
-    for k, v in a.items():
-        w = get(k)
-        if w is not None:
-            total += v * w
-    return total
+# The training loop over string-keyed dicts, kept as the reference:
+# learner.train must give the same weights, in the same key order, and the
+# same epoch losses, to the last bit.  A score adds the weights of the
+# vector's keys in the vector's own order; the L2 penalty and the returned
+# weights go in key order.
 
 
 def reference_build_instances(data, kg, gen_cfg, cfg):
@@ -375,7 +376,9 @@ def reference_fit(instances, cfg):
         loss = 0.0
         for idx in order:
             vector, label = instances[idx]
-            s = reference_dot(weights, vector)
+            s = 0.0
+            for key, value in vector.items():
+                s += weights.get(key, 0.0) * value
             p = learner.sigmoid(s)
             # log-loss measured before the update
             loss += -math.log(max(p if label else 1.0 - p, 1e-300))
@@ -389,10 +392,9 @@ def reference_fit(instances, cfg):
                 if cfg.l2:
                     w /= 1.0 + eta * cfg.l2  # proximal shrinkage
                 weights[key] = w
-        penalty = 0.5 * cfg.l2 * sum(w * w for w in weights.values())
+        penalty = 0.5 * cfg.l2 * sum(weights[k] * weights[k] for k in sorted(weights))
         epoch_losses.append(loss / len(instances) + penalty)
-    weights = {k: w for k, w in weights.items() if w != 0.0}
-    return list(weights.items()), tuple(epoch_losses)
+    return [(k, weights[k]) for k in sorted(weights) if weights[k] != 0.0], tuple(epoch_losses)
 
 
 # The first epoch and a later one; tests/test_golden.py pins the default 15.
@@ -468,11 +470,11 @@ def test_fit_matches_dict_loop_on_random_instances(keyed_instances, cfg):
     assert new == old
 
 
-# kernel.dot walks the weight dict, in key-insertion order, while it holds no
-# more keys than the instance: early in the first epoch, and for an instance
-# holding every feature.  Summing these in the instance's own order changes
-# the last bits.
-DOT_ORDER_CASES = {
+# Instances whose score, summed in the weight dict's insertion order rather
+# than the instance's own, ends in other last bits: early in the first epoch,
+# when the weight dict holds no more keys than the instance, and an instance
+# that holds every feature.
+SUM_ORDER_CASES = {
     "first-epoch": (
         [(["f0"], 0.0), (["f5", "f2", "f1"], 0.0), (["f2", "f1", "f0", "f4", "f5"], 1.0),
          (["f1", "f2", "f3", "f4"], 1.0)],
@@ -485,9 +487,9 @@ DOT_ORDER_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", DOT_ORDER_CASES)
-def test_fit_sums_in_dot_order(case):
-    new, old = fit_both(*DOT_ORDER_CASES[case])
+@pytest.mark.parametrize("case", SUM_ORDER_CASES)
+def test_fit_sums_in_instance_order(case):
+    new, old = fit_both(*SUM_ORDER_CASES[case])
     assert new == old
 
 
