@@ -3,6 +3,12 @@
 Answer sets are compared by normalized entity name (lowercased,
 punctuation-stripped, single-spaced), decoupling gold files from graph
 internals.  A name with no letter or digit matches no name.
+
+One pass per question: :func:`prepare` tokenizes it, generates its
+candidates and scores each one's F1, and training rows
+(:func:`learner.question_rows`), evaluation and cross-validation folds
+all read that result.  No other function generates candidates for a
+dataset question or scores them.
 """
 
 from __future__ import annotations
@@ -66,6 +72,13 @@ class EvalReport:
     per_query: tuple[PerQueryResult, ...]
 
 
+def prepare(example: DatasetExample, kg: KnowledgeGraph, gen_cfg: logform.GenConfig):
+    """One question's ``(tokens, candidates, candidate F1s)``."""
+    tokens = tokenize(example.question)
+    candidates = logform.generate_candidates(tokens, kg, gen_cfg) if tokens else []
+    return tokens, candidates, candidate_f1s(candidates, example.answers, kg)
+
+
 def evaluate(
     model: learner.Model,
     data: list[DatasetExample],
@@ -79,12 +92,14 @@ def evaluate(
     """
     if not data:
         raise ConfigError("evaluation data must be non-empty")
+    return _report(model, data, (prepare(example, kg, gen_cfg) for example in data))
+
+
+def _report(model: learner.Model, data: list[DatasetExample], questions) -> EvalReport:
+    """:func:`evaluate` on ``data`` already passed through :func:`prepare`."""
     rows = []
-    for index, example in enumerate(data):
-        tokens = tokenize(example.question)
-        candidates = logform.generate_candidates(tokens, kg, gen_cfg) if tokens else []
+    for index, (example, (tokens, candidates, scores)) in enumerate(zip(data, questions)):
         predicted = learner.predict(model, tokens, candidates)
-        scores = candidate_f1s(candidates, example.answers, kg)
         if predicted is None:
             pred_form = None
             pred_f1 = 0.0
@@ -107,6 +122,11 @@ def evaluate(
     return EvalReport(average_f1=avg, oracle_f1=oracle_avg, per_query=tuple(rows))
 
 
+# A report row is one line of tab-separated fields, so the question's own
+# backslashes, tabs and line breaks are written as escapes.
+_QUESTION_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 def format_report(report: EvalReport) -> str:
     lines = [
         f"averageF1={report.average_f1:.4f}"
@@ -115,7 +135,7 @@ def format_report(report: EvalReport) -> str:
     for r in report.per_query:
         form = r.predicted_form if r.predicted_form is not None else "-"
         lines.append(
-            f"{r.index}\t{r.question}\t{form}"
+            f"{r.index}\t{r.question.translate(_QUESTION_ESCAPES)}\t{form}"
             f"\t{r.predicted_f1:.4f}\t{r.oracle_f1:.4f}\t{r.candidate_count}"
         )
     return "\n".join(lines) + "\n"
@@ -201,19 +221,23 @@ def cross_validate(
 ):
     """Train and evaluate per fold; returns (reports, summary).
 
-    Each question is turned into training rows once, with one key index
-    for the whole run, and each fold trains on its questions' rows with
-    the run's ids: the same model as :func:`learner.train` on that fold's
-    data.
+    Each question goes through :func:`prepare` once.  Its training rows
+    are built from that, with one key index for the whole run, and each
+    fold trains on its questions' rows with the run's ids: the same model
+    as :func:`learner.train` on that fold's data.  Each test fold is
+    reported from the same prepared questions, so nothing is generated or
+    F1-scored twice.
     """
     splits = _split_positions(data, spec)
+    questions = [prepare(example, kg, gen_cfg) for example in data]
     index: dict = {}
-    rows = [learner.question_rows(example, kg, gen_cfg, train_cfg, index) for example in data]
+    rows = [learner.question_rows(question, train_cfg, index) for question in questions]
     names = list(index)
     reports = []
     for train_pos, test_pos in splits:
         result = learner.train_rows([rows[i] for i in train_pos], names, gen_cfg, train_cfg)
-        reports.append(evaluate(result.model, [data[i] for i in test_pos], kg, gen_cfg))
+        reports.append(_report(result.model, [data[i] for i in test_pos],
+                               [questions[i] for i in test_pos]))
     scores = [r.average_f1 for r in reports]
     summary = CvSummary(
         mean_average_f1=statistics.fmean(scores),

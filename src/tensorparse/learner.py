@@ -5,16 +5,21 @@ reaches the maximum nonzero F1 against the gold answers are positives,
 everything else is negative.  Optimization is AdaGrad with proximal L2
 shrinkage, single-threaded and bit-reproducible for a fixed seed.
 
+One pass per question: :func:`evaluator.prepare` tokenizes it, generates
+its candidates and scores their F1s, and training rows, evaluation and
+cross-validation folds all read that one result.
+
 Training interns feature keys.  Rows: :func:`question_rows` turns one
-question into its rows, ``(feature ids, label)`` for the positives and
-the first ``negative_cap`` negatives, ids taken from a key index shared
-by the whole run (every assembled feature has value 1.0, so the ids are
-the vector).  :func:`train_rows` trains on any set of questions' rows
-with the run's own ids: columns come from co-occurrence, a score adds
-its features in the instance's own order, and the L2 penalty and the
-model go in key order, the model file's, so no float depends on an id's
-number.  So cross-validation builds each question's rows once and every
-fold trains the model :func:`train` gives on that fold.
+prepared question into its rows, ``(feature ids, label)`` for the
+positives and the first ``negative_cap`` negatives, ids taken from a key
+index shared by the whole run (every assembled feature has value 1.0, so
+the ids are the vector).  :func:`train_rows` trains on any set of
+questions' rows with the run's own ids: columns come from co-occurrence,
+a score adds its features in the instance's own order, and the L2
+penalty and the model go in key order, the model file's, so no float
+depends on an id's number.  So cross-validation prepares each question
+and builds its rows once, and every fold trains the model :func:`train`
+gives on that fold.
 
 Columns: ids that occur in exactly the same instances get the same
 gradient at the same steps from the same zero start, so their weights
@@ -34,7 +39,7 @@ import os
 import random
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import ConfigError, TensorparseError, features, logform
 from .dataset import DatasetExample
@@ -127,38 +132,25 @@ def predict(
     return min(tied, key=lambda c: logform.serialize(c.logical_form))
 
 
-def label_candidates(
-    candidates: list[Candidate], gold_answers: Iterable[str], kg: KnowledgeGraph
-) -> list[tuple[Candidate, bool]]:
-    """Max-F1 candidates with F1 > 0 are positive; all others negative."""
-    from .evaluator import candidate_f1s  # evaluator imports this module
-
-    scores = candidate_f1s(candidates, gold_answers, kg)
-    best = max(scores, default=0.0)
-    if best <= 0.0:
-        return [(c, False) for c in candidates]
-    return [(c, s == best) for c, s in zip(candidates, scores)]
+def label_candidates(f1s: list[float]) -> list[bool]:
+    """Labels for the candidate F1s of a prepared question: those at the
+    maximum F1, if it is above 0, are positive; all others negative."""
+    best = max(f1s, default=0.0)
+    return [best > 0.0 and s == best for s in f1s]
 
 
-def question_rows(
-    example: DatasetExample, kg: KnowledgeGraph, gen_cfg: GenConfig, cfg: TrainConfig,
-    index: dict,
-) -> list:
-    """One question's training rows: ``[(feature ids, label)]``.
+def question_rows(question, cfg: TrainConfig, index: dict) -> list:
+    """One prepared question's training rows: ``[(feature ids, label)]``.
 
-    The rows are the positives and the first ``cfg.negative_cap``
-    negatives, in candidate order; ids are in assemble order, and a key
-    new to ``index`` gets the next id there.  A question with no tokens
-    has no rows.
+    ``question`` is :func:`evaluator.prepare`'s one pass over it.  The rows
+    are the positives and the first ``cfg.negative_cap`` negatives, in
+    candidate order; ids are in assemble order, and a key new to ``index``
+    gets the next id there.  A question with no tokens has no rows.
     """
-    tokens = features.tokenize(example.question)
-    if not tokens:
-        return []
-    candidates = logform.generate_candidates(tokens, kg, gen_cfg)
-    labeled = label_candidates(candidates, example.answers, kg)
+    tokens, candidates, f1s = question
     rows = []
     negatives_kept = 0
-    for candidate, positive in labeled:  # candidates arrive sorted by form
+    for candidate, positive in zip(candidates, label_candidates(f1s)):  # sorted by form
         if not positive:
             if negatives_kept >= cfg.negative_cap:
                 continue
@@ -263,8 +255,10 @@ def train(
     """
     if not data:
         raise ConfigError("training data must be non-empty")
+    from .evaluator import prepare  # evaluator imports this module
+
     index: dict = {}
-    rows = [question_rows(example, kg, gen_cfg, cfg, index) for example in data]
+    rows = [question_rows(prepare(example, kg, gen_cfg), cfg, index) for example in data]
     return train_rows(rows, list(index), gen_cfg, cfg)
 
 

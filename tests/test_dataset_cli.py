@@ -91,6 +91,32 @@ def test_cli_eval(workspace, capsys):
     assert len(lines) == 1 + 210
 
 
+def test_cli_eval_report_keeps_one_row_per_question(workspace, tmp_path):
+    data = tmp_path / "odd.jsonl"
+    data.write_text(
+        '{"question": "what currency\\tdoes brazil\\nuse?", "answers": ["Brazilian real"]}\n'
+        '{"question": "back\\\\slash\\r\\nwhat borders kenya?", "answers": ["Ethiopia"]}\n',
+        encoding="utf-8",
+    )
+    report = tmp_path / "report.txt"
+    rc = cli.main([
+        "eval",
+        "--kg", str(workspace / "triples.tsv"),
+        "--catalog", str(workspace / "catalog.tsv"),
+        "--data", str(data),
+        "--model", str(workspace / "toy.model"),
+        "--report", str(report),
+    ])
+    assert rc == 0
+    lines = report.read_bytes().decode("utf-8").split("\n")
+    assert lines[-1] == ""
+    rows = [line.split("\t") for line in lines[1:-1]]
+    assert [len(fields) for fields in rows] == [6, 6]
+    assert [fields[1] for fields in rows] == [
+        r"what currency\tdoes brazil\nuse?", r"back\\slash\r\nwhat borders kenya?"
+    ]
+
+
 def test_cli_predict(workspace, capsys):
     rc = cli.main([
         "predict",

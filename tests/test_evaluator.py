@@ -13,7 +13,9 @@ from tensorparse.evaluator import (
     f1,
     format_report,
     make_splits,
+    prepare,
 )
+from tensorparse.features import tokenize
 from tensorparse.logform import GenConfig
 
 
@@ -108,18 +110,18 @@ def test_evaluate_oracle_dominates(mini_kg):
 
 def test_candidate_f1s_feed_label_and_evaluate(mini_kg):
     gold = ("kenya", "sudan")
-    tokens = ["what", "adjoins", "ethiopia"]
-    candidates = logform.generate_candidates(tokens, mini_kg, GenConfig())
-    scores = candidate_f1s(candidates, gold, mini_kg)
+    example = DatasetExample("what adjoins ethiopia?", gold)
+    tokens, candidates, scores = prepare(example, mini_kg, GenConfig())
+    assert tokens == ["what", "adjoins", "ethiopia"]
+    assert candidates == logform.generate_candidates(tokens, mini_kg, GenConfig())
+    assert scores == candidate_f1s(candidates, gold, mini_kg)
     assert scores == [
         brute_force_f1({mini_kg.entity(e).name for e in c.denotation}, gold)
         for c in candidates
     ]
     assert max(scores) == 1.0
-    labels = [pos for _, pos in learner.label_candidates(candidates, gold, mini_kg)]
-    assert labels == [s == 1.0 for s in scores]
-    (row,) = evaluate(zero_model(), [DatasetExample("what adjoins ethiopia?", gold)],
-                      mini_kg, GenConfig()).per_query
+    assert learner.label_candidates(scores) == [s == 1.0 for s in scores]
+    (row,) = evaluate(zero_model(), [example], mini_kg, GenConfig()).per_query
     predicted = learner.predict(zero_model(), tokens, candidates)
     assert row.predicted_f1 == scores[candidates.index(predicted)]
     assert row.oracle_f1 == max(scores)
@@ -267,7 +269,7 @@ def test_cv_fold_models_match_train_on_the_fold(toy_corpora, toy_seed, mode, neg
     ):
         # the fold's rows, keyed, are the rows of the fold indexed alone
         index: dict = {}
-        alone_rows = [learner.question_rows(example, kg, GenConfig(), cfg, index)
+        alone_rows = [learner.question_rows(prepare(example, kg, GenConfig()), cfg, index)
                       for example in train_data]
         assert keyed(rows, names) == keyed(alone_rows, list(index))
         alone = learner.train(train_data, kg, GenConfig(), cfg)
@@ -276,3 +278,42 @@ def test_cv_fold_models_match_train_on_the_fold(toy_corpora, toy_seed, mode, neg
         learner.save_model(alone.model, tmp_path / "alone.model")
         assert (tmp_path / "cv.model").read_bytes() == (tmp_path / "alone.model").read_bytes()
         assert report == evaluate(alone.model, test_data, kg, GenConfig())
+
+
+def test_cv_prepares_each_question_once(toy_kg, toy_data, monkeypatch):
+    # the last question has no tokens: it is never generated and has no rows
+    data = toy_data[:19] + [DatasetExample("???", ("Brazil",))]
+    generated, f1_calls = [], []
+    generate, set_f1, question_rows = logform.generate_candidates, f1, learner.question_rows
+    rows = []
+
+    def counting_generate(tokens, kg, gen_cfg):
+        generated.append(tuple(tokens))
+        return generate(tokens, kg, gen_cfg)
+
+    def counting_f1(predicted, gold):
+        f1_calls.append(gold)
+        return set_f1(predicted, gold)
+
+    def recording_question_rows(*args):
+        rows.append(question_rows(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(logform, "generate_candidates", counting_generate)
+    monkeypatch.setattr(evaluator, "f1", counting_f1)
+    monkeypatch.setattr(learner, "question_rows", recording_question_rows)
+    reports, _ = cross_validate(data, toy_kg, GenConfig(), learner.TrainConfig(epochs=1),
+                                SplitSpec(mode="random", folds=5, seed=0))
+    monkeypatch.undo()
+    assert sorted(generated) == sorted(tuple(tokenize(ex.question)) for ex in data[:-1])
+    tested = [row for report in reports for row in report.per_query]
+    assert sorted(row.question for row in tested) == sorted(ex.question for ex in data)
+    assert len(f1_calls) == sum(row.candidate_count for row in tested)
+    assert len(rows) == len(data) and rows[-1] == []
+    (empty,) = [row for row in tested if row.question == "???"]
+    (alone,) = evaluate(zero_model(), data[-1:], toy_kg, GenConfig()).per_query
+
+    def scores(row):
+        return row.predicted_form, row.predicted_f1, row.oracle_f1, row.candidate_count
+
+    assert scores(empty) == scores(alone) == (None, 0.0, 0.0, 0)

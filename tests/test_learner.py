@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorparse import features, learner, logform
+from tensorparse import evaluator, features, learner, logform
 from tensorparse.dataset import DatasetExample
 from tensorparse.learner import (
     ConfigError,
@@ -135,27 +135,21 @@ def test_predict_argmax_scale_invariant():
     assert predict(m, ["q"], cands) is predict(scaled, ["q"], cands)
 
 
-def test_label_candidates_rules(mini_kg):
-    perfect = make_candidate(EntityLit("a"), ["u"], {"brazilian_real"})
-    partial = make_candidate(EntityLit("b"), ["u"], {"brazilian_real", "kenya"})
-    wrong = make_candidate(EntityLit("c"), ["u"], {"kenya"})
-    labeled = label_candidates(
-        [perfect, partial, wrong], ["brazilian real"], mini_kg
-    )
-    assert [flag for _, flag in labeled] == [True, False, False]
+def test_label_candidates_rules():
+    # perfect, partial and wrong answers
+    assert label_candidates([1.0, 2 / 3, 0.0]) == [True, False, False]
+    assert label_candidates([0.0, 0.5, 0.4]) == [False, True, False]
+    assert label_candidates([]) == []
 
 
-def test_label_candidates_all_zero(mini_kg):
-    wrong = make_candidate(EntityLit("c"), ["u"], {"kenya"})
-    labeled = label_candidates([wrong], ["brazilian real"], mini_kg)
-    assert labeled == [(wrong, False)]
+def test_label_candidates_all_zero():
+    assert label_candidates([0.0]) == [False]
+    assert label_candidates([0.0, 0.0, 0.0]) == [False, False, False]
 
 
-def test_label_candidates_ties_both_positive(mini_kg):
-    a = make_candidate(EntityLit("a"), ["u"], {"brazilian_real", "kenya"})
-    b = make_candidate(EntityLit("b"), ["u"], {"brazilian_real", "sudan"})
-    labeled = label_candidates([a, b], ["brazilian real"], mini_kg)
-    assert [flag for _, flag in labeled] == [True, True]
+def test_label_candidates_ties_both_positive():
+    assert label_candidates([2 / 3, 2 / 3]) == [True, True]
+    assert label_candidates([0.5, 0.25, 0.5]) == [True, False, True]
 
 
 def test_train_separable_corpus(sep_kg):
@@ -166,8 +160,6 @@ def test_train_separable_corpus(sep_kg):
     assert result.model.weights["p:moneyword|currency"] > 0
     assert result.epoch_losses[-1] < result.epoch_losses[0]
     # 100% of training queries predicted correctly
-    from tensorparse import evaluator
-
     report = evaluator.evaluate(result.model, SEP_DATA, sep_kg, GenConfig())
     assert report.average_f1 == 1.0
 
@@ -344,6 +336,17 @@ def test_model_file_round_trip_property(tmp_path_factory, weights, digest):
 # weights go in key order.
 
 
+def reference_f1(predicted, gold):
+    """Set F1 over raw names, counted by hand: the toy corpus' gold answers
+    are entity names as written."""
+    p, g = set(predicted), set(gold)
+    hits = sum(1 for x in p if x in g)
+    if hits == 0:
+        return 0.0
+    precision, recall = hits / len(p), hits / len(g)
+    return 2 * precision * recall / (precision + recall)
+
+
 def reference_build_instances(data, kg, gen_cfg, cfg):
     instances = []
     any_positive = False
@@ -352,9 +355,12 @@ def reference_build_instances(data, kg, gen_cfg, cfg):
         if not tokens:
             continue
         candidates = logform.generate_candidates(tokens, kg, gen_cfg)
-        labeled = label_candidates(candidates, example.answers, kg)
+        scores = [reference_f1({kg.entity(e).name for e in c.denotation}, example.answers)
+                  for c in candidates]
+        best = max(scores, default=0.0)
         negatives_kept = 0
-        for candidate, positive in labeled:  # candidates arrive sorted by form
+        for candidate, s in zip(candidates, scores):  # candidates arrive sorted by form
+            positive = best > 0.0 and s == best
             if not positive:
                 if negatives_kept >= cfg.negative_cap:
                     continue
@@ -408,20 +414,28 @@ def test_train_matches_dict_loop_on_toy(toy_corpora, toy_seed, negative_cap, mon
     build_cfg = TrainConfig(negative_cap=negative_cap)
     instances, any_positive = reference_build_instances(data, kg, GenConfig(), build_cfg)
     assert any_positive
-    # The rows depend on neither the train seed nor l2: build each question's
-    # once, and replay them into the caller's index in the order it would fill.
-    question_rows = learner.question_rows
-    keyed_rows = {}
+    # The rows depend on neither the train seed nor l2: prepare each question
+    # and build its rows once, and replay them into the caller's index in the
+    # order it would fill.
+    prepare, question_rows = evaluator.prepare, learner.question_rows
+    prepared, keyed_rows = {}, {}
 
-    def memo_question_rows(example, kg, gen_cfg, cfg, index):
-        if example not in keyed_rows:
+    def memo_prepare(example, kg, gen_cfg):
+        if example not in prepared:
+            prepared[example] = prepare(example, kg, gen_cfg)
+        return prepared[example]
+
+    def memo_question_rows(question, cfg, index):
+        key = id(question)  # memo_prepare keeps one tuple per question alive
+        if key not in keyed_rows:
             own: dict = {}
-            rows = question_rows(example, kg, gen_cfg, cfg, own)
+            rows = question_rows(question, cfg, own)
             names = list(own)
-            keyed_rows[example] = [(tuple(names[i] for i in ids), label) for ids, label in rows]
+            keyed_rows[key] = [(tuple(names[i] for i in ids), label) for ids, label in rows]
         return [(tuple(index.setdefault(k, len(index)) for k in keys), label)
-                for keys, label in keyed_rows[example]]
+                for keys, label in keyed_rows[key]]
 
+    monkeypatch.setattr(evaluator, "prepare", memo_prepare)
     monkeypatch.setattr(learner, "question_rows", memo_question_rows)
     for seed in (42, 7):
         for l2 in (0.0, 1e-4, 1.0):
