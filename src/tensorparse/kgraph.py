@@ -2,8 +2,9 @@
 
 The graph is indexed by the only questions asked of it: which objects a
 subject reaches through a relation (:meth:`KnowledgeGraph.forward`), which
-subjects reach an object (:meth:`KnowledgeGraph.backward`) and which
-entities an alias names.  :func:`load_graph` hands the indexes the
+subjects reach an object (:meth:`KnowledgeGraph.backward`), which relations
+point into an entity (:meth:`KnowledgeGraph.incoming`) and which entities
+an alias names.  :func:`load_graph` hands the indexes the
 catalog's own id strings, and no separate triple set is kept;
 ``kg.triples`` is a read-only view over the forward index.
 
@@ -159,6 +160,10 @@ class KnowledgeGraph:
 
     def backward(self, obj: str, relation: str) -> frozenset:
         return self._backward.get(obj, _NO_FACTS).get(relation, _EMPTY)
+
+    def incoming(self, entity_id: str) -> Iterator[tuple[str, frozenset]]:
+        """``(relation id, frozenset(subjects))`` for each relation into the entity."""
+        return iter(self._backward.get(entity_id, _NO_FACTS).items())
 
     def entities_by_alias(self, span: Iterable[str]) -> tuple[Entity, ...]:
         """Entities whose normalized alias equals the normalized span.

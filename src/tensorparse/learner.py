@@ -91,11 +91,12 @@ class TrainResult:
 
 
 def fingerprint(gen_cfg: GenConfig, cfg: TrainConfig) -> str:
+    # T3 is always on; v1 headers hash ";t3=True", so model files keep their bytes
     text = (
         f"epochs={cfg.epochs};lr={cfg.learning_rate!r};l2={cfg.l2!r}"
         f";seed={cfg.seed};negcap={cfg.negative_cap}"
         f";maxcand={gen_cfg.max_candidates};maxspan={gen_cfg.max_span_length}"
-        f";t3={gen_cfg.enable_two_constraint}"
+        ";t3=True"
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -307,15 +308,17 @@ def save_model(model: Model, path) -> None:
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
     except OSError as exc:
-        exc.filename = os.fspath(path)  # name the model file, not the temporary one
-        raise
-    try:
-        with fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
+        if exc.filename == tmp:  # name the model file, not the temporary one
+            exc.filename = os.fspath(path)
+            del exc.filename2
         raise
 
 

@@ -7,12 +7,14 @@ Three templates are generated from entity spans linked in the query:
     T3  join(r, and(rev(r1, ent(e1)),
                     rev(r2, ent(e2))))           two-constraint form
 
-Generation is deterministic: output is sorted by serialized form and
-truncated to the configured cap.
+T3 pairs a relation into e1 with one into e2 that shares a subject, so no
+empty inner intersection is built.  Generation is deterministic: output is
+sorted by serialized form and truncated to the configured cap.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -69,7 +71,6 @@ class Candidate:
 class GenConfig:
     max_candidates: int = 200
     max_span_length: int = 3
-    enable_two_constraint: bool = True
 
     def __post_init__(self):
         if self.max_candidates < 1:
@@ -226,8 +227,9 @@ def generate_candidates(
 ) -> list[Candidate]:
     """Enumerate template candidates for the linked entity spans.
 
-    T3 forms with an empty inner intersection are pruned.  The result is
-    deduplicated, sorted by serialized form ascending, and truncated to
+    T3 pairs the relations into two linked entities that share a subject,
+    so no empty inner intersection is built.  The result is deduplicated,
+    sorted by serialized form ascending, and truncated to
     ``cfg.max_candidates``.  No alias match yields an empty list.
     """
     if not query_tokens:
@@ -243,30 +245,20 @@ def generate_candidates(
         for rid in rel_ids:
             add(Join(rid, EntityLit(ent.id)))
             add(ReverseJoin(rid, EntityLit(ent.id)))
-    if cfg.enable_two_constraint and len(linked) >= 2:
-        for e1 in linked:
-            for e2 in linked:
-                if e1.id == e2.id:
-                    continue
-                for r1 in rel_ids:
-                    for r2 in rel_ids:
-                        inner = Intersect(
-                            ReverseJoin(r1, EntityLit(e1.id)),
-                            ReverseJoin(r2, EntityLit(e2.id)),
-                        )
-                        if not kgraph.denotation(inner, kg):
-                            continue
-                        for r in rel_ids:
-                            add(Join(r, inner))
+    for e1, e2 in itertools.permutations(linked, 2):
+        for r1, subjects1 in kg.incoming(e1.id):
+            for r2, subjects2 in kg.incoming(e2.id):
+                if not subjects1.isdisjoint(subjects2):
+                    inner = Intersect(ReverseJoin(r1, EntityLit(e1.id)),
+                                      ReverseJoin(r2, EntityLit(e2.id)))
+                    for r in rel_ids:
+                        add(Join(r, inner))
 
-    out = []
-    for _, lf in sorted(forms.items())[: cfg.max_candidates]:
-        utterance = canonical_utterance(lf, kg)
-        out.append(
-            Candidate(
-                logical_form=lf,
-                utterance_tokens=tuple(tokenize(utterance)),
-                denotation=kgraph.denotation(lf, kg),
-            )
+    return [
+        Candidate(
+            logical_form=lf,
+            utterance_tokens=tuple(tokenize(canonical_utterance(lf, kg))),
+            denotation=kgraph.denotation(lf, kg),
         )
-    return out
+        for _, lf in sorted(forms.items())[: cfg.max_candidates]
+    ]

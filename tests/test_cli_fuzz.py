@@ -3,13 +3,15 @@
 escapes ``cli.main``, a run that exits 0 prints no ``nan``/``inf``, and a
 file that is not UTF-8 is named in the error.  A catalog id that a logical
 form cannot hold, a model key given twice, and a dataset with no questions
-must end in exit status 1.
+must end in exit status 1, and so must ``train --out`` naming a directory,
+with an error that names that path and not a temporary file.
 
 The cases run in-process on the toy corpus with ``--epochs 1`` and
 ``--folds 2``.  The last occurrence of a repeated flag wins, so each case
 appends its flag to a valid command line.
 """
 
+import os
 import re
 
 import pytest
@@ -130,3 +132,14 @@ def test_cli_bad_input_is_one_line_error(toy_dir, corpus, tmp_path, capsys,
     else:
         assert code == 0
         assert not NON_FINITE.search(out + err)
+
+
+def test_train_into_a_directory_names_the_path(toy_dir, tmp_path, capsys):
+    out = tmp_path / "toy"
+    out.mkdir()
+    argv = _argv("train", toy_dir, None, tmp_path) + ["--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip("\n").endswith(f"'{out}'") and ".tmp" not in err
+    assert os.listdir(tmp_path) == ["toy"] and os.listdir(out) == []

@@ -111,9 +111,18 @@ def oracle_alias_index(entities):
 
 
 def assert_matches_oracle(kg, triples):
-    """Every lookup of ``kg``, over every entity and relation, against the oracle."""
+    """Every lookup of ``kg``, over every entity and relation, against the oracle.
+
+    ``incoming(e)`` must list each relation into ``e`` once, with the same
+    subjects as the oracle's backward index, and nothing for an entity that
+    no triple points into.
+    """
     expected, forward, backward = oracle_indexes(triples)
     for e in kg.entities:
+        incoming = list(kg.incoming(e))
+        assert dict(incoming) == {r: subjects for (o, r), subjects in backward.items() if o == e}
+        assert len(incoming) == len(dict(incoming))
+        assert all(type(subjects) is frozenset for _, subjects in incoming)
         for r in kg.relations:
             assert kg.forward(e, r) == forward.get((e, r), frozenset())
             assert kg.backward(e, r) == backward.get((e, r), frozenset())
@@ -131,6 +140,7 @@ def assert_matches_oracle(kg, triples):
 def test_index_inversion_exhaustive(mini_kg, toy_kg, toy_dir):
     mini = [tuple(line.split("\t")) for line in MINI_TRIPLES.splitlines()]
     assert_matches_oracle(mini_kg, mini)
+    assert list(mini_kg.incoming("p1")) == []  # p1 is never an object
     lines = (toy_dir / toy.TRIPLES_FILE).read_text(encoding="utf-8").splitlines()
     toy_triples = [tuple(line.split("\t")) for line in lines if line and line[0] != "#"]
     assert len(toy_triples) == 96

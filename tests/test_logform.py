@@ -1,10 +1,13 @@
+import io
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tensorparse import kgraph, logform
+from tensorparse.features import tokenize
+from tensorparse.kgraph import Triple
 from tensorparse.logform import (
     Candidate,
     EntityLit,
@@ -19,6 +22,8 @@ from tensorparse.logform import (
     parse,
     serialize,
 )
+
+from test_kgraph import catalogs
 
 # every id a catalog accepts
 ids = st.text(st.characters(exclude_characters=logform.ID_FORBIDDEN), min_size=1, max_size=6)
@@ -153,18 +158,6 @@ def test_generate_two_constraint(mini_kg):
     assert forms[key].denotation == {"achilles"}
 
 
-def test_generate_two_constraint_disabled(mini_kg):
-    tokens = ["who", "did", "brad", "pitt", "play", "in", "troy"]
-    cands = generate_candidates(
-        tokens, mini_kg, GenConfig(enable_two_constraint=False)
-    )
-    assert all(
-        not isinstance(c.logical_form.sub, Intersect)
-        for c in cands
-        if isinstance(c.logical_form, Join)
-    )
-
-
 def test_generated_forms_are_template_shaped(mini_kg):
     tokens = ["who", "did", "brad", "pitt", "play", "in", "troy"]
     for c in generate_candidates(tokens, mini_kg, GenConfig()):
@@ -198,3 +191,120 @@ def test_gen_config_validation():
 def test_empty_query_rejected(mini_kg):
     with pytest.raises(ValueError):
         generate_candidates([], mini_kg, GenConfig())
+
+
+def reference_generate_candidates(query_tokens, kg, cfg):
+    """``generate_candidates`` as it was before T3 read the graph's index.
+
+    For every ordered pair of linked entities it tries every (r1, r2)
+    relation pair and keeps the pair when ``kgraph.denotation`` of the
+    inner intersection is non-empty: L^2 R^2 probes.
+    """
+    if not query_tokens:
+        raise ValueError("query_tokens must be non-empty")
+    linked = logform._linked_entities(list(query_tokens), kg, cfg.max_span_length)
+    rel_ids = sorted(kg.relations)
+    forms: dict = {}
+
+    def add(lf):
+        forms.setdefault(serialize(lf), lf)
+
+    for ent in linked:
+        for rid in rel_ids:
+            add(Join(rid, EntityLit(ent.id)))
+            add(ReverseJoin(rid, EntityLit(ent.id)))
+    if len(linked) >= 2:
+        for e1 in linked:
+            for e2 in linked:
+                if e1.id == e2.id:
+                    continue
+                for r1 in rel_ids:
+                    for r2 in rel_ids:
+                        inner = Intersect(
+                            ReverseJoin(r1, EntityLit(e1.id)),
+                            ReverseJoin(r2, EntityLit(e2.id)),
+                        )
+                        if not kgraph.denotation(inner, kg):
+                            continue
+                        for r in rel_ids:
+                            add(Join(r, inner))
+
+    out = []
+    for _, lf in sorted(forms.items())[: cfg.max_candidates]:
+        utterance = canonical_utterance(lf, kg)
+        out.append(
+            Candidate(
+                logical_form=lf,
+                utterance_tokens=tuple(tokenize(utterance)),
+                denotation=kgraph.denotation(lf, kg),
+            )
+        )
+    return out
+
+
+MINI_QUERIES = [
+    "who did brad pitt play in troy",
+    "troy brad pitt",
+    "what currency does brazil use",
+    "brazil troy",
+    "which countries border ethiopia kenya and sudan",
+    "achilles brad pitt troy performance 1",
+    "hello world",
+]
+
+
+@pytest.mark.parametrize("cap", [1, 3, 200, 10**9])
+@pytest.mark.parametrize("query", MINI_QUERIES)
+def test_generate_matches_reference_on_mini(mini_kg, query, cap):
+    cfg = GenConfig(max_candidates=cap)
+    tokens = tokenize(query)
+    assert generate_candidates(tokens, mini_kg, cfg) == reference_generate_candidates(
+        tokens, mini_kg, cfg
+    )
+
+
+def test_generate_matches_reference_on_toy(toy_kg, toy_data):
+    cfg = GenConfig()
+    for example in toy_data:
+        tokens = tokenize(example.question)
+        assert generate_candidates(tokens, toy_kg, cfg) == reference_generate_candidates(
+            tokens, toy_kg, cfg
+        ), example.question
+
+
+@st.composite
+def graphs_and_queries(draw):
+    """A graph read by ``load_graph`` and a query naming 2-3 of its entities.
+
+    Each entity's id is one of its aliases, so a query can link it whatever
+    text its other aliases hold.  Half the graphs gain a subject that points
+    into the first two named entities, so that T3 forms exist.
+    """
+    entities, relations, triples = draw(catalogs())
+    assume(len(entities) >= 2)
+    named = draw(st.lists(st.sampled_from(sorted(entities)), min_size=2, max_size=3,
+                          unique=True))
+    if draw(st.booleans()):
+        subject = draw(st.sampled_from(sorted(entities)))
+        rel = st.sampled_from(sorted(relations))
+        triples = triples + [Triple(subject, draw(rel), named[0]),
+                             Triple(subject, draw(rel), named[1])]
+    catalog = "".join(
+        f"E\t{e.id}\t{e.name}\t{'|'.join(e.aliases + (e.id,))}\n" for e in entities.values()
+    ) + "".join(
+        f"R\t{r.id}\t{r.phrase}\t{r.domain_type}\t{r.range_type}\n" for r in relations.values()
+    )
+    kg = kgraph.load_graph(io.StringIO("".join(f"{s}\t{r}\t{o}\n" for s, r, o in triples)),
+                           io.StringIO(catalog))
+    query = ["which"]
+    for eid in named:
+        query += tokenize(draw(st.sampled_from(kg.entities[eid].aliases)))
+    return kg, query
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_queries(), st.sampled_from([1, 3, 200, 10**9]))
+def test_generate_matches_reference_on_random_graphs(graph_and_query, cap):
+    kg, query = graph_and_query
+    cfg = GenConfig(max_candidates=cap)
+    assert generate_candidates(query, kg, cfg) == reference_generate_candidates(query, kg, cfg)
