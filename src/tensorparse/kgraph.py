@@ -4,9 +4,10 @@ The graph is indexed by the only questions asked of it: which objects a
 subject reaches through a relation (:meth:`KnowledgeGraph.forward`), which
 subjects reach an object (:meth:`KnowledgeGraph.backward`), which relations
 point into an entity (:meth:`KnowledgeGraph.incoming`) and which entities
-an alias names.  :func:`load_graph` hands the indexes the
-catalog's own id strings, and no separate triple set is kept;
-``kg.triples`` is a read-only view over the forward index.
+an alias names.  The constructor checks every triple's ids against the
+catalogs and hands the indexes the catalog's own id strings, and no
+separate triple set is kept; ``kg.triples`` is a read-only view over the
+forward index.
 
 Graphs are immutable once built; all lookup methods are safe for
 concurrent use.
@@ -113,7 +114,9 @@ class KnowledgeGraph:
     ``_forward`` maps subject to ``{relation: frozenset(objects)}`` and
     ``_backward`` maps object to ``{relation: frozenset(subjects)}``; both
     are built in one pass over the triples, so they are exact inverses.
-    ``triples`` is a :class:`TripleView` over ``_forward``.
+    ``triples`` is a :class:`TripleView` over ``_forward``.  A triple whose
+    subject, relation or object is missing from the catalogs raises
+    :class:`ReferentialError`.
     """
 
     def __init__(
@@ -124,9 +127,23 @@ class KnowledgeGraph:
     ):
         self.entities: dict = dict(entities)
         self.relations: dict = dict(relations)
+        # One dict get both checks that an id is in the catalog and finds the
+        # catalog's copy, so the indexes hold one string per id, not one per
+        # triple.
+        entity_ids = {eid: eid for eid in self.entities}
+        relation_ids = {rid: rid for rid in self.relations}
         forward: dict = {}
         backward: dict = {}
-        for s, r, o in triples:
+        for subject, relation, obj in triples:
+            s = entity_ids.get(subject)
+            if s is None:
+                raise ReferentialError(f"unknown subject entity id: {subject}")
+            r = relation_ids.get(relation)
+            if r is None:
+                raise ReferentialError(f"unknown relation id: {relation}")
+            o = entity_ids.get(obj)
+            if o is None:
+                raise ReferentialError(f"unknown object entity id: {obj}")
             rels = forward.get(s)
             if rels is None:
                 forward[s] = {r: {o}}
@@ -141,6 +158,9 @@ class KnowledgeGraph:
                 rels[r].add(s)
             else:
                 rels[r] = {s}
+        # Freed before the sets are frozen and the alias index is built, when
+        # memory peaks.
+        del entity_ids, relation_ids
         _freeze(backward)
         self._forward = forward
         self._backward = backward
@@ -250,14 +270,8 @@ def _parse_catalog(catalog_source: Iterable[str]):
     return entities, relations
 
 
-def _checked_triples(triple_source: Iterable[str], entities: dict, relations: dict):
-    """Yield each triple line's ids as the catalog's own string objects.
-
-    One dict ``get`` both checks that an id is in the catalog and finds the
-    catalog's copy, so the indexes hold one string per id, not one per line.
-    """
-    entity_ids = {eid: eid for eid in entities}
-    relation_ids = {rid: rid for rid in relations}
+def _triple_fields(triple_source: Iterable[str]):
+    """Yield each triple line's three tab-separated fields."""
     for lineno, line in _content_lines(triple_source):
         fields = line.split("\t")
         if len(fields) != 3:
@@ -265,17 +279,7 @@ def _checked_triples(triple_source: Iterable[str], entities: dict, relations: di
                 f"triple line needs 3 tab-separated fields, got {len(fields)}",
                 lineno,
             )
-        s, r, o = fields
-        subject = entity_ids.get(s)
-        if subject is None:
-            raise ReferentialError(f"unknown subject entity id: {s}")
-        relation = relation_ids.get(r)
-        if relation is None:
-            raise ReferentialError(f"unknown relation id: {r}")
-        obj = entity_ids.get(o)
-        if obj is None:
-            raise ReferentialError(f"unknown object entity id: {o}")
-        yield subject, relation, obj
+        yield fields
 
 
 def load_graph(
@@ -296,9 +300,7 @@ def load_graph(
     gc.disable()
     try:
         entities, relations = _parse_catalog(catalog_source)
-        return KnowledgeGraph(
-            entities, relations, _checked_triples(triple_source, entities, relations)
-        )
+        return KnowledgeGraph(entities, relations, _triple_fields(triple_source))
     finally:
         if was_enabled:
             gc.enable()

@@ -1,15 +1,19 @@
 """Logical-form AST, candidate generation, and canonical utterances.
 
-Three templates are generated from entity spans linked in the query:
+Three templates are generated from entity spans linked in the query, each
+with the canonical utterance that generation renders beside it:
 
-    T1  join(r, ent(e))                          "the R of E"
-    T2  rev(r, ent(e))                           "the things whose R is E"
+    T1  join(r, ent(e))            "the R of E"
+    T2  rev(r, ent(e))             "the things whose R is E"
     T3  join(r, and(rev(r1, ent(e1)),
-                    rev(r2, ent(e2))))           two-constraint form
+                    rev(r2, ent(e2))))
+                                   "the R of the thing whose R1 is E1
+                                    and whose R2 is E2"
 
-T3 pairs a relation into e1 with one into e2 that shares a subject, so no
-empty inner intersection is built.  Generation is deterministic: output is
-sorted by serialized form and truncated to the configured cap.
+R is a relation's phrase and E an entity's name.  T3 pairs a relation into
+e1 with one into e2 that shares a subject, so no empty inner intersection
+is built.  Generation is deterministic: output is sorted by serialized form
+and truncated to the configured cap.
 """
 
 from __future__ import annotations
@@ -28,10 +32,6 @@ class LfParseError(TensorparseError):
     def __init__(self, message: str, position: int):
         super().__init__(f"position {position}: {message}")
         self.position = position
-
-
-class UnsupportedShapeError(TensorparseError):
-    """Logical form does not match any utterance template."""
 
 
 @dataclass(frozen=True)
@@ -163,50 +163,6 @@ def parse(text: str) -> LogicalForm:
     return lf
 
 
-def _two_constraint_parts(lf: Join):
-    """Return (r, r1, e1, r2, e2) ids if lf has the T3 shape, else None."""
-    inner = lf.sub
-    if not isinstance(inner, Intersect):
-        return None
-    left, right = inner.left, inner.right
-    if not (isinstance(left, ReverseJoin) and isinstance(right, ReverseJoin)):
-        return None
-    if not (isinstance(left.sub, EntityLit) and isinstance(right.sub, EntityLit)):
-        return None
-    return (
-        lf.relation_id,
-        left.relation_id,
-        left.sub.entity_id,
-        right.relation_id,
-        right.sub.entity_id,
-    )
-
-
-def canonical_utterance(lf: LogicalForm, kg: kgraph.KnowledgeGraph) -> str:
-    """Rule-based natural-language rendering of a template-shaped form."""
-    if isinstance(lf, Join):
-        r = kg.relation(lf.relation_id)
-        if isinstance(lf.sub, EntityLit):
-            e = kg.entity(lf.sub.entity_id)
-            return f"the {r.phrase} of {e.name}"
-        parts = _two_constraint_parts(lf)
-        if parts is not None:
-            _, r1_id, e1_id, r2_id, e2_id = parts
-            r1 = kg.relation(r1_id)
-            r2 = kg.relation(r2_id)
-            e1 = kg.entity(e1_id)
-            e2 = kg.entity(e2_id)
-            return (
-                f"the {r.phrase} of the thing whose {r1.phrase} is {e1.name}"
-                f" and whose {r2.phrase} is {e2.name}"
-            )
-    elif isinstance(lf, ReverseJoin) and isinstance(lf.sub, EntityLit):
-        r = kg.relation(lf.relation_id)
-        e = kg.entity(lf.sub.entity_id)
-        return f"the things whose {r.phrase} is {e.name}"
-    raise UnsupportedShapeError(f"no utterance template for {serialize(lf)}")
-
-
 def _linked_entities(query_tokens, kg: kgraph.KnowledgeGraph, max_span: int):
     seen = set()
     linked = []
@@ -227,38 +183,42 @@ def generate_candidates(
 ) -> list[Candidate]:
     """Enumerate template candidates for the linked entity spans.
 
-    T3 pairs the relations into two linked entities that share a subject,
-    so no empty inner intersection is built.  The result is deduplicated,
+    Each form is rendered to its template's utterance as it is built.  T3
+    pairs the relations into two linked entities that share a subject, so
+    no empty inner intersection is built.  The result is deduplicated,
     sorted by serialized form ascending, and truncated to
     ``cfg.max_candidates``.  No alias match yields an empty list.
     """
     if not query_tokens:
         raise ValueError("query_tokens must be non-empty")
     linked = _linked_entities(list(query_tokens), kg, cfg.max_span_length)
-    rel_ids = sorted(kg.relations)
+    relations = sorted(kg.relations.items())
     forms: dict = {}
 
-    def add(lf: LogicalForm):
-        forms.setdefault(serialize(lf), lf)
+    def add(lf: LogicalForm, utterance: str):
+        forms.setdefault(serialize(lf), (lf, utterance))
 
     for ent in linked:
-        for rid in rel_ids:
-            add(Join(rid, EntityLit(ent.id)))
-            add(ReverseJoin(rid, EntityLit(ent.id)))
+        lit = EntityLit(ent.id)
+        for rid, rel in relations:
+            add(Join(rid, lit), f"the {rel.phrase} of {ent.name}")
+            add(ReverseJoin(rid, lit), f"the things whose {rel.phrase} is {ent.name}")
     for e1, e2 in itertools.permutations(linked, 2):
         for r1, subjects1 in kg.incoming(e1.id):
             for r2, subjects2 in kg.incoming(e2.id):
                 if not subjects1.isdisjoint(subjects2):
                     inner = Intersect(ReverseJoin(r1, EntityLit(e1.id)),
                                       ReverseJoin(r2, EntityLit(e2.id)))
-                    for r in rel_ids:
-                        add(Join(r, inner))
+                    thing = (f"the thing whose {kg.relations[r1].phrase} is {e1.name}"
+                             f" and whose {kg.relations[r2].phrase} is {e2.name}")
+                    for rid, rel in relations:
+                        add(Join(rid, inner), f"the {rel.phrase} of {thing}")
 
     return [
         Candidate(
             logical_form=lf,
-            utterance_tokens=tuple(tokenize(canonical_utterance(lf, kg))),
+            utterance_tokens=tuple(tokenize(utterance)),
             denotation=kgraph.denotation(lf, kg),
         )
-        for _, lf in sorted(forms.items())[: cfg.max_candidates]
+        for _, (lf, utterance) in sorted(forms.items())[: cfg.max_candidates]
     ]

@@ -48,6 +48,16 @@ def test_wrong_field_count_reports_line():
 def test_unknown_triple_id_named():
     with pytest.raises(ReferentialError, match="atlantis"):
         graph_from_strings("atlantis\tcurrency\tbrazilian_real\n", MINI_CATALOG)
+    # The constructor checks the ids itself, not only load_graph.
+    ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "b", "s")}
+    rels = {"r": kgraph.Relation("r", "r")}
+    for triples, message in [
+        ([Triple("s", "r", "a"), Triple("x", "r", "b")], "unknown subject entity id: x"),
+        ([Triple("s", "r", "a"), Triple("s", "q", "b")], "unknown relation id: q"),
+        ([Triple("s", "r", "a"), Triple("s", "r", "y")], "unknown object entity id: y"),
+    ]:
+        with pytest.raises(ReferentialError, match=f"^{message}$"):
+            KnowledgeGraph(ents, rels, triples)
 
 
 def test_comments_and_blank_lines_ignored(mini_kg):

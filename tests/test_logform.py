@@ -15,9 +15,8 @@ from tensorparse.logform import (
     Intersect,
     Join,
     LfParseError,
+    LogicalForm,
     ReverseJoin,
-    UnsupportedShapeError,
-    canonical_utterance,
     generate_candidates,
     parse,
     serialize,
@@ -81,39 +80,33 @@ def test_parse_errors(text):
     assert exc.value.position >= 0
 
 
+def generated_utterance(query, form, kg):
+    """The utterance tokens generation gives ``form`` for ``query``."""
+    cands = generate_candidates(tokenize(query), kg, GenConfig())
+    return {serialize(c.logical_form): c.utterance_tokens for c in cands}[form]
+
+
 def test_utterance_t1(mini_kg):
-    lf = Join("adjoins", EntityLit("ethiopia"))
-    assert canonical_utterance(lf, mini_kg) == "the adjoins of ethiopia"
+    assert generated_utterance(
+        "what does ethiopia adjoin", "join(adjoins, ent(ethiopia))", mini_kg
+    ) == tuple(tokenize("the adjoins of ethiopia"))
 
 
 def test_utterance_t2(mini_kg):
-    lf = ReverseJoin("currency", EntityLit("brazil"))
-    assert canonical_utterance(lf, mini_kg) == "the things whose currency is brazil"
+    assert generated_utterance(
+        "what currency does brazil use", "rev(currency, ent(brazil))", mini_kg
+    ) == tuple(tokenize("the things whose currency is brazil"))
 
 
 def test_utterance_t3(mini_kg):
-    lf = Join(
-        "character",
-        Intersect(
-            ReverseJoin("actor", EntityLit("brad_pitt")),
-            ReverseJoin("film", EntityLit("troy")),
-        ),
-    )
-    assert canonical_utterance(lf, mini_kg) == (
+    assert generated_utterance(
+        "who did brad pitt play in troy",
+        "join(character, and(rev(actor, ent(brad_pitt)), rev(film, ent(troy))))",
+        mini_kg,
+    ) == tuple(tokenize(
         "the character of the thing whose actor is Brad Pitt"
         " and whose film is Troy"
-    )
-
-
-def test_utterance_rejects_non_template(mini_kg):
-    with pytest.raises(UnsupportedShapeError):
-        canonical_utterance(
-            Intersect(EntityLit("brazil"), EntityLit("kenya")), mini_kg
-        )
-    with pytest.raises(UnsupportedShapeError):
-        canonical_utterance(
-            Join("currency", Join("currency", EntityLit("brazil"))), mini_kg
-        )
+    ))
 
 
 def test_generate_currency_query(mini_kg):
@@ -161,9 +154,11 @@ def test_generate_two_constraint(mini_kg):
 def test_generated_forms_are_template_shaped(mini_kg):
     tokens = ["who", "did", "brad", "pitt", "play", "in", "troy"]
     for c in generate_candidates(tokens, mini_kg, GenConfig()):
-        # must not raise: every generated form has a T1/T2/T3 shape
-        canonical_utterance(c.logical_form, mini_kg)
-        assert parse(serialize(c.logical_form)) == c.logical_form
+        lf = c.logical_form
+        assert isinstance(lf.sub, EntityLit) or (
+            isinstance(lf, Join) and _two_constraint_parts(lf) is not None
+        )
+        assert parse(serialize(lf)) == lf
 
 
 def test_cached_denotation_matches_fresh(mini_kg):
@@ -193,12 +188,63 @@ def test_empty_query_rejected(mini_kg):
         generate_candidates([], mini_kg, GenConfig())
 
 
+class UnsupportedShapeError(Exception):
+    """Logical form does not match any utterance template."""
+
+
+def _two_constraint_parts(lf: Join):
+    """Return (r, r1, e1, r2, e2) ids if lf has the T3 shape, else None."""
+    inner = lf.sub
+    if not isinstance(inner, Intersect):
+        return None
+    left, right = inner.left, inner.right
+    if not (isinstance(left, ReverseJoin) and isinstance(right, ReverseJoin)):
+        return None
+    if not (isinstance(left.sub, EntityLit) and isinstance(right.sub, EntityLit)):
+        return None
+    return (
+        lf.relation_id,
+        left.relation_id,
+        left.sub.entity_id,
+        right.relation_id,
+        right.sub.entity_id,
+    )
+
+
+def canonical_utterance(lf: LogicalForm, kg: kgraph.KnowledgeGraph) -> str:
+    """Rule-based natural-language rendering of a template-shaped form."""
+    if isinstance(lf, Join):
+        r = kg.relation(lf.relation_id)
+        if isinstance(lf.sub, EntityLit):
+            e = kg.entity(lf.sub.entity_id)
+            return f"the {r.phrase} of {e.name}"
+        parts = _two_constraint_parts(lf)
+        if parts is not None:
+            _, r1_id, e1_id, r2_id, e2_id = parts
+            r1 = kg.relation(r1_id)
+            r2 = kg.relation(r2_id)
+            e1 = kg.entity(e1_id)
+            e2 = kg.entity(e2_id)
+            return (
+                f"the {r.phrase} of the thing whose {r1.phrase} is {e1.name}"
+                f" and whose {r2.phrase} is {e2.name}"
+            )
+    elif isinstance(lf, ReverseJoin) and isinstance(lf.sub, EntityLit):
+        r = kg.relation(lf.relation_id)
+        e = kg.entity(lf.sub.entity_id)
+        return f"the things whose {r.phrase} is {e.name}"
+    raise UnsupportedShapeError(f"no utterance template for {serialize(lf)}")
+
+
 def reference_generate_candidates(query_tokens, kg, cfg):
-    """``generate_candidates`` as it was before T3 read the graph's index.
+    """``generate_candidates`` as it was before T3 read the graph's index
+    and before each template rendered its own utterance.
 
     For every ordered pair of linked entities it tries every (r1, r2)
     relation pair and keeps the pair when ``kgraph.denotation`` of the
-    inner intersection is non-empty: L^2 R^2 probes.
+    inner intersection is non-empty: L^2 R^2 probes.  Each kept form's
+    utterance is worked out again from its shape by ``canonical_utterance``,
+    so a swapped r1/r2 or e1/e2 in the generator's text shows here.
     """
     if not query_tokens:
         raise ValueError("query_tokens must be non-empty")
