@@ -146,22 +146,20 @@ def write_report(report: EvalReport, path) -> None:
         fh.write(format_report(report))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SplitSpec:
+    """How :func:`make_splits` cuts data into ``folds`` folds: in question
+    order (``"alphabetical"``) or shuffled with ``seed`` (``"random"``)."""
+
     mode: str = "random"  # "random" | "alphabetical"
-    folds: Optional[int] = None
-    holdout: Optional[float] = None
+    folds: int
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("random", "alphabetical"):
             raise ConfigError(f"unknown split mode {self.mode!r}")
-        if (self.folds is None) == (self.holdout is None):
-            raise ConfigError("exactly one of folds/holdout must be given")
-        if self.folds is not None and self.folds < 2:
+        if self.folds < 2:
             raise ConfigError("folds must be >= 2")
-        if self.holdout is not None and not 0.0 < self.holdout < 1.0:
-            raise ConfigError("holdout fraction must be in (0, 1)")
 
 
 def _ordered(data: list, spec: SplitSpec) -> list:
@@ -177,11 +175,6 @@ def _split_positions(data: list, spec: SplitSpec):
     """:func:`make_splits` as positions in ``data``."""
     n = len(data)
     ordered = _ordered(data, spec)
-    if spec.holdout is not None:
-        if n < 2:
-            raise ConfigError("need at least 2 examples for a holdout split")
-        n_test = min(n - 1, max(1, round(n * spec.holdout)))
-        return [(ordered[n_test:], ordered[:n_test])]
     folds = spec.folds
     if n < folds:
         raise ConfigError(f"need at least {folds} examples for {folds} folds")
@@ -195,11 +188,12 @@ def _split_positions(data: list, spec: SplitSpec):
 
 
 def make_splits(data: list, spec: SplitSpec):
-    """Deterministic (train, test) partitions.
+    """Deterministic ``(train, test)`` pairs, one per fold.
 
     Alphabetical mode sorts by raw question text then slices contiguous
-    folds; random mode shuffles with the seed first.  Fold sizes differ
-    by at most one.
+    folds; random mode shuffles with the seed first.  Fold ``i`` is the
+    ``i``-th slice, fold sizes differ by at most one, and each test fold's
+    train side is the rest of the data.
     """
     return [([data[i] for i in train], [data[i] for i in test])
             for train, test in _split_positions(data, spec)]

@@ -271,7 +271,11 @@ def _parse_catalog(catalog_source: Iterable[str]):
 
 
 def _triple_fields(triple_source: Iterable[str]):
-    """Yield each triple line's three tab-separated fields."""
+    """Yield each triple line's three tab-separated fields.
+
+    A :class:`ReferentialError` thrown in at a yield comes back out with the
+    number of the line whose fields were yielded.
+    """
     for lineno, line in _content_lines(triple_source):
         fields = line.split("\t")
         if len(fields) != 3:
@@ -279,7 +283,10 @@ def _triple_fields(triple_source: Iterable[str]):
                 f"triple line needs 3 tab-separated fields, got {len(fields)}",
                 lineno,
             )
-        yield fields
+        try:
+            yield fields
+        except ReferentialError as exc:
+            raise ReferentialError(f"line {lineno}: {exc}") from None
 
 
 def load_graph(
@@ -290,7 +297,8 @@ def load_graph(
     Triple lines are ``subject<TAB>relation<TAB>object``; catalog lines
     are ``E<TAB>id<TAB>name<TAB>alias1|alias2|...`` or
     ``R<TAB>id<TAB>phrase<TAB>domainType<TAB>rangeType``.  Blank lines
-    and ``#`` comments are ignored; duplicate triples deduplicate.
+    and ``#`` comments are ignored; duplicate triples deduplicate.  An
+    error in a triple line names the line.
 
     The cyclic garbage collector is paused while the graph is built and
     then restored to the state it was in: nothing built here holds a
@@ -300,7 +308,14 @@ def load_graph(
     gc.disable()
     try:
         entities, relations = _parse_catalog(catalog_source)
-        return KnowledgeGraph(entities, relations, _triple_fields(triple_source))
+        triples = _triple_fields(triple_source)
+        try:
+            return KnowledgeGraph(entities, relations, triples)
+        except ReferentialError as exc:
+            # The constructor stopped at the triple the generator last
+            # yielded; the generator re-raises with that line's number.
+            triples.throw(exc)
+            raise
     finally:
         if was_enabled:
             gc.enable()
@@ -315,19 +330,15 @@ def denotation(lf, kg: KnowledgeGraph) -> frozenset:
     if isinstance(lf, logform.EntityLit):
         kg.entity(lf.entity_id)
         return frozenset((lf.entity_id,))
-    if isinstance(lf, logform.Join):
+    if isinstance(lf, (logform.Join, logform.ReverseJoin)):
         kg.relation(lf.relation_id)
-        sub = denotation(lf.sub, kg)
+        step = kg.forward if isinstance(lf, logform.Join) else kg.backward
+        # Grown as a set and frozen at the end: the index sets a generated
+        # candidate's join reads average under one member, and for those one
+        # frozenset().union(*[...]) call costs more than the final copy.
         out: set = set()
-        for s in sub:
-            out |= kg.forward(s, lf.relation_id)
-        return frozenset(out)
-    if isinstance(lf, logform.ReverseJoin):
-        kg.relation(lf.relation_id)
-        sub = denotation(lf.sub, kg)
-        out = set()
-        for s in sub:
-            out |= kg.backward(s, lf.relation_id)
+        for e in denotation(lf.sub, kg):
+            out |= step(e, lf.relation_id)
         return frozenset(out)
     if isinstance(lf, logform.Intersect):
         return denotation(lf.left, kg) & denotation(lf.right, kg)

@@ -22,16 +22,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Union
 
-from . import ConfigError, TensorparseError, kgraph
+from . import ConfigError, kgraph
 from .features import tokenize
-
-
-class LfParseError(TensorparseError):
-    """Malformed serialized logical form."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"position {position}: {message}")
-        self.position = position
 
 
 @dataclass(frozen=True)
@@ -92,75 +84,11 @@ def serialize(lf: LogicalForm) -> str:
 
 
 # Characters no entity or relation id may hold: the form delimiters and every
-# character str.isspace() accepts (none lies above U+3000).  With them an id
-# could serialize like another form, or lose its leading characters to
-# skip_ws.  kgraph rejects catalog ids that hold any.
+# character str.isspace() accepts (none lies above U+3000).  Without "(),"
+# every form serializes to text of its own, and generation deduplicates forms
+# by that text; without whitespace a form stays one tab-separated field of an
+# eval report row.  kgraph rejects catalog ids that hold any.
 ID_FORBIDDEN = frozenset("(),") | frozenset(filter(str.isspace, map(chr, range(0x3001))))
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str):
-        raise LfParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch: str):
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def ident(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in ID_FORBIDDEN:
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected identifier")
-        return self.text[start : self.pos]
-
-    def form(self) -> LogicalForm:
-        head = self.ident()
-        self.expect("(")
-        self.skip_ws()
-        if head == "ent":
-            eid = self.ident()
-            self.skip_ws()
-            self.expect(")")
-            return EntityLit(eid)
-        if head in ("join", "rev"):
-            rid = self.ident()
-            self.skip_ws()
-            self.expect(",")
-            self.skip_ws()
-            sub = self.form()
-            self.skip_ws()
-            self.expect(")")
-            return Join(rid, sub) if head == "join" else ReverseJoin(rid, sub)
-        if head == "and":
-            left = self.form()
-            self.skip_ws()
-            self.expect(",")
-            self.skip_ws()
-            right = self.form()
-            self.skip_ws()
-            self.expect(")")
-            return Intersect(left, right)
-        self.error(f"unknown form head {head!r}")
-
-
-def parse(text: str) -> LogicalForm:
-    p = _Parser(text)
-    p.skip_ws()
-    lf = p.form()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing characters after logical form")
-    return lf
 
 
 def _linked_entities(query_tokens, kg: kgraph.KnowledgeGraph, max_span: int):

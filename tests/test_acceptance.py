@@ -25,13 +25,14 @@ def random_binary_vec(rng, vocab=50, density=0.3):
 
 @pytest.fixture(scope="module")
 def end_to_end(toy_kg, toy_data):
-    """Timed 80/20 train+eval on the seeded toy corpus, defaults throughout."""
+    """Timed 80/20 train+eval on the seeded toy corpus, defaults throughout:
+    trains on four folds of a 5-fold random split and tests on fold 0."""
     gen_cfg = GenConfig()
     train_cfg = learner.TrainConfig()
     start = time.perf_counter()
-    (train_data, test_data), = make_splits(
-        toy_data, SplitSpec(mode="random", holdout=0.2, seed=42)
-    )
+    train_data, test_data = make_splits(
+        toy_data, SplitSpec(mode="random", folds=5, seed=42)
+    )[0]
     result = learner.train(train_data, toy_kg, gen_cfg, train_cfg)
     report = evaluator.evaluate(result.model, test_data, toy_kg, gen_cfg)
     elapsed = time.perf_counter() - start

@@ -4,7 +4,8 @@ escapes ``cli.main``, a run that exits 0 prints no ``nan``/``inf``, and a
 file that is not UTF-8 is named in the error.  A catalog id that a logical
 form cannot hold, a model key given twice, and a dataset with no questions
 must end in exit status 1, and so must ``train --out`` naming a directory,
-with an error that names that path and not a temporary file.
+with an error that names that path and not a temporary file.  A triple
+naming an id missing from the catalog is an error that names its line.
 
 The cases run in-process on the toy corpus with ``--epochs 1`` and
 ``--folds 2``.  The last occurrence of a repeated flag wins, so each case
@@ -42,7 +43,8 @@ BAD_FILES = ["non-utf8", "truncated-header", "directory"]
 # files that would otherwise load: each must end in exit status 1 with this in
 # its error line
 MUST_FAIL = {"duplicate-key": "duplicate key", "forbidden-id": "must be non-empty",
-             "blank-lines": "error: "}
+             "blank-lines": "error: ",
+             "unknown-id": "error: line 2: unknown relation id: currencyx\n"}
 
 HUGE = "9" * 20
 
@@ -60,6 +62,7 @@ def _cases():
     for command, flags in FILE_FLAGS.items():
         for flag in flags:
             kinds = BAD_FILES + {"--model": ["nan-weight", "duplicate-key"],
+                                 "--kg": ["unknown-id"],
                                  "--catalog": ["forbidden-id"],
                                  "--data": ["blank-lines"]}.get(flag, [])
             cases += [(command, flag, kind) for kind in kinds]
@@ -81,7 +84,7 @@ def corpus(toy_dir, tmp_path_factory):
     bad = {"non-utf8": root / "non-utf8", "truncated-header": root / "truncated",
            "directory": root / "directory", "nan-weight": root / "nan.model",
            "duplicate-key": root / "duplicate.model", "forbidden-id": root / "catalog.tsv",
-           "blank-lines": root / "blank.jsonl"}
+           "blank-lines": root / "blank.jsonl", "unknown-id": root / "triples.tsv"}
     bad["non-utf8"].write_bytes(b"\xff\xfe\x00 not utf-8\n")
     bad["truncated-header"].write_text("tensorparse-model v")
     bad["directory"].mkdir()
@@ -91,6 +94,8 @@ def corpus(toy_dir, tmp_path_factory):
     catalog = (toy_dir / "catalog.tsv").read_text()
     bad["forbidden-id"].write_text(catalog + "E\tpeso, ent(x)\tPeso\t\n")
     bad["blank-lines"].write_text("\n  \n\t\n")
+    bad["unknown-id"].write_text("brazil\tcurrency\tbrazilian_real\n"
+                                 "brazil\tcurrencyx\tbrazilian_real\n")
     return model, bad
 
 

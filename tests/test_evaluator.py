@@ -185,22 +185,13 @@ def test_random_splits_deterministic():
     assert a == b
 
 
-def test_holdout_split():
-    data = make_examples(10)
-    (train, test), = make_splits(data, SplitSpec(mode="random", holdout=0.2, seed=3))
-    assert len(test) == 2
-    assert len(train) == 8
-
-
 def test_split_spec_validation():
-    with pytest.raises(ConfigError):
-        SplitSpec(mode="random", folds=5, holdout=0.2)
-    with pytest.raises(ConfigError):
-        SplitSpec(mode="random")
+    with pytest.raises(TypeError):
+        SplitSpec(mode="random")  # folds has no default
+    with pytest.raises(TypeError):
+        SplitSpec(mode="random", holdout=0.2)
     with pytest.raises(ConfigError):
         SplitSpec(mode="random", folds=1)
-    with pytest.raises(ConfigError):
-        SplitSpec(mode="random", holdout=1.5)
     with pytest.raises(ConfigError):
         SplitSpec(mode="sideways", folds=5)
 

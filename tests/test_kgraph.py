@@ -46,8 +46,16 @@ def test_wrong_field_count_reports_line():
 
 
 def test_unknown_triple_id_named():
-    with pytest.raises(ReferentialError, match="atlantis"):
-        graph_from_strings("atlantis\tcurrency\tbrazilian_real\n", MINI_CATALOG)
+    # load_graph names the line; comments and blank lines count.
+    first = MINI_TRIPLES.splitlines()[0]
+    for triples, message in [
+        ("atlantis\tcurrency\tbrazilian_real\n", "line 1: unknown subject entity id: atlantis"),
+        (f"{first}\nbrazil\tcurrencyx\tbrazilian_real\n", "line 2: unknown relation id: currencyx"),
+        (f"# header\n{first}\n\nbrazil\tcurrency\tatlantis\n",
+         "line 4: unknown object entity id: atlantis"),
+    ]:
+        with pytest.raises(ReferentialError, match=f"^{message}$"):
+            graph_from_strings(triples, MINI_CATALOG)
     # The constructor checks the ids itself, not only load_graph.
     ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "b", "s")}
     rels = {"r": kgraph.Relation("r", "r")}
@@ -366,6 +374,45 @@ def test_indexes_match_oracle_on_random_graphs(catalog, data):
     }
     kg = KnowledgeGraph(entities, relations, iter(triples))
     assert_matches_oracle(kg, triples)
+
+
+def oracle_denotation(lf, forward, backward):
+    """``denotation`` executed over the tuple-keyed maps of :func:`oracle_indexes`."""
+    if isinstance(lf, EntityLit):
+        return {lf.entity_id}
+    if isinstance(lf, Join):
+        return {o for s in oracle_denotation(lf.sub, forward, backward)
+                for o in forward.get((s, lf.relation_id), ())}
+    if isinstance(lf, ReverseJoin):
+        return {s for o in oracle_denotation(lf.sub, forward, backward)
+                for s in backward.get((o, lf.relation_id), ())}
+    return (oracle_denotation(lf.left, forward, backward)
+            & oracle_denotation(lf.right, forward, backward))
+
+
+def forms_over(entities, relations):
+    """Logical forms of any shape over the given ids."""
+    entity_ids = st.sampled_from(sorted(entities))
+    relation_ids = st.sampled_from(sorted(relations))
+    return st.recursive(
+        st.builds(EntityLit, entity_ids),
+        lambda sub: st.one_of(st.builds(Join, relation_ids, sub),
+                              st.builds(ReverseJoin, relation_ids, sub),
+                              st.builds(Intersect, sub, sub)),
+        max_leaves=5,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(catalogs(), st.data())
+def test_denotation_matches_oracle_on_random_graphs(catalog, data):
+    entities, relations, triples = catalog
+    kg = KnowledgeGraph(entities, relations, triples)
+    _, forward, backward = oracle_indexes(triples)
+    for lf in data.draw(st.lists(forms_over(entities, relations), min_size=1, max_size=5)):
+        got = denotation(lf, kg)
+        assert type(got) is frozenset
+        assert got == oracle_denotation(lf, forward, backward)
 
 
 @settings(max_examples=100, deadline=None)
