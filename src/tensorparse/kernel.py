@@ -1,7 +1,10 @@
 """Sparse dot product and the factorized tensor-product kernel.
 
-The learner trains on explicit pair features; :func:`tensor_kernel` is
-the factorized equivalent, kept as a verified library function and test
+The learner trains on explicit pair features, and :func:`dot` of an
+assembled vector with the model's weights is the specification of a
+score; prediction computes the same floats through the model's rows of
+W, with no pair key built.  :func:`tensor_kernel` is the factorized
+kernel between two pairs, kept as a verified library function and test
 oracle.  Both are pure and safe for concurrent use.
 """
 

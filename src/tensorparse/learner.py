@@ -27,8 +27,13 @@ and squared-gradient sums stay bit-identical and one column, a slot of
 the flat weight and squared-gradient lists, holds them all.  A score
 still adds every id's column weight in the instance's id order; the
 AdaGrad step runs once per distinct column.  The returned :class:`Model`
-maps key text to weight, so scoring, prediction and the model file see
-plain dicts.
+maps key text to weight, the keys the model file holds.
+
+Prediction scores through the paper's factorization, score = qᵀWu plus
+a denotation-size weight: a :class:`Model` also holds W as one row
+``{u: weight}`` per query token, so :func:`predict` builds no pair key
+and adds each candidate's weights in the order :func:`score` over
+:func:`features.assemble` adds them, to the same float.
 """
 
 from __future__ import annotations
@@ -37,9 +42,11 @@ import hashlib
 import math
 import os
 import random
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from operator import mul
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from . import ConfigError, TensorparseError, features, logform
 from .dataset import DatasetExample
@@ -52,6 +59,11 @@ MODEL_VERSION = 1
 
 _ADA_EPS = 1e-8
 
+# What save_model writes: ASCII digits only.  int() and float() would also
+# take "_" separators, padding whitespace and any Unicode decimal digit.
+_ASCII_DIGITS = re.compile(r"[0-9]+")
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
 
 class ModelFormatError(TensorparseError):
     pass
@@ -59,9 +71,31 @@ class ModelFormatError(TensorparseError):
 
 @dataclass(frozen=True)
 class Model:
-    weights: dict
+    """Feature weights keyed by encoded feature key, and W's rows.
+
+    ``weights`` is a read-only view over the model's own copy of the
+    mapping it is made with, so ``rows`` cannot go stale: every
+    ``p:<q>|<u>`` key, split at its first ``|``, is the entry ``u`` of
+    the row ``q``.  ``rows`` is derived, takes no part in equality, and
+    is not to be mutated.
+    """
+
+    weights: Mapping[str, float]
     config_fingerprint: str
     version: int = MODEL_VERSION
+    rows: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        weights = dict(self.weights)
+        rows: dict = {}
+        for key, weight in weights.items():
+            try:
+                _, q, u = features.parse_key(key)  # ("lf", name) does not unpack
+            except ValueError:  # an lf: key, or one that no assembled vector holds
+                continue
+            rows.setdefault(q, {})[u] = weight
+        object.__setattr__(self, "weights", MappingProxyType(weights))
+        object.__setattr__(self, "rows", rows)
 
 
 @dataclass(frozen=True)
@@ -111,9 +145,39 @@ def sigmoid(x: float) -> float:
 def score(model: Model, vector: dict) -> float:
     """Linear score: the weights of ``vector``'s keys, added in its key order.
 
-    The classifier probability is sigmoid(score).
+    The classifier probability is sigmoid(score).  :func:`predict` gives
+    every candidate the float ``score(model, features.assemble(...))``
+    gives, without building the vector; this is its specification.
     """
     return dot(vector, model.weights)
+
+
+def _scores(model: Model, query_tokens, candidates) -> list[float]:
+    """``score(model, features.assemble(query_tokens, c))`` of each candidate.
+
+    The rows of the query's distinct tokens are fetched once; a
+    candidate's score walks them in first-occurrence order, each over the
+    candidate's distinct utterance tokens in order, then adds its
+    denotation-size weight: the order in which ``dot`` adds the assembled
+    vector's weights, so every float is the same.  Query tokens hold no
+    ``|``, as :func:`features.tokenize` gives them.
+    """
+    rows = [row for row in map(model.rows.get, dict.fromkeys(query_tokens)) if row]
+    weight_of = model.weights.get
+    scores = []
+    for c in candidates:
+        total = 0.0
+        utterance = dict.fromkeys(c.utterance_tokens)
+        for row in rows:
+            for u in utterance:
+                w = row.get(u)
+                if w is not None:
+                    total += w
+        w = weight_of(features.lf_key(features.denotation_size_bucket(len(c.denotation))))
+        if w is not None:
+            total += w
+        scores.append(total)
+    return scores
 
 
 def predict(
@@ -121,11 +185,13 @@ def predict(
 ) -> Optional[Candidate]:
     """Highest-scoring candidate; ties broken by ascending serialized form.
 
-    Only the candidates tied at the best score are serialized.
+    Scores are :func:`score` of each candidate's assembled vector, computed
+    through the model's rows with no pair key built.  Only the candidates
+    tied at the best score are serialized.
     """
     if not candidates:
         return None
-    scores = [score(model, features.assemble(query_tokens, c)) for c in candidates]
+    scores = _scores(model, query_tokens, candidates)
     best = max(scores)
     tied = [c for c, s in zip(candidates, scores) if s == best]
     if len(tied) == 1:
@@ -333,10 +399,13 @@ def load_model(path) -> Model:
     header = lines[0].split(" ")
     if len(header) != 3 or header[0] != MODEL_MAGIC or not header[1].startswith("v"):
         raise ModelFormatError(f"bad model header: {lines[0]!r}")
+    digits = header[1][1:]
     try:
-        version = int(header[1][1:])
-    except ValueError:
-        raise ModelFormatError(f"bad model version: {header[1]!r}") from None
+        version = int(digits) if _ASCII_DIGITS.fullmatch(digits) else None
+    except ValueError:  # more digits than int() converts
+        version = None
+    if version is None:
+        raise ModelFormatError(f"bad model version: {header[1]!r}")
     if version != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
     weights = {}
@@ -354,4 +423,6 @@ def load_model(path) -> Model:
             raise ModelFormatError(f"line {lineno}: bad weight {value!r}") from None
         if not math.isfinite(weights[key]):
             raise ModelFormatError(f"line {lineno}: weight {value!r} is not finite")
+        if not _DECIMAL.fullmatch(value):
+            raise ModelFormatError(f"line {lineno}: bad weight {value!r}")
     return Model(weights=weights, config_fingerprint=header[2], version=version)

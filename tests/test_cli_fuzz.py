@@ -2,8 +2,9 @@
 ``error:`` line on stderr, or in argparse's usage exit 2.  Nothing else
 escapes ``cli.main``, a run that exits 0 prints no ``nan``/``inf``, and a
 file that is not UTF-8 is named in the error.  A catalog id that a logical
-form cannot hold, a model key given twice, and a dataset with no questions
-must end in exit status 1, and so must ``train --out`` naming a directory,
+form cannot hold, a model key given twice, a model weight that is not an
+ASCII decimal literal, and a dataset with no questions must end in exit
+status 1, and so must ``train --out`` naming a directory,
 with an error that names that path and not a temporary file.  A triple
 naming an id missing from the catalog is an error that names its line.
 
@@ -43,6 +44,7 @@ BAD_FILES = ["non-utf8", "truncated-header", "directory"]
 # files that would otherwise load: each must end in exit status 1 with this in
 # its error line
 MUST_FAIL = {"duplicate-key": "duplicate key", "forbidden-id": "must be non-empty",
+             "underscore-weight": "error: line 2: bad weight '1_0'\n",
              "blank-lines": "error: ",
              "unknown-id": "error: line 2: unknown relation id: currencyx\n"}
 
@@ -61,7 +63,8 @@ def _cases():
             cases += [(command, flag, value) for value in values]
     for command, flags in FILE_FLAGS.items():
         for flag in flags:
-            kinds = BAD_FILES + {"--model": ["nan-weight", "duplicate-key"],
+            kinds = BAD_FILES + {"--model": ["nan-weight", "duplicate-key",
+                                             "underscore-weight"],
                                  "--kg": ["unknown-id"],
                                  "--catalog": ["forbidden-id"],
                                  "--data": ["blank-lines"]}.get(flag, [])
@@ -83,12 +86,14 @@ def corpus(toy_dir, tmp_path_factory):
                      "--out", str(model), "--epochs", "1"]) == 0
     bad = {"non-utf8": root / "non-utf8", "truncated-header": root / "truncated",
            "directory": root / "directory", "nan-weight": root / "nan.model",
-           "duplicate-key": root / "duplicate.model", "forbidden-id": root / "catalog.tsv",
+           "duplicate-key": root / "duplicate.model",
+           "underscore-weight": root / "underscore.model", "forbidden-id": root / "catalog.tsv",
            "blank-lines": root / "blank.jsonl", "unknown-id": root / "triples.tsv"}
     bad["non-utf8"].write_bytes(b"\xff\xfe\x00 not utf-8\n")
     bad["truncated-header"].write_text("tensorparse-model v")
     bad["directory"].mkdir()
     bad["nan-weight"].write_text("tensorparse-model v1 0123456789abcdef\np:a|b\tnan\n")
+    bad["underscore-weight"].write_text("tensorparse-model v1 0123456789abcdef\np:a|b\t1_0\n")
     lines = model.read_text().splitlines(keepends=True)
     bad["duplicate-key"].write_text("".join(lines + lines[1:2]))
     catalog = (toy_dir / "catalog.tsv").read_text()

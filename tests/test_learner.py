@@ -3,9 +3,10 @@ import math
 import os
 import random
 import re
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorparse import evaluator, features, learner, logform
@@ -260,6 +261,19 @@ def test_model_file_errors(tmp_path):
     bad.write_text("tensorparse-model v1 abc\np:a|b\t1.5\np:a|b\t-7.0\n")
     with pytest.raises(ModelFormatError, match=re.escape("line 3: duplicate key 'p:a|b'")):
         load_model(bad)
+    # float() and int() take these; the file format does not
+    for weight in ("1_0", " 1.0 ", "1.0 ", "\u0661.\u0665", "\uff11", "0x1p0", "1.5\u00a0"):
+        bad.write_text(f"tensorparse-model v1 abc\np:a|b\t1.5\nlf:x\t{weight}\n")
+        with pytest.raises(ModelFormatError, match=re.escape(f"line 3: bad weight {weight!r}")):
+            load_model(bad)
+    for version in ("v\u0661", "v+1", "v1_0", "v-1", "v\uff11", "v", "v" + "1" * 5000):
+        bad.write_text(f"tensorparse-model {version} abc\n")
+        with pytest.raises(ModelFormatError, match=re.escape(f"bad model version: {version!r}")):
+            load_model(bad)
+    # every spelling repr(float) gives still loads
+    bad.write_text("tensorparse-model v1 abc\np:a|b\t-1e-05\np:a|c\t1.5e+16\n"
+                   "p:a|d\t5e-324\np:a|e\t-0.0\np:a|f\t+.5\np:a|g\t7.\n")
+    assert list(load_model(bad).weights.values()) == [-1e-05, 1.5e16, 5e-324, -0.0, 0.5, 7.0]
 
 
 def test_failed_save_keeps_the_previous_model(tmp_path, monkeypatch):
@@ -325,6 +339,88 @@ def test_model_file_round_trip_property(tmp_path_factory, weights, digest):
     assert loaded.config_fingerprint == digest
     assert list(loaded.weights.items()) == sorted(weights.items())
     assert [repr(w) for w in loaded.weights.values()] == [repr(weights[k]) for k in sorted(weights)]
+
+
+def _pack(value: float) -> bytes:
+    return struct.pack(">d", value)
+
+
+# Query tokens as features.tokenize gives them, and the empty token of the
+# malformed key "p:|b"; utterance tokens include "b|c", the utterance side
+# of "p:a|b|c" split at its first "|".
+query_token_lists = st.lists(st.sampled_from(["", "a", "b", "zz"]), max_size=6)
+utterance_token_lists = st.lists(st.sampled_from(["a", "b", "b|c", "yy"]), max_size=5)
+scoring_keys = st.one_of(
+    st.builds(features.pair_key, st.sampled_from(["", "a", "b"]),
+              st.sampled_from(["a", "b", "b|c"])),
+    st.sampled_from(sorted(features.lf_key(name) for name in features.LF_FEATURE_NAMES)),
+    st.sampled_from(["p:a", "p:a|b|c", "p:|b", "lf:other", "x:a|b", "a|b"]),
+)
+# large and small weights together, so that adding in another order gives
+# another float
+scoring_weights = st.one_of(
+    finite_weights,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]),
+    st.sampled_from([1e16, -1e16, 1.0, 0.1, 0.2, 0.3]),
+)
+scored_candidates = st.lists(
+    st.builds(make_candidate,
+              st.builds(Join, st.sampled_from(["actor", "adjoins", "currency"]),
+                        st.builds(EntityLit, st.sampled_from(["brazil", "p1"]))),
+              utterance_token_lists,
+              st.sets(st.sampled_from("uvwxyz0"))),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(scoring_keys, scoring_weights, max_size=25), query_token_lists,
+       scored_candidates, st.booleans())
+# query-major: 1e16 + 1.0 rounds to 1e16, so "a" then "b" gives 0.0 and
+# utterance-major order would give 1.0
+@example(weights={"p:a|a": 1e16, "p:a|b": 1.0, "p:b|a": -1e16}, query=["a", "b", "a"],
+         candidates=[make_candidate(Join("actor", EntityLit("p1")), ["a", "b"], ()),
+                     make_candidate(Join("actor", EntityLit("brazil")), ["b"], ())],
+         from_file=False)
+def test_predict_scores_are_score_of_assemble(tmp_path_factory, weights, query, candidates,
+                                              from_file):
+    model = Model(weights=weights, config_fingerprint="x")
+    if from_file:
+        path = tmp_path_factory.mktemp("model") / "m.model"
+        save_model(model, path)
+        model = load_model(path)
+    expected = [score(model, features.assemble(query, c)) for c in candidates]
+    assert list(map(_pack, learner._scores(model, query, candidates))) == list(map(_pack, expected))
+    winner = predict(model, query, candidates)
+    if not candidates:
+        assert winner is None
+    else:
+        by_rule = min(zip(candidates, expected),
+                      key=lambda ce: (-ce[1], serialize(ce[0].logical_form)))[0]
+        assert winner is by_rule
+
+
+def test_model_weights_are_read_only(tmp_path, sep_kg):
+    weights = {"p:a|b": 1.5, "lf:denot.empty": -0.25}
+    hand_made = Model(weights=weights, config_fingerprint="x")
+    trained = train(SEP_DATA, sep_kg, GenConfig(), TrainConfig()).model
+    save_model(trained, tmp_path / "m.model")
+    loaded = load_model(tmp_path / "m.model")
+    for model in (hand_made, trained, loaded):
+        with pytest.raises(TypeError):
+            model.weights["p:a|b"] = 2.0
+        with pytest.raises(TypeError):
+            del model.weights[next(iter(model.weights))]
+    # the model holds its own copy: the caller's dict does not reach its rows
+    weights["p:a|b"] = 9.0
+    assert hand_made.weights["p:a|b"] == 1.5 and hand_made.rows == {"a": {"b": 1.5}}
+    assert hand_made == Model(weights={"lf:denot.empty": -0.25, "p:a|b": 1.5},
+                              config_fingerprint="x")
+    assert hand_made != Model(weights={"p:a|b": 1.5}, config_fingerprint="x")
+    assert loaded == trained
+    save_model(hand_made, tmp_path / "h.model")
+    assert (tmp_path / "h.model").read_text() == (
+        "tensorparse-model v1 x\nlf:denot.empty\t-0.25\np:a|b\t1.5\n")
 
 
 # -- old-vs-new oracle ----------------------------------------------------------
