@@ -15,12 +15,8 @@ def _add_kg_flags(p):
     p.add_argument("--catalog", required=True, help="entity/relation catalog TSV file")
 
 
-def _add_gen_flags(p):
-    p.add_argument("--max-candidates", type=int, default=200)
-    p.add_argument("--max-span", type=int, default=3)
-
-
 def _add_train_flags(p):
+    p.add_argument("--max-candidates", type=int, default=200)  # eval/predict read the model's
     p.add_argument("--epochs", type=int, default=15)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--l2", type=float, default=1e-4)
@@ -40,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kg_flags(p)
     p.add_argument("--data", required=True, help="JSONL dataset file")
     p.add_argument("--out", required=True, help="output model file")
-    _add_gen_flags(p)
     _add_train_flags(p)
 
     p = sub.add_parser("eval", help="evaluate a model file on a dataset")
@@ -48,13 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--report", help="write the per-query report here")
-    _add_gen_flags(p)
 
     p = sub.add_parser("predict", help="answer a single question")
     _add_kg_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--question", required=True)
-    _add_gen_flags(p)
 
     p = sub.add_parser("inspect", help="print the top-weighted features")
     p.add_argument("--model", required=True)
@@ -65,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--order", choices=["random", "alphabetical"], default="random")
-    _add_gen_flags(p)
     _add_train_flags(p)
 
     p = sub.add_parser("gen-toy", help="generate the bundled toy corpus")
@@ -97,9 +89,7 @@ def _load_data(path):
 
 
 def _gen_cfg(args) -> logform.GenConfig:
-    return logform.GenConfig(
-        max_candidates=args.max_candidates, max_span_length=args.max_span
-    )
+    return logform.GenConfig(max_candidates=args.max_candidates)
 
 
 def _train_cfg(args) -> learner.TrainConfig:
@@ -130,7 +120,7 @@ def _cmd_eval(args) -> int:
     kg = _load_graph(args)
     data = _load_data(args.data)
     model = learner.load_model(args.model)
-    report = evaluator.evaluate(model, data, kg, _gen_cfg(args))
+    report = evaluator.evaluate(model, data, kg, model.gen_cfg)
     if args.report:
         evaluator.write_report(report, args.report)
     print(f"averageF1={report.average_f1:.4f} oracleF1={report.oracle_f1:.4f}")
@@ -143,7 +133,7 @@ def _cmd_predict(args) -> int:
     tokens = tokenize(args.question)
     if not tokens:
         raise TensorparseError("question has no tokens")
-    candidates = logform.generate_candidates(tokens, kg, _gen_cfg(args))
+    candidates = logform.generate_candidates(tokens, kg, model.gen_cfg)
     best = learner.predict(model, tokens, candidates)
     if best is None:
         raise TensorparseError("no candidate logical forms for this question")

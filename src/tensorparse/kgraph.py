@@ -4,10 +4,11 @@ The graph is indexed by the only questions asked of it: which objects a
 subject reaches through a relation (:meth:`KnowledgeGraph.forward`), which
 subjects reach an object (:meth:`KnowledgeGraph.backward`), which relations
 point into an entity (:meth:`KnowledgeGraph.incoming`) and which entities
-an alias names.  The constructor checks every triple's ids against the
-catalogs and hands the indexes the catalog's own id strings, and no
-separate triple set is kept; ``kg.triples`` is a read-only view over the
-forward index.
+an alias names; ``max_alias_tokens``, the token count of the longest
+alias, bounds the spans that entity linking tries.  The constructor
+checks every triple's ids against the catalogs and hands the indexes the
+catalog's own id strings, and no separate triple set is kept;
+``kg.triples`` is a read-only view over the forward index.
 
 Graphs are immutable once built; all lookup methods are safe for
 concurrent use.
@@ -174,6 +175,8 @@ class KnowledgeGraph:
             for key in keys:
                 alias_index.setdefault(key, set()).add(ent.id)
         self._alias_index = {k: tuple(sorted(v)) for k, v in alias_index.items()}
+        # a key of k tokens matches only a tokenized span of k tokens
+        self.max_alias_tokens = max((k.count(" ") + 1 for k in alias_index), default=0)
 
     def forward(self, subject: str, relation: str) -> frozenset:
         return self._forward.get(subject, _NO_FACTS).get(relation, _EMPTY)

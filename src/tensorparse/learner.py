@@ -27,7 +27,8 @@ and squared-gradient sums stay bit-identical and one column, a slot of
 the flat weight and squared-gradient lists, holds them all.  A score
 still adds every id's column weight in the instance's id order; the
 AdaGrad step runs once per distinct column.  The returned :class:`Model`
-maps key text to weight, the keys the model file holds.
+maps key text to weight, the keys the model file holds, and keeps the
+:class:`GenConfig` it was trained with, whose cap the file's header holds.
 
 Prediction scores through the paper's factorization, score = qᵀWu plus
 a denotation-size weight: a :class:`Model` also holds W as one row
@@ -38,7 +39,6 @@ and adds each candidate's weights in the order :func:`score` over
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import random
@@ -55,7 +55,7 @@ from .kgraph import KnowledgeGraph
 from .logform import Candidate, GenConfig
 
 MODEL_MAGIC = "tensorparse-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 _ADA_EPS = 1e-8
 
@@ -63,6 +63,9 @@ _ADA_EPS = 1e-8
 # take "_" separators, padding whitespace and any Unicode decimal digit.
 _ASCII_DIGITS = re.compile(r"[0-9]+")
 _DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+# The keys features.assemble gives: tokenize yields [a-z0-9]+ tokens.
+_PAIR_KEY = re.compile(r"p:[a-z0-9]+\|[a-z0-9]+")
+_LF_KEYS = frozenset(map(features.lf_key, features.LF_FEATURE_NAMES))
 
 
 class ModelFormatError(TensorparseError):
@@ -71,7 +74,9 @@ class ModelFormatError(TensorparseError):
 
 @dataclass(frozen=True)
 class Model:
-    """Feature weights keyed by encoded feature key, and W's rows.
+    """Feature weights keyed by encoded feature key, W's rows, and the
+    generator settings the model was trained with, which ``eval`` and
+    ``predict`` generate candidates with.
 
     ``weights`` is a read-only view over the model's own copy of the
     mapping it is made with, so ``rows`` cannot go stale: every
@@ -81,19 +86,16 @@ class Model:
     """
 
     weights: Mapping[str, float]
-    config_fingerprint: str
-    version: int = MODEL_VERSION
+    gen_cfg: GenConfig = GenConfig()
     rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = dict(self.weights)
         rows: dict = {}
         for key, weight in weights.items():
-            try:
-                _, q, u = features.parse_key(key)  # ("lf", name) does not unpack
-            except ValueError:  # an lf: key, or one that no assembled vector holds
-                continue
-            rows.setdefault(q, {})[u] = weight
+            if key.startswith(features.PAIR_PREFIX) and "|" in key:
+                _, q, u = features.parse_key(key)
+                rows.setdefault(q, {})[u] = weight
         object.__setattr__(self, "weights", MappingProxyType(weights))
         object.__setattr__(self, "rows", rows)
 
@@ -122,17 +124,6 @@ class TrainResult:
     model: Model
     epoch_losses: tuple[float, ...]
     all_negative: bool  # warning: no query had a positive candidate
-
-
-def fingerprint(gen_cfg: GenConfig, cfg: TrainConfig) -> str:
-    # T3 is always on; v1 headers hash ";t3=True", so model files keep their bytes
-    text = (
-        f"epochs={cfg.epochs};lr={cfg.learning_rate!r};l2={cfg.l2!r}"
-        f";seed={cfg.seed};negcap={cfg.negative_cap}"
-        f";maxcand={gen_cfg.max_candidates};maxspan={gen_cfg.max_span_length}"
-        ";t3=True"
-    )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def sigmoid(x: float) -> float:
@@ -337,16 +328,15 @@ def train_rows(rows_per_question, names, gen_cfg: GenConfig, cfg: TrainConfig) -
     :func:`train` gives on the given questions.
     """
     instances = [row for rows in rows_per_question for row in rows]
-    digest = fingerprint(gen_cfg, cfg)
     if not any(label for _, label in instances):
         return TrainResult(
-            model=Model(weights={}, config_fingerprint=digest),
+            model=Model(weights={}, gen_cfg=gen_cfg),
             epoch_losses=(),
             all_negative=True,
         )
     weights, epoch_losses = _fit(instances, names, cfg)
     return TrainResult(
-        model=Model(weights=weights, config_fingerprint=digest),
+        model=Model(weights=weights, gen_cfg=gen_cfg),
         epoch_losses=epoch_losses,
         all_negative=False,
     )
@@ -363,11 +353,12 @@ def top_features(model: Model, k: int) -> list[tuple[str, float]]:
 def save_model(model: Model, path) -> None:
     """Write the versioned text format, keys sorted ascending.
 
+    The header is ``tensorparse-model v2 max_candidates=<training's cap>``.
     Weights print via ``repr`` so they parse back to the identical float.
     The text goes to a temporary file beside ``path`` that then replaces
     it, so a failed write leaves any earlier file at ``path`` as it was.
     """
-    lines = [f"{MODEL_MAGIC} v{model.version} {model.config_fingerprint}"]
+    lines = [f"{MODEL_MAGIC} v{MODEL_VERSION} max_candidates={model.gen_cfg.max_candidates}"]
     for key in sorted(model.weights):
         lines.append(f"{key}\t{model.weights[key]!r}")
     head, tail = os.path.split(os.fspath(path))
@@ -388,7 +379,19 @@ def save_model(model: Model, path) -> None:
         raise
 
 
+def _ascii_int(text: str) -> Optional[int]:
+    """The value of ``text`` if it is ASCII digits that int() converts."""
+    if not _ASCII_DIGITS.fullmatch(text):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def load_model(path) -> Model:
+    """Read what :func:`save_model` writes; anything else is a :class:`ModelFormatError`,
+    a v1 file too, whose header does not say its candidate cap."""
     with open(path, encoding="utf-8") as fh:
         try:
             lines = fh.read().splitlines()
@@ -399,15 +402,15 @@ def load_model(path) -> Model:
     header = lines[0].split(" ")
     if len(header) != 3 or header[0] != MODEL_MAGIC or not header[1].startswith("v"):
         raise ModelFormatError(f"bad model header: {lines[0]!r}")
-    digits = header[1][1:]
-    try:
-        version = int(digits) if _ASCII_DIGITS.fullmatch(digits) else None
-    except ValueError:  # more digits than int() converts
-        version = None
+    version = _ascii_int(header[1][1:])
     if version is None:
         raise ModelFormatError(f"bad model version: {header[1]!r}")
     if version != MODEL_VERSION:
-        raise ModelFormatError(f"unsupported model version {version}")
+        raise ModelFormatError(f"unsupported model version {version}, expected {MODEL_VERSION}")
+    name, _, value = header[2].partition("=")
+    cap = _ascii_int(value) if name == "max_candidates" else None
+    if not cap:
+        raise ModelFormatError(f"bad model setting {header[2]!r}: expected max_candidates=N >= 1")
     weights = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -417,6 +420,8 @@ def load_model(path) -> Model:
             raise ModelFormatError(f"line {lineno}: expected key<TAB>weight")
         if key in weights:
             raise ModelFormatError(f"line {lineno}: duplicate key {key!r}")
+        if key not in _LF_KEYS and not _PAIR_KEY.fullmatch(key):
+            raise ModelFormatError(f"line {lineno}: unknown feature key {key!r}")
         try:
             weights[key] = float(value)
         except ValueError:
@@ -425,4 +430,4 @@ def load_model(path) -> Model:
             raise ModelFormatError(f"line {lineno}: weight {value!r} is not finite")
         if not _DECIMAL.fullmatch(value):
             raise ModelFormatError(f"line {lineno}: bad weight {value!r}")
-    return Model(weights=weights, config_fingerprint=header[2], version=version)
+    return Model(weights=weights, gen_cfg=GenConfig(max_candidates=cap))

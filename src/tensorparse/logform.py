@@ -10,10 +10,11 @@ with the canonical utterance that generation renders beside it:
                                    "the R of the thing whose R1 is E1
                                     and whose R2 is E2"
 
-R is a relation's phrase and E an entity's name.  T3 pairs a relation into
-e1 with one into e2 that shares a subject, so no empty inner intersection
-is built.  Generation is deterministic: output is sorted by serialized form
-and truncated to the configured cap.
+R is a relation's phrase and E an entity's name.  Entities are linked by
+spans up to the graph's longest alias, so every catalog alias can link.
+T3 pairs a relation into e1 with one into e2 that shares a subject, so no
+empty inner intersection is built.  Generation is deterministic: output
+is sorted by serialized form and truncated to the configured cap.
 """
 
 from __future__ import annotations
@@ -62,13 +63,10 @@ class Candidate:
 @dataclass(frozen=True)
 class GenConfig:
     max_candidates: int = 200
-    max_span_length: int = 3
 
     def __post_init__(self):
         if self.max_candidates < 1:
             raise ConfigError("max_candidates must be >= 1")
-        if self.max_span_length < 1:
-            raise ConfigError("max_span_length must be >= 1")
 
 
 def serialize(lf: LogicalForm) -> str:
@@ -91,11 +89,13 @@ def serialize(lf: LogicalForm) -> str:
 ID_FORBIDDEN = frozenset("(),") | frozenset(filter(str.isspace, map(chr, range(0x3001))))
 
 
-def _linked_entities(query_tokens, kg: kgraph.KnowledgeGraph, max_span: int):
+def _linked_entities(query_tokens, kg: kgraph.KnowledgeGraph):
+    """Entities named by a span of the query, ascending by id; a span longer
+    than the graph's longest alias names nothing, so none is looked up."""
     seen = set()
     linked = []
     n = len(query_tokens)
-    for length in range(1, min(max_span, n) + 1):
+    for length in range(1, min(kg.max_alias_tokens, n) + 1):
         for start in range(0, n - length + 1):
             span = query_tokens[start : start + length]
             for ent in kg.entities_by_alias(span):
@@ -111,15 +111,16 @@ def generate_candidates(
 ) -> list[Candidate]:
     """Enumerate template candidates for the linked entity spans.
 
-    Each form is rendered to its template's utterance as it is built.  T3
-    pairs the relations into two linked entities that share a subject, so
-    no empty inner intersection is built.  The result is deduplicated,
-    sorted by serialized form ascending, and truncated to
-    ``cfg.max_candidates``.  No alias match yields an empty list.
+    ``query_tokens`` are as :func:`features.tokenize` gives them.  Each
+    form is rendered to its template's utterance as it is built.  T3 pairs
+    the relations into two linked entities that share a subject, so no
+    empty inner intersection is built.  The result is deduplicated, sorted
+    by serialized form ascending, and truncated to ``cfg.max_candidates``.
+    No alias match yields an empty list.
     """
     if not query_tokens:
         raise ValueError("query_tokens must be non-empty")
-    linked = _linked_entities(list(query_tokens), kg, cfg.max_span_length)
+    linked = _linked_entities(list(query_tokens), kg)
     relations = sorted(kg.relations.items())
     forms: dict = {}
 

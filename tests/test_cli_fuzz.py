@@ -7,6 +7,10 @@ ASCII decimal literal, and a dataset with no questions must end in exit
 status 1, and so must ``train --out`` naming a directory,
 with an error that names that path and not a temporary file.  A triple
 naming an id missing from the catalog is an error that names its line.
+A v1 model file (it does not say the candidate cap it was trained with)
+and a model key that no score reads end in exit status 1.  A flag that
+was removed (``--max-span``, and ``--max-candidates`` on the commands
+that take the cap from the model) is a usage error, exit status 2.
 
 The cases run in-process on the toy corpus with ``--epochs 1`` and
 ``--folds 2``.  The last occurrence of a repeated flag wins, so each case
@@ -21,14 +25,19 @@ import pytest
 from tensorparse import cli
 
 NUMERIC_FLAGS = {
-    "train": ["--max-candidates", "--max-span", "--epochs", "--lr", "--l2", "--seed",
-              "--neg-cap"],
+    "train": ["--max-candidates", "--epochs", "--lr", "--l2", "--seed", "--neg-cap"],
+    "inspect": ["--top-k"],
+    "cv": ["--folds", "--max-candidates", "--epochs", "--lr", "--l2", "--seed", "--neg-cap"],
+    "gen-toy": ["--seed"],
+}
+
+# linking reaches the catalog's longest alias, and eval and predict generate
+# under the cap that the model records
+REMOVED_FLAGS = {
+    "train": ["--max-span"],
     "eval": ["--max-candidates", "--max-span"],
     "predict": ["--max-candidates", "--max-span"],
-    "inspect": ["--top-k"],
-    "cv": ["--folds", "--max-candidates", "--max-span", "--epochs", "--lr", "--l2",
-           "--seed", "--neg-cap"],
-    "gen-toy": ["--seed"],
+    "cv": ["--max-span"],
 }
 
 FILE_FLAGS = {
@@ -45,6 +54,8 @@ BAD_FILES = ["non-utf8", "truncated-header", "directory"]
 # its error line
 MUST_FAIL = {"duplicate-key": "duplicate key", "forbidden-id": "must be non-empty",
              "underscore-weight": "error: line 2: bad weight '1_0'\n",
+             "v1-model": "error: unsupported model version 1,",
+             "foreign-key": "unknown feature key 'lf:other'\n",
              "blank-lines": "error: ",
              "unknown-id": "error: line 2: unknown relation id: currencyx\n"}
 
@@ -53,7 +64,7 @@ HUGE = "9" * 20
 
 def _cases():
     cases = []
-    for command, flags in NUMERIC_FLAGS.items():
+    for command, flags in (*NUMERIC_FLAGS.items(), *REMOVED_FLAGS.items()):
         for flag in flags:
             values = ["0", "-1"]
             if flag in ("--lr", "--l2"):
@@ -64,7 +75,7 @@ def _cases():
     for command, flags in FILE_FLAGS.items():
         for flag in flags:
             kinds = BAD_FILES + {"--model": ["nan-weight", "duplicate-key",
-                                             "underscore-weight"],
+                                             "underscore-weight", "v1-model", "foreign-key"],
                                  "--kg": ["unknown-id"],
                                  "--catalog": ["forbidden-id"],
                                  "--data": ["blank-lines"]}.get(flag, [])
@@ -87,15 +98,18 @@ def corpus(toy_dir, tmp_path_factory):
     bad = {"non-utf8": root / "non-utf8", "truncated-header": root / "truncated",
            "directory": root / "directory", "nan-weight": root / "nan.model",
            "duplicate-key": root / "duplicate.model",
-           "underscore-weight": root / "underscore.model", "forbidden-id": root / "catalog.tsv",
+           "underscore-weight": root / "underscore.model", "v1-model": root / "v1.model",
+           "foreign-key": root / "foreign.model", "forbidden-id": root / "catalog.tsv",
            "blank-lines": root / "blank.jsonl", "unknown-id": root / "triples.tsv"}
     bad["non-utf8"].write_bytes(b"\xff\xfe\x00 not utf-8\n")
     bad["truncated-header"].write_text("tensorparse-model v")
     bad["directory"].mkdir()
-    bad["nan-weight"].write_text("tensorparse-model v1 0123456789abcdef\np:a|b\tnan\n")
-    bad["underscore-weight"].write_text("tensorparse-model v1 0123456789abcdef\np:a|b\t1_0\n")
+    bad["nan-weight"].write_text("tensorparse-model v2 max_candidates=200\np:a|b\tnan\n")
+    bad["underscore-weight"].write_text("tensorparse-model v2 max_candidates=200\np:a|b\t1_0\n")
     lines = model.read_text().splitlines(keepends=True)
     bad["duplicate-key"].write_text("".join(lines + lines[1:2]))
+    bad["v1-model"].write_text("".join(["tensorparse-model v1 e7c395ea56a2f041\n"] + lines[1:]))
+    bad["foreign-key"].write_text("".join(lines + ["lf:other\t0.5\n"]))
     catalog = (toy_dir / "catalog.tsv").read_text()
     bad["forbidden-id"].write_text(catalog + "E\tpeso, ent(x)\tPeso\t\n")
     bad["blank-lines"].write_text("\n  \n\t\n")
@@ -132,6 +146,7 @@ def test_cli_bad_input_is_one_line_error(toy_dir, corpus, tmp_path, capsys,
     except SystemExit as exc:
         assert exc.code == 2 and value not in MUST_FAIL
         return
+    assert flag not in REMOVED_FLAGS.get(command, ())
     out, err = capsys.readouterr()
     if value in MUST_FAIL:
         assert code == 1 and MUST_FAIL[value] in err

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import tensorparse
-from tensorparse import cli
+from tensorparse import cli, evaluator, kgraph, learner, logform
 from tensorparse.dataset import DatasetError, load_dataset
 
 
@@ -132,6 +132,45 @@ def test_cli_predict(workspace, capsys):
     assert lines[2] == "Brazilian real"
 
 
+def test_cli_predict_links_a_four_token_alias(workspace, tmp_path, capsys):
+    # "fenwick" alone names nothing: only the whole four-token name links
+    catalog = tmp_path / "catalog.tsv"
+    catalog.write_text((workspace / "catalog.tsv").read_text()
+                       + "E\tfenwick\tGrand Duchy of Fenwick\t\n"
+                       + "E\tfenwick_pound\tFenwick pound\t\n")
+    triples = tmp_path / "triples.tsv"
+    triples.write_text((workspace / "triples.tsv").read_text()
+                       + "fenwick\tcurrency\tfenwick_pound\n")
+    rc = cli.main([
+        "predict",
+        "--kg", str(triples),
+        "--catalog", str(catalog),
+        "--model", str(workspace / "toy.model"),
+        "--question", "what currency does the grand duchy of fenwick use?",
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "join(currency, ent(fenwick))", "the currency of grand duchy of fenwick", "Fenwick pound"]
+
+
+def test_cli_eval_generates_under_the_models_cap(workspace, tmp_path):
+    kg = ["--kg", str(workspace / "triples.tsv"), "--catalog", str(workspace / "catalog.tsv")]
+    data = ["--data", str(workspace / "dataset.jsonl")]
+    model, report = tmp_path / "m.model", tmp_path / "report.txt"
+    assert cli.main(["train", *kg, *data, "--out", str(model), "--epochs", "1",
+                     "--max-candidates", "3"]) == 0
+    assert cli.main(["eval", *kg, *data, "--model", str(model), "--report", str(report)]) == 0
+    rows = [line.split("\t") for line in report.read_text().splitlines()[1:]]
+    assert len(rows) == 210 and max(int(fields[5]) for fields in rows) <= 3
+    with open(workspace / "triples.tsv") as t, open(workspace / "catalog.tsv") as c:
+        graph = kgraph.load_graph(t, c)
+    with open(workspace / "dataset.jsonl") as fh:
+        examples = load_dataset(fh)
+    expected = evaluator.evaluate(learner.load_model(model), examples, graph,
+                                  logform.GenConfig(max_candidates=3))
+    assert report.read_text() == evaluator.format_report(expected)
+
+
 def test_cli_predict_no_candidates(workspace, capsys):
     rc = cli.main([
         "predict",
@@ -215,6 +254,9 @@ def test_cli_train_deterministic(workspace, tmp_path):
                          ids=["max-span", "max-candidates"])
 @pytest.mark.parametrize("command", ["train", "eval", "predict", "cv"])
 def test_cli_bad_gen_config_is_one_line_error(workspace, tmp_path, capsys, command, flag):
+    """A cap below 1 is a one-line error.  ``--max-span`` is gone (linking
+    reaches the catalog's longest alias), and ``eval`` and ``predict`` take
+    the cap from the model, so those flags are usage errors."""
     argv = [command,
             "--kg", str(workspace / "triples.tsv"),
             "--catalog", str(workspace / "catalog.tsv")]
@@ -227,6 +269,11 @@ def test_cli_bad_gen_config_is_one_line_error(workspace, tmp_path, capsys, comma
                     "--question", "what currency does brazil use?"],
         "cv": [],
     }[command]
+    if flag[0] == "--max-span" or command in ("eval", "predict"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + flag)
+        assert exc.value.code == 2
+        return
     assert cli.main(argv + flag) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")

@@ -32,7 +32,7 @@ def brute_force_f1(predicted, gold):
 
 
 def zero_model():
-    return learner.Model(weights={}, config_fingerprint="x")
+    return learner.Model(weights={})
 
 
 def test_f1_partial_credit_example():

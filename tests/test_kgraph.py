@@ -153,6 +153,8 @@ def assert_matches_oracle(kg, triples):
     assert all(type(t) is Triple for t in kg.triples)
     assert ("x", "y") not in kg.triples and "abc" not in kg.triples
     assert kg._alias_index == oracle_alias_index(kg.entities)
+    assert kg.max_alias_tokens == max(
+        (len(key.split()) for key in oracle_alias_index(kg.entities)), default=0)
 
 
 def test_index_inversion_exhaustive(mini_kg, toy_kg, toy_dir):

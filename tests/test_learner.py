@@ -51,7 +51,7 @@ def make_candidate(form, tokens, denotation):
 
 
 def zero_model():
-    return Model(weights={}, config_fingerprint="x")
+    return Model(weights={})
 
 
 def test_score_zero_model():
@@ -60,7 +60,7 @@ def test_score_zero_model():
 
 
 def test_score_dot():
-    m = Model(weights={"p:borders|adjoins": 2.0}, config_fingerprint="x")
+    m = Model(weights={"p:borders|adjoins": 2.0})
     assert score(m, {"p:borders|adjoins": 1.0}) == 2.0
 
 
@@ -69,12 +69,12 @@ def test_score_sums_in_the_vector_order_whatever_the_model_key_order():
     vector = {"p:c|x": 1.0, "p:a|x": 1.0, "p:b|x": 1.0, "p:d|x": 1.0, "lf:denot.empty": 1.0}
     # -1e16 + 1e16 + 1.0, in the vector's order
     for keys in itertools.permutations(weights):
-        m = Model(weights={k: weights[k] for k in keys}, config_fingerprint="x")
+        m = Model(weights={k: weights[k] for k in keys})
         assert score(m, vector) == 1.0
 
 
 def test_score_monotone_in_matching_feature():
-    m = Model(weights={"p:a|b": 1.0, "p:c|d": 0.5}, config_fingerprint="x")
+    m = Model(weights={"p:a|b": 1.0, "p:c|d": 0.5})
     base = score(m, {"p:a|b": 1.0})
     assert score(m, {"p:a|b": 1.0, "p:c|d": 1.0}) > base
 
@@ -86,7 +86,7 @@ def test_predict_empty_and_single(mini_kg):
 
 
 def test_predict_prefers_weighted(mini_kg):
-    m = Model(weights={"p:q|good": 1.0}, config_fingerprint="x")
+    m = Model(weights={"p:q|good": 1.0})
     good = make_candidate(Join("currency", EntityLit("brazil")), ["good"], {"x"})
     bad = make_candidate(Join("adjoins", EntityLit("brazil")), ["bad"], {"x"})
     assert predict(m, ["q"], [bad, good]) is good
@@ -102,7 +102,7 @@ def test_predict_tie_breaks_by_serialization():
 def test_predict_unique_maximum_serializes_nothing(monkeypatch):
     calls = []
     monkeypatch.setattr(learner.logform, "serialize", lambda lf: calls.append(lf) or "")
-    m = Model(weights={"p:q|good": 1.0}, config_fingerprint="x")
+    m = Model(weights={"p:q|good": 1.0})
     good = make_candidate(Join("currency", EntityLit("brazil")), ["good"], {"x"})
     bad = make_candidate(Join("adjoins", EntityLit("brazil")), ["bad"], {"x"})
     assert predict(m, ["q"], [bad, good, bad]) is good
@@ -110,7 +110,7 @@ def test_predict_unique_maximum_serializes_nothing(monkeypatch):
 
 
 def test_predict_three_way_tie_takes_smallest_form():
-    m = Model(weights={"p:q|same": 1.0, "p:q|low": -1.0}, config_fingerprint="x")
+    m = Model(weights={"p:q|same": 1.0, "p:q|low": -1.0})
     forms = [Join("film", EntityLit("p1")), Join("actor", EntityLit("p1")),
              Join("character", EntityLit("p1"))]
     tied = [make_candidate(form, ["same"], {"x"}) for form in forms]
@@ -122,13 +122,8 @@ def test_predict_three_way_tie_takes_smallest_form():
 
 
 def test_predict_argmax_scale_invariant():
-    m = Model(
-        weights={"p:q|a": 0.7, "p:q|b": 0.3, "lf:denot.size.1": 0.1},
-        config_fingerprint="x",
-    )
-    scaled = Model(
-        weights={k: 10.0 * v for k, v in m.weights.items()}, config_fingerprint="x"
-    )
+    m = Model(weights={"p:q|a": 0.7, "p:q|b": 0.3, "lf:denot.size.1": 0.1})
+    scaled = Model(weights={k: 10.0 * v for k, v in m.weights.items()})
     cands = [
         make_candidate(Join("currency", EntityLit("brazil")), ["a"], {"x"}),
         make_candidate(Join("adjoins", EntityLit("brazil")), ["b"], {"x", "y"}),
@@ -213,10 +208,7 @@ def test_non_finite_training_settings_are_config_errors(sep_kg, field, value):
 
 
 def test_top_features_ordering():
-    m = Model(
-        weights={"p:a|a": 1.0, "p:b|b": 2.0, "p:a|b": 2.0, "lf:denot.empty": -3.0},
-        config_fingerprint="x",
-    )
+    m = Model(weights={"p:a|a": 1.0, "p:b|b": 2.0, "p:a|b": 2.0, "lf:denot.empty": -3.0})
     assert top_features(m, 0) == []
     assert top_features(m, 10) == [
         ("p:a|b", 2.0),
@@ -240,7 +232,16 @@ def test_model_file_round_trip(tmp_path, sep_kg):
     save_model(loaded, again)
     assert path.read_bytes() == again.read_bytes()
     first_line = path.read_text().splitlines()[0]
-    assert first_line == f"tensorparse-model v1 {result.model.config_fingerprint}"
+    assert first_line == "tensorparse-model v2 max_candidates=200"
+    assert loaded.gen_cfg == GenConfig()
+    capped = train(SEP_DATA, sep_kg, GenConfig(max_candidates=3), TrainConfig()).model
+    assert capped.gen_cfg == GenConfig(max_candidates=3)
+    save_model(capped, path)
+    assert path.read_text().splitlines()[0] == "tensorparse-model v2 max_candidates=3"
+    assert load_model(path) == capped
+
+
+HEADER = "tensorparse-model v2 max_candidates=200"
 
 
 def test_model_file_errors(tmp_path):
@@ -251,34 +252,66 @@ def test_model_file_errors(tmp_path):
     bad.write_text("tensorparse-model v99 abc\n")
     with pytest.raises(ModelFormatError):
         load_model(bad)
-    bad.write_text("tensorparse-model v1 abc\np:a|b no-tab\n")
+    bad.write_text(f"{HEADER}\np:a|b no-tab\n")
     with pytest.raises(ModelFormatError):
         load_model(bad)
     for weight in ("nan", "inf", "-inf"):
-        bad.write_text(f"tensorparse-model v1 abc\np:a|b\t{weight}\n")
+        bad.write_text(f"{HEADER}\np:a|b\t{weight}\n")
         with pytest.raises(ModelFormatError, match=f"line 2: weight '{weight}' is not finite"):
             load_model(bad)
-    bad.write_text("tensorparse-model v1 abc\np:a|b\t1.5\np:a|b\t-7.0\n")
+    bad.write_text(f"{HEADER}\np:a|b\t1.5\np:a|b\t-7.0\n")
     with pytest.raises(ModelFormatError, match=re.escape("line 3: duplicate key 'p:a|b'")):
         load_model(bad)
     # float() and int() take these; the file format does not
     for weight in ("1_0", " 1.0 ", "1.0 ", "\u0661.\u0665", "\uff11", "0x1p0", "1.5\u00a0"):
-        bad.write_text(f"tensorparse-model v1 abc\np:a|b\t1.5\nlf:x\t{weight}\n")
+        bad.write_text(f"{HEADER}\np:a|b\t1.5\nlf:denot.empty\t{weight}\n")
         with pytest.raises(ModelFormatError, match=re.escape(f"line 3: bad weight {weight!r}")):
             load_model(bad)
     for version in ("v\u0661", "v+1", "v1_0", "v-1", "v\uff11", "v", "v" + "1" * 5000):
-        bad.write_text(f"tensorparse-model {version} abc\n")
+        bad.write_text(f"tensorparse-model {version} max_candidates=200\n")
         with pytest.raises(ModelFormatError, match=re.escape(f"bad model version: {version!r}")):
             load_model(bad)
     # every spelling repr(float) gives still loads
-    bad.write_text("tensorparse-model v1 abc\np:a|b\t-1e-05\np:a|c\t1.5e+16\n"
+    bad.write_text(f"{HEADER}\np:a|b\t-1e-05\np:a|c\t1.5e+16\n"
                    "p:a|d\t5e-324\np:a|e\t-0.0\np:a|f\t+.5\np:a|g\t7.\n")
     assert list(load_model(bad).weights.values()) == [-1e-05, 1.5e16, 5e-324, -0.0, 0.5, 7.0]
 
 
+def test_model_header_must_be_v2_with_a_cap(tmp_path):
+    bad = tmp_path / "bad.model"
+    # a v1 header holds a hash, not the cap its model was trained with
+    bad.write_text("tensorparse-model v1 e7c395ea56a2f041\np:a|b\t1.5\n")
+    with pytest.raises(ModelFormatError, match="unsupported model version 1"):
+        load_model(bad)
+    for header in ("tensorparse-model v2", "tensorparse-model v2 ",
+                   "tensorparse-model v2 max_candidates=200 x"):
+        bad.write_text(f"{header}\np:a|b\t1.5\n")
+        with pytest.raises(ModelFormatError, match="bad model"):
+            load_model(bad)
+    for setting in ("max_candidates=", "max_candidates=0", "max_candidates=-1",
+                    "max_candidates=1_0", "max_candidates=\u0661", "max_candidates=+3",
+                    "max_candidates=" + "9" * 5000, "max_span=3", "max_candidates"):
+        bad.write_text(f"tensorparse-model v2 {setting}\np:a|b\t1.5\n")
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(bad)
+        assert str(exc.value).startswith(f"bad model setting {setting!r}")
+        assert "\n" not in str(exc.value)
+    bad.write_text("tensorparse-model v2 max_candidates=7\n")
+    assert load_model(bad) == Model(weights={}, gen_cfg=GenConfig(max_candidates=7))
+
+
+@pytest.mark.parametrize("key", ["x:a|b", "p:a", "p:a|b|c", "p:|b", "p:a|", "p:A|b",
+                                 "p:a|\u00e9", "lf:other", "lf:", "a|b", ""])
+def test_model_key_that_no_score_reads_is_rejected(tmp_path, key):
+    bad = tmp_path / "bad.model"
+    bad.write_text(f"{HEADER}\np:a|b\t1.5\n{key}\t0.5\n")
+    with pytest.raises(ModelFormatError, match=re.escape(f"line 3: unknown feature key {key!r}")):
+        load_model(bad)
+
+
 def test_failed_save_keeps_the_previous_model(tmp_path, monkeypatch):
     path = tmp_path / "m.model"
-    save_model(Model(weights={"p:a|b": 1.5}, config_fingerprint="old"), path)
+    save_model(Model(weights={"p:a|b": 1.5}), path)
     before = path.read_bytes()
 
     class HalfWriter:
@@ -302,7 +335,7 @@ def test_failed_save_keeps_the_previous_model(tmp_path, monkeypatch):
                         raising=False)
     weights = {f"p:q{i}|u{i}": float(i) for i in range(100)}
     with pytest.raises(OSError, match="no space"):
-        save_model(Model(weights=weights, config_fingerprint="new"), path)
+        save_model(Model(weights=weights), path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["m.model"]
 
@@ -327,16 +360,16 @@ finite_weights = st.one_of(
 )
 
 
-fingerprints = st.text("0123456789abcdef", min_size=1, max_size=16)
+caps = st.one_of(st.integers(1, 10**6), st.sampled_from([10**9, 10**30]))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.dictionaries(feature_keys, finite_weights, max_size=30), fingerprints)
-def test_model_file_round_trip_property(tmp_path_factory, weights, digest):
+@given(st.dictionaries(feature_keys, finite_weights, max_size=30), caps)
+def test_model_file_round_trip_property(tmp_path_factory, weights, cap):
     path = tmp_path_factory.mktemp("model") / "m.model"
-    save_model(Model(weights=weights, config_fingerprint=digest), path)
+    save_model(Model(weights=weights, gen_cfg=GenConfig(max_candidates=cap)), path)
     loaded = load_model(path)
-    assert loaded.config_fingerprint == digest
+    assert loaded.gen_cfg == GenConfig(max_candidates=cap)
     assert list(loaded.weights.items()) == sorted(weights.items())
     assert [repr(w) for w in loaded.weights.values()] == [repr(weights[k]) for k in sorted(weights)]
 
@@ -356,6 +389,8 @@ scoring_keys = st.one_of(
     st.sampled_from(sorted(features.lf_key(name) for name in features.LF_FEATURE_NAMES)),
     st.sampled_from(["p:a", "p:a|b|c", "p:|b", "lf:other", "x:a|b", "a|b"]),
 )
+# the scoring keys that load from a model file: those features.assemble gives
+loadable_key = re.compile(r"p:[ab]\|[ab]|lf:denot\..+")
 # large and small weights together, so that adding in another order gives
 # another float
 scoring_weights = st.one_of(
@@ -384,10 +419,11 @@ scored_candidates = st.lists(
          from_file=False)
 def test_predict_scores_are_score_of_assemble(tmp_path_factory, weights, query, candidates,
                                               from_file):
-    model = Model(weights=weights, config_fingerprint="x")
-    if from_file:
+    model = Model(weights=weights)
+    if from_file:  # a model file holds only keys that a score can read
         path = tmp_path_factory.mktemp("model") / "m.model"
-        save_model(model, path)
+        save_model(Model(weights={k: w for k, w in weights.items() if loadable_key.fullmatch(k)}),
+                   path)
         model = load_model(path)
     expected = [score(model, features.assemble(query, c)) for c in candidates]
     assert list(map(_pack, learner._scores(model, query, candidates))) == list(map(_pack, expected))
@@ -402,7 +438,7 @@ def test_predict_scores_are_score_of_assemble(tmp_path_factory, weights, query, 
 
 def test_model_weights_are_read_only(tmp_path, sep_kg):
     weights = {"p:a|b": 1.5, "lf:denot.empty": -0.25}
-    hand_made = Model(weights=weights, config_fingerprint="x")
+    hand_made = Model(weights=weights)
     trained = train(SEP_DATA, sep_kg, GenConfig(), TrainConfig()).model
     save_model(trained, tmp_path / "m.model")
     loaded = load_model(tmp_path / "m.model")
@@ -414,13 +450,13 @@ def test_model_weights_are_read_only(tmp_path, sep_kg):
     # the model holds its own copy: the caller's dict does not reach its rows
     weights["p:a|b"] = 9.0
     assert hand_made.weights["p:a|b"] == 1.5 and hand_made.rows == {"a": {"b": 1.5}}
-    assert hand_made == Model(weights={"lf:denot.empty": -0.25, "p:a|b": 1.5},
-                              config_fingerprint="x")
-    assert hand_made != Model(weights={"p:a|b": 1.5}, config_fingerprint="x")
+    assert hand_made == Model(weights={"lf:denot.empty": -0.25, "p:a|b": 1.5})
+    assert hand_made != Model(weights={"p:a|b": 1.5})
+    assert hand_made != Model(weights=weights, gen_cfg=GenConfig(max_candidates=3))
     assert loaded == trained
     save_model(hand_made, tmp_path / "h.model")
     assert (tmp_path / "h.model").read_text() == (
-        "tensorparse-model v1 x\nlf:denot.empty\t-0.25\np:a|b\t1.5\n")
+        "tensorparse-model v2 max_candidates=200\nlf:denot.empty\t-0.25\np:a|b\t1.5\n")
 
 
 # -- old-vs-new oracle ----------------------------------------------------------

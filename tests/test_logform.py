@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tensorparse import kgraph, logform
-from tensorparse.features import tokenize
-from tensorparse.kgraph import Triple
+from tensorparse.features import normalize_phrase, tokenize
+from tensorparse.kgraph import Entity, KnowledgeGraph, Relation, Triple
 from tensorparse.logform import (
     Candidate,
     EntityLit,
@@ -190,8 +190,6 @@ def test_empty_inner_intersection_pruned(mini_kg):
 def test_gen_config_validation():
     with pytest.raises(ValueError):
         GenConfig(max_candidates=0)
-    with pytest.raises(ValueError):
-        GenConfig(max_span_length=0)
 
 
 def test_empty_query_rejected(mini_kg):
@@ -247,9 +245,47 @@ def canonical_utterance(lf: LogicalForm, kg: kgraph.KnowledgeGraph) -> str:
     raise UnsupportedShapeError(f"no utterance template for {serialize(lf)}")
 
 
+def brute_force_linked(query_tokens, kg):
+    """The entities that any span of the query names, every span length from
+    1 to n, ascending by id; read from the catalog, not the alias index."""
+    n = len(query_tokens)
+    spans = {normalize_phrase(" ".join(query_tokens[i:j]))
+             for i in range(n) for j in range(i + 1, n + 1)}
+    return [ent for _, ent in sorted(kg.entities.items())
+            if not spans.isdisjoint(set(map(normalize_phrase, (ent.name,) + ent.aliases)) - {""})]
+
+
+def test_linking_reaches_the_longest_alias(mini_kg):
+    assert mini_kg.max_alias_tokens == 3  # "the dominican republic"
+    kg = KnowledgeGraph({"a": Entity("a", "A", ("a",)),
+                         "gd": Entity("gd", "Grand Duchy of Fenwick", ())},
+                        {"r": Relation("r", "r")}, [])
+    assert kg.max_alias_tokens == 4
+    tokens = tokenize("what does the grand duchy of fenwick use")
+    assert [e.id for e in logform._linked_entities(tokens, kg)] == ["gd"]
+    assert "join(r, ent(gd))" in {serialize(c.logical_form)
+                                  for c in generate_candidates(tokens, kg, GenConfig())}
+    assert logform._linked_entities(["fenwick"], kg) == []
+
+
+WORDS = ["a", "b", "cc", "d"]
+alias_texts = st.lists(st.sampled_from(WORDS + ["-", "B"]), min_size=1, max_size=5).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(alias_texts, st.lists(alias_texts, max_size=3)), max_size=5),
+       st.lists(st.sampled_from(WORDS), min_size=1, max_size=9))
+def test_linked_entities_match_brute_force(named, query):
+    entities = {f"e{i}": Entity(f"e{i}", name, tuple(aliases))
+                for i, (name, aliases) in enumerate(named)}
+    kg = KnowledgeGraph(entities, {"r": Relation("r", "r")}, [])
+    assert logform._linked_entities(query, kg) == brute_force_linked(query, kg)
+
+
 def reference_generate_candidates(query_tokens, kg, cfg):
     """``generate_candidates`` as it was before T3 read the graph's index
-    and before each template rendered its own utterance.
+    and before each template rendered its own utterance, linking through
+    every span of the query.
 
     For every ordered pair of linked entities it tries every (r1, r2)
     relation pair and keeps the pair when ``kgraph.denotation`` of the
@@ -259,7 +295,7 @@ def reference_generate_candidates(query_tokens, kg, cfg):
     """
     if not query_tokens:
         raise ValueError("query_tokens must be non-empty")
-    linked = logform._linked_entities(list(query_tokens), kg, cfg.max_span_length)
+    linked = brute_force_linked(list(query_tokens), kg)
     rel_ids = sorted(kg.relations)
     forms: dict = {}
 

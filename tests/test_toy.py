@@ -41,7 +41,7 @@ def test_dataset_lines_are_valid_json(toy_dir):
 
 
 def test_corpus_oracle_is_perfect(toy_kg, toy_data):
-    zero = learner.Model(weights={}, config_fingerprint="x")
+    zero = learner.Model(weights={})
     report = evaluator.evaluate(zero, toy_data, toy_kg, GenConfig())
     assert report.oracle_f1 == 1.0
     for row in report.per_query:
