@@ -21,7 +21,6 @@ def _add_train_flags(p):
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--l2", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--neg-cap", type=int, default=50)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +97,6 @@ def _train_cfg(args) -> learner.TrainConfig:
         learning_rate=args.lr,
         l2=args.l2,
         seed=args.seed,
-        negative_cap=args.neg_cap,
     )
 
 

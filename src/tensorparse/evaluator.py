@@ -148,7 +148,7 @@ def write_report(report: EvalReport, path) -> None:
 
 @dataclass(frozen=True, kw_only=True)
 class SplitSpec:
-    """How :func:`make_splits` cuts data into ``folds`` folds: in question
+    """How :func:`cross_validate` cuts data into ``folds`` folds: in question
     order (``"alphabetical"``) or shuffled with ``seed`` (``"random"``)."""
 
     mode: str = "random"  # "random" | "alphabetical"
@@ -172,7 +172,13 @@ def _ordered(data: list, spec: SplitSpec) -> list:
 
 
 def _split_positions(data: list, spec: SplitSpec):
-    """:func:`make_splits` as positions in ``data``."""
+    """Deterministic ``(train, test)`` position lists in ``data``, one per fold.
+
+    Alphabetical mode sorts by raw question text then slices contiguous
+    folds; random mode shuffles with the seed first.  Fold ``i`` is the
+    ``i``-th slice, fold sizes differ by at most one, and each test fold's
+    train side is the rest of the data.
+    """
     n = len(data)
     ordered = _ordered(data, spec)
     folds = spec.folds
@@ -185,18 +191,6 @@ def _split_positions(data: list, spec: SplitSpec):
         train = ordered[: bounds[i]] + ordered[bounds[i + 1] :]
         splits.append((train, test))
     return splits
-
-
-def make_splits(data: list, spec: SplitSpec):
-    """Deterministic ``(train, test)`` pairs, one per fold.
-
-    Alphabetical mode sorts by raw question text then slices contiguous
-    folds; random mode shuffles with the seed first.  Fold ``i`` is the
-    ``i``-th slice, fold sizes differ by at most one, and each test fold's
-    train side is the rest of the data.
-    """
-    return [([data[i] for i in train], [data[i] for i in test])
-            for train, test in _split_positions(data, spec)]
 
 
 @dataclass(frozen=True)
@@ -225,7 +219,7 @@ def cross_validate(
     splits = _split_positions(data, spec)
     questions = [prepare(example, kg, gen_cfg) for example in data]
     index: dict = {}
-    rows = [learner.question_rows(question, train_cfg, index) for question in questions]
+    rows = [learner.question_rows(question, index) for question in questions]
     names = list(index)
     reports = []
     for train_pos, test_pos in splits:

@@ -19,6 +19,8 @@ _NON_ALNUM = re.compile(r"[^a-z0-9]+")
 PAIR_PREFIX = "p:"
 LF_PREFIX = "lf:"
 
+# No generated form denotes nothing, so no model trains this bucket; it stays
+# a known key because older v2 model files hold it.
 DENOT_EMPTY = "denot.empty"
 DENOT_SIZE_1 = "denot.size.1"
 DENOT_SIZE_2 = "denot.size.2"

@@ -3,12 +3,13 @@
 The graph is indexed by the only questions asked of it: which objects a
 subject reaches through a relation (:meth:`KnowledgeGraph.forward`), which
 subjects reach an object (:meth:`KnowledgeGraph.backward`), which relations
-point into an entity (:meth:`KnowledgeGraph.incoming`) and which entities
-an alias names; ``max_alias_tokens``, the token count of the longest
-alias, bounds the spans that entity linking tries.  The constructor
-checks every triple's ids against the catalogs and hands the indexes the
-catalog's own id strings, and no separate triple set is kept;
-``kg.triples`` is a read-only view over the forward index.
+lead out of and into an entity (:meth:`KnowledgeGraph.outgoing`,
+:meth:`KnowledgeGraph.incoming`) and which entities an alias names;
+``max_alias_tokens``, the token count of the longest alias, bounds the
+spans that entity linking tries.  The constructor checks every triple's
+ids against the catalogs and hands the indexes the catalog's own id
+strings, and no separate triple set is kept; ``kg.triples`` is a
+read-only view over the forward index.
 
 Graphs are immutable once built; all lookup methods are safe for
 concurrent use.
@@ -52,8 +53,6 @@ class Entity:
 class Relation:
     id: str
     phrase: str
-    domain_type: str = ""
-    range_type: str = ""
 
 
 class Triple(NamedTuple):
@@ -184,6 +183,10 @@ class KnowledgeGraph:
     def backward(self, obj: str, relation: str) -> frozenset:
         return self._backward.get(obj, _NO_FACTS).get(relation, _EMPTY)
 
+    def outgoing(self, entity_id: str) -> Iterator[tuple[str, frozenset]]:
+        """``(relation id, frozenset(objects))`` for each relation out of the entity."""
+        return iter(self._forward.get(entity_id, _NO_FACTS).items())
+
     def incoming(self, entity_id: str) -> Iterator[tuple[str, frozenset]]:
         """``(relation id, frozenset(subjects))`` for each relation into the entity."""
         return iter(self._backward.get(entity_id, _NO_FACTS).items())
@@ -259,15 +262,13 @@ def _parse_catalog(catalog_source: Iterable[str]):
                     f"relation line needs 5 tab-separated fields, got {len(fields)}",
                     lineno,
                 )
-            _, rid, phrase, domain_type, range_type = fields
+            _, rid, phrase, _, _ = fields  # the domain and range types go unread
             _check_id("relation", rid, lineno)
             if not phrase:
                 raise GraphParseError("relation phrase must be non-empty", lineno)
             if rid in relations:
                 raise GraphParseError(f"duplicate relation id {rid!r}", lineno)
-            relations[rid] = Relation(
-                id=rid, phrase=phrase, domain_type=domain_type, range_type=range_type
-            )
+            relations[rid] = Relation(id=rid, phrase=phrase)
         else:
             raise GraphParseError(f"unknown record kind {kind!r}", lineno)
     return entities, relations
@@ -328,7 +329,9 @@ def denotation(lf, kg: KnowledgeGraph) -> frozenset:
     """Entity set denoted by a logical form, as a frozenset of entity ids.
 
     Raises :class:`ReferentialError` for ids missing from the graph; an
-    empty result is not an error.
+    empty result is not an error.  This is the specification of a
+    candidate's denotation: :func:`logform.generate_candidates` reads each
+    one off the indexes without calling it, and is tested against it.
     """
     if isinstance(lf, logform.EntityLit):
         kg.entity(lf.entity_id)
@@ -336,9 +339,6 @@ def denotation(lf, kg: KnowledgeGraph) -> frozenset:
     if isinstance(lf, (logform.Join, logform.ReverseJoin)):
         kg.relation(lf.relation_id)
         step = kg.forward if isinstance(lf, logform.Join) else kg.backward
-        # Grown as a set and frozen at the end: the index sets a generated
-        # candidate's join reads average under one member, and for those one
-        # frozenset().union(*[...]) call costs more than the final copy.
         out: set = set()
         for e in denotation(lf.sub, kg):
             out |= step(e, lf.relation_id)

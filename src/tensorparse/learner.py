@@ -10,10 +10,11 @@ its candidates and scores their F1s, and training rows, evaluation and
 cross-validation folds all read that one result.
 
 Training interns feature keys.  Rows: :func:`question_rows` turns one
-prepared question into its rows, ``(feature ids, label)`` for the
-positives and the first ``negative_cap`` negatives, ids taken from a key
-index shared by the whole run (every assembled feature has value 1.0, so
-the ids are the vector).  :func:`train_rows` trains on any set of
+prepared question into its rows, ``(feature ids, label)`` for every
+candidate, ids taken from a key index shared by the whole run (every
+assembled feature has value 1.0, so the ids are the vector).  No
+candidate is left out: generation emits only forms that denote
+something, a few per question.  :func:`train_rows` trains on any set of
 questions' rows with the run's own ids: columns come from co-occurrence,
 a score adds its features in the instance's own order, and the L2
 penalty and the model go in key order, the model file's, so no float
@@ -106,7 +107,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     l2: float = 1e-4
     seed: int = 42
-    negative_cap: int = 50
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -115,8 +115,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be > 0 and finite")
         if not 0 <= self.l2 < math.inf:
             raise ConfigError("l2 must be >= 0 and finite")
-        if self.negative_cap < 1:
-            raise ConfigError("negative_cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -197,22 +195,17 @@ def label_candidates(f1s: list[float]) -> list[bool]:
     return [best > 0.0 and s == best for s in f1s]
 
 
-def question_rows(question, cfg: TrainConfig, index: dict) -> list:
+def question_rows(question, index: dict) -> list:
     """One prepared question's training rows: ``[(feature ids, label)]``.
 
-    ``question`` is :func:`evaluator.prepare`'s one pass over it.  The rows
-    are the positives and the first ``cfg.negative_cap`` negatives, in
-    candidate order; ids are in assemble order, and a key new to ``index``
-    gets the next id there.  A question with no tokens has no rows.
+    ``question`` is :func:`evaluator.prepare`'s one pass over it.  Every
+    candidate gives one row, in candidate order; ids are in assemble
+    order, and a key new to ``index`` gets the next id there.  A question
+    with no tokens has no rows.
     """
     tokens, candidates, f1s = question
     rows = []
-    negatives_kept = 0
-    for candidate, positive in zip(candidates, label_candidates(f1s)):  # sorted by form
-        if not positive:
-            if negatives_kept >= cfg.negative_cap:
-                continue
-            negatives_kept += 1
+    for candidate, positive in zip(candidates, label_candidates(f1s)):
         vector = features.assemble(tokens, candidate)
         for key in vector:
             if key not in index:
@@ -316,7 +309,7 @@ def train(
     from .evaluator import prepare  # evaluator imports this module
 
     index: dict = {}
-    rows = [question_rows(prepare(example, kg, gen_cfg), cfg, index) for example in data]
+    rows = [question_rows(prepare(example, kg, gen_cfg), index) for example in data]
     return train_rows(rows, list(index), gen_cfg, cfg)
 
 

@@ -12,9 +12,10 @@ with the canonical utterance that generation renders beside it:
 
 R is a relation's phrase and E an entity's name.  Entities are linked by
 spans up to the graph's longest alias, so every catalog alias can link.
-T3 pairs a relation into e1 with one into e2 that shares a subject, so no
-empty inner intersection is built.  Generation is deterministic: output
-is sorted by serialized form and truncated to the configured cap.
+T1 reads the relations out of E, T2 those into E, and T3 pairs relations
+into E1 and E2 that share a subject, R read out of the shared subjects,
+so every form denotes the index set it was read from.  Output is sorted
+by serialized form and the first N are kept, N the configured cap.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ def serialize(lf: LogicalForm) -> str:
 
 # Characters no entity or relation id may hold: the form delimiters and every
 # character str.isspace() accepts (none lies above U+3000).  Without "(),"
-# every form serializes to text of its own, and generation deduplicates forms
-# by that text; without whitespace a form stays one tab-separated field of an
-# eval report row.  kgraph rejects catalog ids that hold any.
+# every form serializes to text of its own, and generation keys and sorts
+# forms by that text; without whitespace a form stays one tab-separated field
+# of an eval report row.  kgraph rejects catalog ids that hold any.
 ID_FORBIDDEN = frozenset("(),") | frozenset(filter(str.isspace, map(chr, range(0x3001))))
 
 
@@ -112,42 +113,43 @@ def generate_candidates(
     """Enumerate template candidates for the linked entity spans.
 
     ``query_tokens`` are as :func:`features.tokenize` gives them.  Each
-    form is rendered to its template's utterance as it is built.  T3 pairs
-    the relations into two linked entities that share a subject, so no
-    empty inner intersection is built.  The result is deduplicated, sorted
-    by serialized form ascending, and truncated to ``cfg.max_candidates``.
-    No alias match yields an empty list.
+    form and its utterance are built from the index entry they read, and
+    the entry's set is the denotation that :func:`kgraph.denotation`
+    gives the form.  The result is sorted by serialized form and the
+    first ``cfg.max_candidates`` kept; a query that links no entity with
+    a fact yields an empty list.
     """
     if not query_tokens:
         raise ValueError("query_tokens must be non-empty")
     linked = _linked_entities(list(query_tokens), kg)
-    relations = sorted(kg.relations.items())
+    relations = kg.relations
     forms: dict = {}
 
-    def add(lf: LogicalForm, utterance: str):
-        forms.setdefault(serialize(lf), (lf, utterance))
+    def add(lf: LogicalForm, utterance: str, denotation: frozenset):
+        forms[serialize(lf)] = (lf, utterance, denotation)
 
     for ent in linked:
         lit = EntityLit(ent.id)
-        for rid, rel in relations:
-            add(Join(rid, lit), f"the {rel.phrase} of {ent.name}")
-            add(ReverseJoin(rid, lit), f"the things whose {rel.phrase} is {ent.name}")
+        for rid, objects in kg.outgoing(ent.id):
+            add(Join(rid, lit), f"the {relations[rid].phrase} of {ent.name}", objects)
+        for rid, subjects in kg.incoming(ent.id):
+            add(ReverseJoin(rid, lit),
+                f"the things whose {relations[rid].phrase} is {ent.name}", subjects)
     for e1, e2 in itertools.permutations(linked, 2):
         for r1, subjects1 in kg.incoming(e1.id):
             for r2, subjects2 in kg.incoming(e2.id):
-                if not subjects1.isdisjoint(subjects2):
+                things = subjects1 & subjects2
+                if things:
                     inner = Intersect(ReverseJoin(r1, EntityLit(e1.id)),
                                       ReverseJoin(r2, EntityLit(e2.id)))
-                    thing = (f"the thing whose {kg.relations[r1].phrase} is {e1.name}"
-                             f" and whose {kg.relations[r2].phrase} is {e2.name}")
-                    for rid, rel in relations:
-                        add(Join(rid, inner), f"the {rel.phrase} of {thing}")
+                    thing = (f"the thing whose {relations[r1].phrase} is {e1.name}"
+                             f" and whose {relations[r2].phrase} is {e2.name}")
+                    outer: dict = {}
+                    for s in things:
+                        for rid, objects in kg.outgoing(s):
+                            outer[rid] = outer[rid] | objects if rid in outer else objects
+                    for rid, objects in outer.items():
+                        add(Join(rid, inner), f"the {relations[rid].phrase} of {thing}", objects)
 
-    return [
-        Candidate(
-            logical_form=lf,
-            utterance_tokens=tuple(tokenize(utterance)),
-            denotation=kgraph.denotation(lf, kg),
-        )
-        for _, (lf, utterance) in sorted(forms.items())[: cfg.max_candidates]
-    ]
+    return [Candidate(lf, tuple(tokenize(utterance)), denotation)
+            for _, (lf, utterance, denotation) in sorted(forms.items())[: cfg.max_candidates]]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tensorparse import evaluator, kernel, learner, toy
-from tensorparse.evaluator import SplitSpec, cross_validate, f1, make_splits
+from tensorparse.evaluator import SplitSpec, cross_validate, f1
 from tensorparse.features import parse_key
 from tensorparse.logform import GenConfig
 
@@ -30,9 +30,11 @@ def end_to_end(toy_kg, toy_data):
     gen_cfg = GenConfig()
     train_cfg = learner.TrainConfig()
     start = time.perf_counter()
-    train_data, test_data = make_splits(
+    train_pos, test_pos = evaluator._split_positions(
         toy_data, SplitSpec(mode="random", folds=5, seed=42)
     )[0]
+    train_data = [toy_data[i] for i in train_pos]
+    test_data = [toy_data[i] for i in test_pos]
     result = learner.train(train_data, toy_kg, gen_cfg, train_cfg)
     report = evaluator.evaluate(result.model, test_data, toy_kg, gen_cfg)
     elapsed = time.perf_counter() - start

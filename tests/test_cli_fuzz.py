@@ -8,9 +8,11 @@ status 1, and so must ``train --out`` naming a directory,
 with an error that names that path and not a temporary file.  A triple
 naming an id missing from the catalog is an error that names its line.
 A v1 model file (it does not say the candidate cap it was trained with)
-and a model key that no score reads end in exit status 1.  A flag that
-was removed (``--max-span``, and ``--max-candidates`` on the commands
-that take the cap from the model) is a usage error, exit status 2.
+and a model key that no score reads end in exit status 1, and so does a
+``predict`` whose linked entities have no facts, so no candidate.  A flag
+that was removed (``--max-span``, ``--neg-cap``, and ``--max-candidates``
+on the commands that take the cap from the model) is a usage error, exit
+status 2.
 
 The cases run in-process on the toy corpus with ``--epochs 1`` and
 ``--folds 2``.  The last occurrence of a repeated flag wins, so each case
@@ -25,19 +27,19 @@ import pytest
 from tensorparse import cli
 
 NUMERIC_FLAGS = {
-    "train": ["--max-candidates", "--epochs", "--lr", "--l2", "--seed", "--neg-cap"],
+    "train": ["--max-candidates", "--epochs", "--lr", "--l2", "--seed"],
     "inspect": ["--top-k"],
-    "cv": ["--folds", "--max-candidates", "--epochs", "--lr", "--l2", "--seed", "--neg-cap"],
+    "cv": ["--folds", "--max-candidates", "--epochs", "--lr", "--l2", "--seed"],
     "gen-toy": ["--seed"],
 }
 
-# linking reaches the catalog's longest alias, and eval and predict generate
-# under the cap that the model records
+# linking reaches the catalog's longest alias, eval and predict generate
+# under the cap that the model records, and training keeps every candidate
 REMOVED_FLAGS = {
-    "train": ["--max-span"],
+    "train": ["--max-span", "--neg-cap"],
     "eval": ["--max-candidates", "--max-span"],
     "predict": ["--max-candidates", "--max-span"],
-    "cv": ["--max-span"],
+    "cv": ["--max-span", "--neg-cap"],
 }
 
 FILE_FLAGS = {
@@ -168,3 +170,15 @@ def test_train_into_a_directory_names_the_path(toy_dir, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.rstrip("\n").endswith(f"'{out}'") and ".tmp" not in err
     assert os.listdir(tmp_path) == ["toy"] and os.listdir(out) == []
+
+
+def test_predict_with_no_candidate_is_an_error(toy_dir, corpus, tmp_path, capsys):
+    # Atlantis links but is in no triple, so no form denotes anything
+    model, _ = corpus
+    catalog = tmp_path / "catalog.tsv"
+    catalog.write_text((toy_dir / "catalog.tsv").read_text() + "E\tatlantis\tAtlantis\t\n")
+    argv = ["predict", "--kg", str(toy_dir / "triples.tsv"), "--catalog", str(catalog),
+            "--model", str(model), "--question", "what currency does atlantis use?"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no candidate logical forms for this question\n"

@@ -12,7 +12,6 @@ from tensorparse.evaluator import (
     evaluate,
     f1,
     format_report,
-    make_splits,
     prepare,
 )
 from tensorparse.features import tokenize
@@ -146,9 +145,15 @@ def make_examples(n):
     return [DatasetExample(f"q{i:03d}?", (f"a{i}",)) for i in range(n)]
 
 
+def fold_examples(data, spec):
+    """The ``(train, test)`` examples of each fold ``cross_validate`` cuts."""
+    return [([data[i] for i in train], [data[i] for i in test])
+            for train, test in evaluator._split_positions(data, spec)]
+
+
 def test_splits_partition():
     data = make_examples(10)
-    splits = make_splits(data, SplitSpec(mode="random", folds=5, seed=1))
+    splits = fold_examples(data, SplitSpec(mode="random", folds=5, seed=1))
     assert len(splits) == 5
     all_test = [ex for _, test in splits for ex in test]
     assert sorted(ex.question for ex in all_test) == sorted(
@@ -163,7 +168,7 @@ def test_splits_partition():
 
 
 def test_splits_sizes_differ_by_at_most_one():
-    splits = make_splits(make_examples(11), SplitSpec(mode="random", folds=3, seed=0))
+    splits = fold_examples(make_examples(11), SplitSpec(mode="random", folds=3, seed=0))
     sizes = sorted(len(test) for _, test in splits)
     assert max(sizes) - min(sizes) <= 1
 
@@ -172,7 +177,7 @@ def test_alphabetical_splits_cluster_topics():
     data = [DatasetExample(f"what currency {i}?", ("a",)) for i in range(6)]
     data += [DatasetExample(f"border {i}?", ("a",)) for i in range(6)]
     random.Random(0).shuffle(data)
-    splits = make_splits(data, SplitSpec(mode="alphabetical", folds=4))
+    splits = fold_examples(data, SplitSpec(mode="alphabetical", folds=4))
     # sorted then sliced: "border" questions fill the first folds entirely
     first_test = splits[0][1]
     assert all(ex.question.startswith("border") for ex in first_test)
@@ -180,8 +185,8 @@ def test_alphabetical_splits_cluster_topics():
 
 def test_random_splits_deterministic():
     data = make_examples(9)
-    a = make_splits(data, SplitSpec(mode="random", folds=3, seed=42))
-    b = make_splits(data, SplitSpec(mode="random", folds=3, seed=42))
+    a = fold_examples(data, SplitSpec(mode="random", folds=3, seed=42))
+    b = fold_examples(data, SplitSpec(mode="random", folds=3, seed=42))
     assert a == b
 
 
@@ -198,7 +203,7 @@ def test_split_spec_validation():
 
 def test_too_few_examples():
     with pytest.raises(ConfigError):
-        make_splits(make_examples(3), SplitSpec(mode="random", folds=4, seed=0))
+        fold_examples(make_examples(3), SplitSpec(mode="random", folds=4, seed=0))
 
 
 def test_cross_validate_two_folds(toy_kg, toy_data):
@@ -234,13 +239,14 @@ def keyed(rows_per_question, names):
             for rows in rows_per_question for ids, label in rows]
 
 
-@pytest.mark.parametrize("negative_cap", [2, 50])
+@pytest.mark.parametrize("max_candidates", [2, 200])
 @pytest.mark.parametrize("mode", ["random", "alphabetical"])
 @pytest.mark.parametrize("toy_seed", range(3))
-def test_cv_fold_models_match_train_on_the_fold(toy_corpora, toy_seed, mode, negative_cap,
+def test_cv_fold_models_match_train_on_the_fold(toy_corpora, toy_seed, mode, max_candidates,
                                                 monkeypatch, tmp_path):
     data, kg = toy_corpora[toy_seed]
-    cfg = learner.TrainConfig(epochs=2, negative_cap=negative_cap)
+    cfg = learner.TrainConfig(epochs=2)
+    gen_cfg = GenConfig(max_candidates=max_candidates)
     spec = SplitSpec(mode=mode, folds=5, seed=toy_seed)
     fold_args, fold_results = [], []
     train_rows = learner.train_rows
@@ -251,24 +257,24 @@ def test_cv_fold_models_match_train_on_the_fold(toy_corpora, toy_seed, mode, neg
         return fold_results[-1]
 
     monkeypatch.setattr(learner, "train_rows", recording_train_rows)
-    reports, _ = cross_validate(data, kg, GenConfig(), cfg, spec)
+    reports, _ = cross_validate(data, kg, gen_cfg, cfg, spec)
     monkeypatch.undo()  # learner.train below trains through train_rows too
-    splits = make_splits(data, spec)
+    splits = fold_examples(data, spec)
     assert len(fold_results) == len(reports) == len(splits) == 5
     for (train_data, test_data), (rows, names, *_), result, report in zip(
         splits, fold_args, fold_results, reports
     ):
         # the fold's rows, keyed, are the rows of the fold indexed alone
         index: dict = {}
-        alone_rows = [learner.question_rows(prepare(example, kg, GenConfig()), cfg, index)
+        alone_rows = [learner.question_rows(prepare(example, kg, gen_cfg), index)
                       for example in train_data]
         assert keyed(rows, names) == keyed(alone_rows, list(index))
-        alone = learner.train(train_data, kg, GenConfig(), cfg)
+        alone = learner.train(train_data, kg, gen_cfg, cfg)
         assert result.epoch_losses == alone.epoch_losses
         learner.save_model(result.model, tmp_path / "cv.model")
         learner.save_model(alone.model, tmp_path / "alone.model")
         assert (tmp_path / "cv.model").read_bytes() == (tmp_path / "alone.model").read_bytes()
-        assert report == evaluate(alone.model, test_data, kg, GenConfig())
+        assert report == evaluate(alone.model, test_data, kg, gen_cfg)
 
 
 def test_cv_prepares_each_question_once(toy_kg, toy_data, monkeypatch):

@@ -14,15 +14,16 @@ import pytest
 
 from tensorparse import cli
 
-MODEL_SHA256 = "e4f66fb912c65b1136d904eb74b34f174f5bf0c0a69d38e68cb3e25f6758c230"
+MODEL_SHA256 = "2acecf90c48e8cf04f417616e28fcfb152a70e9747836ed7797b64b1a3172bc3"
 MODEL_HEADER = b"tensorparse-model v2 max_candidates=200\n"
-# the weight lines, unchanged since the v1 format
-MODEL_BODY_SHA256 = "9ca5630c7a3ed0d1c8adbcbb3b53db111ccc90c4b08998adb786ef060e7a4541"
-REPORT_SHA256 = "cd68e5557e5f1476bc265e27c5f63b0b7f7a220995aebcb628e3af670d8dc97e"
-TRAIN_STDOUT = "final training loss = 0.023935\n"
+# the weight lines: no lf:denot.empty line, as every generated form denotes
+# something
+MODEL_BODY_SHA256 = "db600ac2793077e1b9e28721722ff3070f5981961e3d11be7666623c81813848"
+REPORT_SHA256 = "28335353d2c637f7f8bb1ab2d0828d7c037ba9ae049f040aad3e6d9ca9aab43c"
+TRAIN_STDOUT = "final training loss = 0.028452\n"
 CV_STDOUT_SHA256 = {
     "random": "fbf02c9800ccfe808e825b3ef4e6fa43161be7434ba77af7030c78fd4c79619f",
-    "alphabetical": "2c88d236228189c973783ced54d8366b12dcdad15ddee63f38245fcac7de72f0",
+    "alphabetical": "e7e7aeaef1b381f6b9783ba2a6022aba6b9cd834f07adbeb756a8d8fe6994c04",
 }
 
 

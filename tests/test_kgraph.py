@@ -131,16 +131,17 @@ def oracle_alias_index(entities):
 def assert_matches_oracle(kg, triples):
     """Every lookup of ``kg``, over every entity and relation, against the oracle.
 
-    ``incoming(e)`` must list each relation into ``e`` once, with the same
-    subjects as the oracle's backward index, and nothing for an entity that
-    no triple points into.
+    ``outgoing(e)`` must list each relation out of ``e`` once, with the same
+    objects as the oracle's forward index, and ``incoming(e)`` each relation
+    into ``e`` with the subjects of its backward index; both list nothing
+    for an entity that no triple leads out of or into.
     """
     expected, forward, backward = oracle_indexes(triples)
     for e in kg.entities:
-        incoming = list(kg.incoming(e))
-        assert dict(incoming) == {r: subjects for (o, r), subjects in backward.items() if o == e}
-        assert len(incoming) == len(dict(incoming))
-        assert all(type(subjects) is frozenset for _, subjects in incoming)
+        for listed, index in ((list(kg.outgoing(e)), forward), (list(kg.incoming(e)), backward)):
+            assert dict(listed) == {r: members for (x, r), members in index.items() if x == e}
+            assert len(listed) == len(dict(listed))
+            assert all(type(members) is frozenset for _, members in listed)
         for r in kg.relations:
             assert kg.forward(e, r) == forward.get((e, r), frozenset())
             assert kg.backward(e, r) == backward.get((e, r), frozenset())
@@ -161,6 +162,9 @@ def test_index_inversion_exhaustive(mini_kg, toy_kg, toy_dir):
     mini = [tuple(line.split("\t")) for line in MINI_TRIPLES.splitlines()]
     assert_matches_oracle(mini_kg, mini)
     assert list(mini_kg.incoming("p1")) == []  # p1 is never an object
+    assert list(mini_kg.outgoing("achilles")) == []  # nor achilles a subject
+    assert dict(mini_kg.outgoing("p1")) == {
+        "actor": {"brad_pitt"}, "film": {"troy"}, "character": {"achilles"}}
     lines = (toy_dir / toy.TRIPLES_FILE).read_text(encoding="utf-8").splitlines()
     toy_triples = [tuple(line.split("\t")) for line in lines if line and line[0] != "#"]
     assert len(toy_triples) == 96
@@ -350,8 +354,7 @@ def catalogs(draw):
         aliases.insert(draw(st.integers(0, len(others))), name)
         entities[eid] = kgraph.Entity(eid, name, tuple(aliases))
     relations = {
-        rid: kgraph.Relation(rid, draw(field_text.filter(bool)), draw(field_text),
-                             draw(field_text))
+        rid: kgraph.Relation(rid, draw(field_text.filter(bool)))
         for rid in draw(st.lists(ids, min_size=1, max_size=4, unique=True))
     }
     triples = draw(st.lists(st.builds(Triple, st.sampled_from(sorted(entities)),
@@ -418,15 +421,16 @@ def test_denotation_matches_oracle_on_random_graphs(catalog, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(catalogs())
-def test_load_graph_round_trip(tmp_path_factory, catalog):
+@given(catalogs(), st.data())
+def test_load_graph_round_trip(tmp_path_factory, catalog, data):
     entities, relations, triples = catalog
     root = tmp_path_factory.mktemp("graph")
     with open(root / "catalog.tsv", "w", encoding="utf-8") as fh:
         for e in entities.values():
             fh.write(f"E\t{e.id}\t{e.name}\t{'|'.join(e.aliases)}\n")
         for r in relations.values():
-            fh.write(f"R\t{r.id}\t{r.phrase}\t{r.domain_type}\t{r.range_type}\n")
+            # the domain and range type fields are read past, whatever they hold
+            fh.write(f"R\t{r.id}\t{r.phrase}\t{data.draw(field_text)}\t{data.draw(field_text)}\n")
     with open(root / "triples.tsv", "w", encoding="utf-8") as fh:
         fh.writelines(f"{s}\t{r}\t{o}\n" for s, r, o in triples)
     with open(root / "triples.tsv", encoding="utf-8") as t, open(

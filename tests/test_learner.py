@@ -479,7 +479,7 @@ def reference_f1(predicted, gold):
     return 2 * precision * recall / (precision + recall)
 
 
-def reference_build_instances(data, kg, gen_cfg, cfg):
+def reference_build_instances(data, kg, gen_cfg):
     instances = []
     any_positive = False
     for example in data:
@@ -490,15 +490,9 @@ def reference_build_instances(data, kg, gen_cfg, cfg):
         scores = [reference_f1({kg.entity(e).name for e in c.denotation}, example.answers)
                   for c in candidates]
         best = max(scores, default=0.0)
-        negatives_kept = 0
-        for candidate, s in zip(candidates, scores):  # candidates arrive sorted by form
+        for candidate, s in zip(candidates, scores):
             positive = best > 0.0 and s == best
-            if not positive:
-                if negatives_kept >= cfg.negative_cap:
-                    continue
-                negatives_kept += 1
-            else:
-                any_positive = True
+            any_positive |= positive
             instances.append((features.assemble(tokens, candidate), 1.0 if positive else 0.0))
     return instances, any_positive
 
@@ -539,12 +533,12 @@ def reference_fit(instances, cfg):
 ORACLE_EPOCHS = 2
 
 
-@pytest.mark.parametrize("negative_cap", [1, 50])
+@pytest.mark.parametrize("max_candidates", [1, 200])
 @pytest.mark.parametrize("toy_seed", range(5))
-def test_train_matches_dict_loop_on_toy(toy_corpora, toy_seed, negative_cap, monkeypatch):
+def test_train_matches_dict_loop_on_toy(toy_corpora, toy_seed, max_candidates, monkeypatch):
     data, kg = toy_corpora[toy_seed]
-    build_cfg = TrainConfig(negative_cap=negative_cap)
-    instances, any_positive = reference_build_instances(data, kg, GenConfig(), build_cfg)
+    gen_cfg = GenConfig(max_candidates=max_candidates)
+    instances, any_positive = reference_build_instances(data, kg, gen_cfg)
     assert any_positive
     # The rows depend on neither the train seed nor l2: prepare each question
     # and build its rows once, and replay them into the caller's index in the
@@ -557,11 +551,11 @@ def test_train_matches_dict_loop_on_toy(toy_corpora, toy_seed, negative_cap, mon
             prepared[example] = prepare(example, kg, gen_cfg)
         return prepared[example]
 
-    def memo_question_rows(question, cfg, index):
+    def memo_question_rows(question, index):
         key = id(question)  # memo_prepare keeps one tuple per question alive
         if key not in keyed_rows:
             own: dict = {}
-            rows = question_rows(question, cfg, own)
+            rows = question_rows(question, own)
             names = list(own)
             keyed_rows[key] = [(tuple(names[i] for i in ids), label) for ids, label in rows]
         return [(tuple(index.setdefault(k, len(index)) for k in keys), label)
@@ -571,9 +565,8 @@ def test_train_matches_dict_loop_on_toy(toy_corpora, toy_seed, negative_cap, mon
     monkeypatch.setattr(learner, "question_rows", memo_question_rows)
     for seed in (42, 7):
         for l2 in (0.0, 1e-4, 1.0):
-            cfg = TrainConfig(epochs=ORACLE_EPOCHS, seed=seed, l2=l2,
-                              negative_cap=negative_cap)
-            result = train(data, kg, GenConfig(), cfg)
+            cfg = TrainConfig(epochs=ORACLE_EPOCHS, seed=seed, l2=l2)
+            result = train(data, kg, gen_cfg, cfg)
             weights, losses = reference_fit(instances, cfg)
             assert list(result.model.weights.items()) == weights
             assert result.epoch_losses == losses

@@ -105,8 +105,8 @@ def test_utterance_t1(mini_kg):
 
 def test_utterance_t2(mini_kg):
     assert generated_utterance(
-        "what currency does brazil use", "rev(currency, ent(brazil))", mini_kg
-    ) == tuple(tokenize("the things whose currency is brazil"))
+        "who uses the brazilian real", "rev(currency, ent(brazilian_real))", mini_kg
+    ) == tuple(tokenize("the things whose currency is brazilian real"))
 
 
 def test_utterance_t3(mini_kg):
@@ -176,6 +176,14 @@ def test_cached_denotation_matches_fresh(mini_kg):
     tokens = ["who", "did", "brad", "pitt", "play", "in", "troy"]
     for c in generate_candidates(tokens, mini_kg, GenConfig()):
         assert c.denotation == kgraph.denotation(c.logical_form, mini_kg)
+
+
+def test_forms_that_denote_nothing_are_not_generated(mini_kg):
+    forms = {serialize(c.logical_form)
+             for c in generate_candidates(tokenize("what currency does ethiopia use"),
+                                          mini_kg, GenConfig())}
+    # ethiopia adjoins two countries and is adjoined by them; it has no currency
+    assert forms == {"join(adjoins, ent(ethiopia))", "rev(adjoins, ent(ethiopia))"}
 
 
 def test_empty_inner_intersection_pruned(mini_kg):
@@ -259,7 +267,7 @@ def test_linking_reaches_the_longest_alias(mini_kg):
     assert mini_kg.max_alias_tokens == 3  # "the dominican republic"
     kg = KnowledgeGraph({"a": Entity("a", "A", ("a",)),
                          "gd": Entity("gd", "Grand Duchy of Fenwick", ())},
-                        {"r": Relation("r", "r")}, [])
+                        {"r": Relation("r", "r")}, [Triple("gd", "r", "a")])
     assert kg.max_alias_tokens == 4
     tokens = tokenize("what does the grand duchy of fenwick use")
     assert [e.id for e in logform._linked_entities(tokens, kg)] == ["gd"]
@@ -282,16 +290,19 @@ def test_linked_entities_match_brute_force(named, query):
     assert logform._linked_entities(query, kg) == brute_force_linked(query, kg)
 
 
-def reference_generate_candidates(query_tokens, kg, cfg):
-    """``generate_candidates`` as it was before T3 read the graph's index
+def reference_generate_candidates(query_tokens, kg):
+    """``generate_candidates`` as it was before it read the graph's indexes
     and before each template rendered its own utterance, linking through
-    every span of the query.
+    every span of the query, with no cap.
 
-    For every ordered pair of linked entities it tries every (r1, r2)
-    relation pair and keeps the pair when ``kgraph.denotation`` of the
-    inner intersection is non-empty: L^2 R^2 probes.  Each kept form's
-    utterance is worked out again from its shape by ``canonical_utterance``,
-    so a swapped r1/r2 or e1/e2 in the generator's text shows here.
+    It emits T1 and T2 forms for every relation of the catalog.  For every
+    ordered pair of linked entities it tries every (r1, r2) relation pair
+    and keeps the pair when ``kgraph.denotation`` of the inner intersection
+    is non-empty: L^2 R^2 probes; each kept pair gets a T3 form for every
+    relation.  Each form's denotation is ``kgraph.denotation`` of it, empty
+    or not, and its utterance is worked out again from its shape by
+    ``canonical_utterance``, so a swapped r1/r2 or e1/e2 in the
+    generator's text shows here.
     """
     if not query_tokens:
         raise ValueError("query_tokens must be non-empty")
@@ -323,7 +334,7 @@ def reference_generate_candidates(query_tokens, kg, cfg):
                             add(Join(r, inner))
 
     out = []
-    for _, lf in sorted(forms.items())[: cfg.max_candidates]:
+    for _, lf in sorted(forms.items()):
         utterance = canonical_utterance(lf, kg)
         out.append(
             Candidate(
@@ -334,6 +345,23 @@ def reference_generate_candidates(query_tokens, kg, cfg):
         )
     return out
 
+
+def filtered_reference(query_tokens, kg, cap):
+    """The reference's forms that denote something, cap lifted, then the
+    first ``cap`` of them."""
+    return [c for c in reference_generate_candidates(query_tokens, kg) if c.denotation][:cap]
+
+
+def assert_matches_reference(query_tokens, kg, cap):
+    """``generate_candidates`` is the filtered reference, and each denotation
+    is non-empty and what ``kgraph.denotation`` gives its form."""
+    got = generate_candidates(query_tokens, kg, GenConfig(max_candidates=cap))
+    assert got == filtered_reference(query_tokens, kg, cap), query_tokens
+    for c in got:
+        assert c.denotation and c.denotation == kgraph.denotation(c.logical_form, kg)
+
+
+CAPS = [1, 3, 200, 10**9]
 
 MINI_QUERIES = [
     "who did brad pitt play in troy",
@@ -346,23 +374,16 @@ MINI_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("cap", [1, 3, 200, 10**9])
+@pytest.mark.parametrize("cap", CAPS)
 @pytest.mark.parametrize("query", MINI_QUERIES)
 def test_generate_matches_reference_on_mini(mini_kg, query, cap):
-    cfg = GenConfig(max_candidates=cap)
-    tokens = tokenize(query)
-    assert generate_candidates(tokens, mini_kg, cfg) == reference_generate_candidates(
-        tokens, mini_kg, cfg
-    )
+    assert_matches_reference(tokenize(query), mini_kg, cap)
 
 
-def test_generate_matches_reference_on_toy(toy_kg, toy_data):
-    cfg = GenConfig()
+@pytest.mark.parametrize("cap", CAPS)
+def test_generate_matches_reference_on_toy(toy_kg, toy_data, cap):
     for example in toy_data:
-        tokens = tokenize(example.question)
-        assert generate_candidates(tokens, toy_kg, cfg) == reference_generate_candidates(
-            tokens, toy_kg, cfg
-        ), example.question
+        assert_matches_reference(tokenize(example.question), toy_kg, cap)
 
 
 @st.composite
@@ -385,7 +406,7 @@ def graphs_and_queries(draw):
     catalog = "".join(
         f"E\t{e.id}\t{e.name}\t{'|'.join(e.aliases + (e.id,))}\n" for e in entities.values()
     ) + "".join(
-        f"R\t{r.id}\t{r.phrase}\t{r.domain_type}\t{r.range_type}\n" for r in relations.values()
+        f"R\t{r.id}\t{r.phrase}\tthing\tthing\n" for r in relations.values()
     )
     kg = kgraph.load_graph(io.StringIO("".join(f"{s}\t{r}\t{o}\n" for s, r, o in triples)),
                            io.StringIO(catalog))
@@ -396,8 +417,7 @@ def graphs_and_queries(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs_and_queries(), st.sampled_from([1, 3, 200, 10**9]))
+@given(graphs_and_queries(), st.sampled_from(CAPS))
 def test_generate_matches_reference_on_random_graphs(graph_and_query, cap):
     kg, query = graph_and_query
-    cfg = GenConfig(max_candidates=cap)
-    assert generate_candidates(query, kg, cfg) == reference_generate_candidates(query, kg, cfg)
+    assert_matches_reference(query, kg, cap)
