@@ -239,7 +239,7 @@ def keyed(rows_per_question, names):
             for rows in rows_per_question for ids, label in rows]
 
 
-@pytest.mark.parametrize("max_candidates", [2, 200])
+@pytest.mark.parametrize("max_candidates", [2, 50])
 @pytest.mark.parametrize("mode", ["random", "alphabetical"])
 @pytest.mark.parametrize("toy_seed", range(3))
 def test_cv_fold_models_match_train_on_the_fold(toy_corpora, toy_seed, mode, max_candidates,

@@ -533,7 +533,7 @@ def reference_fit(instances, cfg):
 ORACLE_EPOCHS = 2
 
 
-@pytest.mark.parametrize("max_candidates", [1, 200])
+@pytest.mark.parametrize("max_candidates", [1, 50])
 @pytest.mark.parametrize("toy_seed", range(5))
 def test_train_matches_dict_loop_on_toy(toy_corpora, toy_seed, max_candidates, monkeypatch):
     data, kg = toy_corpora[toy_seed]

@@ -380,10 +380,10 @@ def test_generate_matches_reference_on_mini(mini_kg, query, cap):
     assert_matches_reference(tokenize(query), mini_kg, cap)
 
 
-@pytest.mark.parametrize("cap", CAPS)
-def test_generate_matches_reference_on_toy(toy_kg, toy_data, cap):
-    for example in toy_data:
-        assert_matches_reference(tokenize(example.question), toy_kg, cap)
+def test_generate_matches_reference_on_toy(toy_kg, toy_data):
+    for cap in CAPS:
+        for example in toy_data:
+            assert_matches_reference(tokenize(example.question), toy_kg, cap)
 
 
 @st.composite
