@@ -19,14 +19,13 @@ class DatasetError(TensorparseError):
 class DatasetExample:
     question: str
     answers: tuple[str, ...]
-    line_number: int = 0
 
 
 def load_dataset(source: Iterable[str]) -> list[DatasetExample]:
     """Parse JSONL lines ``{"question": ..., "answers": [...]}``.
 
-    Blank lines are skipped; file order is preserved and line numbers
-    retained for error reporting.
+    Blank lines are skipped and file order is preserved; an error names
+    its line.
     """
     examples = []
     for lineno, raw in enumerate(source, start=1):
@@ -49,7 +48,5 @@ def load_dataset(source: Iterable[str]) -> list[DatasetExample]:
             or not all(isinstance(a, str) for a in answers)
         ):
             raise DatasetError("missing or empty string-array field 'answers'", lineno)
-        examples.append(
-            DatasetExample(question=question, answers=tuple(answers), line_number=lineno)
-        )
+        examples.append(DatasetExample(question=question, answers=tuple(answers)))
     return examples

@@ -6,10 +6,11 @@ subjects reach an object (:meth:`KnowledgeGraph.backward`), which relations
 lead out of and into an entity (:meth:`KnowledgeGraph.outgoing`,
 :meth:`KnowledgeGraph.incoming`) and which entities an alias names;
 ``max_alias_tokens``, the token count of the longest alias, bounds the
-spans that entity linking tries.  The constructor checks every triple's
-ids against the catalogs and hands the indexes the catalog's own id
-strings, and no separate triple set is kept; ``kg.triples`` is a
-read-only view over the forward index.
+spans that entity linking tries; ``phrase_tokens`` maps each relation
+id to its phrase's tokens, from which generation assembles utterances.
+The constructor checks every triple's ids against the catalogs and hands
+the indexes the catalog's own id strings, and no separate triple set is
+kept; ``kg.triples`` is a read-only view over the forward index.
 
 Graphs are immutable once built; all lookup methods are safe for
 concurrent use.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from . import TensorparseError, logform
-from .features import normalize_phrase
+from .features import normalize_phrase, tokenize
 
 
 class GraphError(TensorparseError):
@@ -176,6 +177,7 @@ class KnowledgeGraph:
         self._alias_index = {k: tuple(sorted(v)) for k, v in alias_index.items()}
         # a key of k tokens matches only a tokenized span of k tokens
         self.max_alias_tokens = max((k.count(" ") + 1 for k in alias_index), default=0)
+        self.phrase_tokens = {rid: tuple(tokenize(r.phrase)) for rid, r in self.relations.items()}
 
     def forward(self, subject: str, relation: str) -> frozenset:
         return self._forward.get(subject, _NO_FACTS).get(relation, _EMPTY)

@@ -217,22 +217,15 @@ def question_rows(question, index: dict) -> list:
 def _columns(instances, n):
     """Each id's column: ids that occur in exactly the same instances share one.
 
-    Partition refinement: every instance moves the ids it holds out of
-    their class into a fresh class, one per class it touches.
+    Columns are numbered by their lowest id; the ids of ``range(n)`` that
+    no instance holds share one column too.
     """
-    klass = [0] * n
-    classes = 1
-    for ids, _ in instances:
-        fresh: dict = {}
+    occurrences: list = [[] for _ in range(n)]
+    for k, (ids, _) in enumerate(instances):
         for i in ids:
-            old = klass[i]
-            new = fresh.get(old)
-            if new is None:
-                new = fresh[old] = classes
-                classes += 1
-            klass[i] = new
+            occurrences[i].append(k)
     column: dict = {}
-    return [column.setdefault(c, len(column)) for c in klass]
+    return [column.setdefault(tuple(held), len(column)) for held in occurrences]
 
 
 def _fit(instances, names, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:

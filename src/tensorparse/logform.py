@@ -1,7 +1,8 @@
 """Logical-form AST, candidate generation, and canonical utterances.
 
 Three templates are generated from entity spans linked in the query, each
-with the canonical utterance that generation renders beside it:
+with the tokens of the canonical utterance that generation assembles beside
+it from the relation phrases' and entity names' tokens:
 
     T1  join(r, ent(e))            "the R of E"
     T2  rev(r, ent(e))             "the things whose R is E"
@@ -113,43 +114,46 @@ def generate_candidates(
     """Enumerate template candidates for the linked entity spans.
 
     ``query_tokens`` are as :func:`features.tokenize` gives them.  Each
-    form and its utterance are built from the index entry they read, and
-    the entry's set is the denotation that :func:`kgraph.denotation`
-    gives the form.  The result is sorted by serialized form and the
-    first ``cfg.max_candidates`` kept; a query that links no entity with
-    a fact yields an empty list.
+    form is built from the index entry it reads, and the entry's set is
+    the denotation that :func:`kgraph.denotation` gives the form.  Its
+    utterance tokens join the template's words to ``kg.phrase_tokens``
+    and the linked entities' name tokens, as tokenizing the utterance
+    text would: no token spans a space.  The result is sorted by
+    serialized form and the first ``cfg.max_candidates`` kept; a query
+    that links no entity with a fact yields an empty list.
     """
     if not query_tokens:
         raise ValueError("query_tokens must be non-empty")
-    linked = _linked_entities(list(query_tokens), kg)
-    relations = kg.relations
+    linked = [(ent.id, tuple(tokenize(ent.name)))
+              for ent in _linked_entities(list(query_tokens), kg)]
+    phrase = kg.phrase_tokens
     forms: dict = {}
 
-    def add(lf: LogicalForm, utterance: str, denotation: frozenset):
+    def add(lf: LogicalForm, utterance: tuple, denotation: frozenset):
         forms[serialize(lf)] = (lf, utterance, denotation)
 
-    for ent in linked:
-        lit = EntityLit(ent.id)
-        for rid, objects in kg.outgoing(ent.id):
-            add(Join(rid, lit), f"the {relations[rid].phrase} of {ent.name}", objects)
-        for rid, subjects in kg.incoming(ent.id):
-            add(ReverseJoin(rid, lit),
-                f"the things whose {relations[rid].phrase} is {ent.name}", subjects)
-    for e1, e2 in itertools.permutations(linked, 2):
-        for r1, subjects1 in kg.incoming(e1.id):
-            for r2, subjects2 in kg.incoming(e2.id):
+    for eid, name in linked:
+        lit = EntityLit(eid)
+        for rid, objects in kg.outgoing(eid):
+            add(Join(rid, lit), ("the", *phrase[rid], "of", *name), objects)
+        for rid, subjects in kg.incoming(eid):
+            add(ReverseJoin(rid, lit), ("the", "things", "whose", *phrase[rid], "is", *name),
+                subjects)
+    for (e1, name1), (e2, name2) in itertools.permutations(linked, 2):
+        for r1, subjects1 in kg.incoming(e1):
+            for r2, subjects2 in kg.incoming(e2):
                 things = subjects1 & subjects2
                 if things:
-                    inner = Intersect(ReverseJoin(r1, EntityLit(e1.id)),
-                                      ReverseJoin(r2, EntityLit(e2.id)))
-                    thing = (f"the thing whose {relations[r1].phrase} is {e1.name}"
-                             f" and whose {relations[r2].phrase} is {e2.name}")
+                    inner = Intersect(ReverseJoin(r1, EntityLit(e1)),
+                                      ReverseJoin(r2, EntityLit(e2)))
+                    thing = ("the", "thing", "whose", *phrase[r1], "is", *name1,
+                             "and", "whose", *phrase[r2], "is", *name2)
                     outer: dict = {}
                     for s in things:
                         for rid, objects in kg.outgoing(s):
                             outer[rid] = outer[rid] | objects if rid in outer else objects
                     for rid, objects in outer.items():
-                        add(Join(rid, inner), f"the {relations[rid].phrase} of {thing}", objects)
+                        add(Join(rid, inner), ("the", *phrase[rid], "of", *thing), objects)
 
-    return [Candidate(lf, tuple(tokenize(utterance)), denotation)
+    return [Candidate(lf, utterance, denotation)
             for _, (lf, utterance, denotation) in sorted(forms.items())[: cfg.max_candidates]]

@@ -19,13 +19,11 @@ def test_load_dataset_basic():
     assert len(examples) == 1
     assert examples[0].question == "what currency does brazil use?"
     assert examples[0].answers == ("Brazilian real",)
-    assert examples[0].line_number == 1
 
 
 def test_load_dataset_skips_blank_lines():
     examples = load('\n{"question":"q?","answers":["a"]}\n\n')
     assert len(examples) == 1
-    assert examples[0].line_number == 2
 
 
 @pytest.mark.parametrize(

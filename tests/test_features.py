@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tensorparse import features
@@ -28,6 +28,22 @@ def test_tokenize_apostrophes_split():
 
 def test_tokenize_empty():
     assert features.tokenize("") == []
+
+
+# Text around the edges of tokenize: whitespace, punctuation, digits, and
+# letters whose lowercase is not one ASCII letter or depends on context:
+# the Kelvin sign lowercases to "k", "İ" to "i" and a combining dot, and a
+# word-final "Σ" to "ς".
+token_text = st.text(st.sampled_from(list("aZ9 \t\n.,'-_éßΣσİK") + ["\u212a", "\u0307"]),
+                     max_size=6)
+
+
+@example(["ΑΣ", "Σ"])
+@example(["", " ", "\u212aelvin", "İstanbul"])
+@given(st.lists(token_text, max_size=5))
+def test_tokenize_of_space_joined_parts_is_their_tokens_concatenated(parts):
+    """Generation assembles utterance tokens from the tokens of their parts."""
+    assert features.tokenize(" ".join(parts)) == [t for p in parts for t in features.tokenize(p)]
 
 
 def test_unigram_features_binary():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import tensorparse
 from tensorparse import kgraph, toy
-from tensorparse.features import normalize_phrase
+from tensorparse.features import normalize_phrase, tokenize
 from tensorparse.kgraph import (
     GraphParseError,
     KnowledgeGraph,
@@ -134,7 +134,8 @@ def assert_matches_oracle(kg, triples):
     ``outgoing(e)`` must list each relation out of ``e`` once, with the same
     objects as the oracle's forward index, and ``incoming(e)`` each relation
     into ``e`` with the subjects of its backward index; both list nothing
-    for an entity that no triple leads out of or into.
+    for an entity that no triple leads out of or into.  ``phrase_tokens``
+    holds each relation's phrase tokenized.
     """
     expected, forward, backward = oracle_indexes(triples)
     for e in kg.entities:
@@ -156,6 +157,7 @@ def assert_matches_oracle(kg, triples):
     assert kg._alias_index == oracle_alias_index(kg.entities)
     assert kg.max_alias_tokens == max(
         (len(key.split()) for key in oracle_alias_index(kg.entities)), default=0)
+    assert kg.phrase_tokens == {rid: tuple(tokenize(r.phrase)) for rid, r in kg.relations.items()}
 
 
 def test_index_inversion_exhaustive(mini_kg, toy_kg, toy_dir):
@@ -244,6 +246,16 @@ def test_alias_index_covers_a_name_missing_from_the_aliases():
     assert kg.entities_by_alias(["Big", "Apple"]) == ()
     assert kg.entities_by_alias(["the", "big", "apple"]) == (ents["nyc"],)
     assert kg.entities_by_alias(["new", "york"]) == (ents["ny"],)
+
+
+def test_directly_built_graph_holds_its_phrase_tokens():
+    rels = {"cur": kgraph.Relation("cur", "Currency (ISO-4217)"),
+            "pop": kgraph.Relation("pop", "  population  "),
+            "sym": kgraph.Relation("sym", "--")}
+    kg = KnowledgeGraph({}, rels, [])
+    assert kg.phrase_tokens == {"cur": ("currency", "iso", "4217"), "pop": ("population",),
+                                "sym": ()}
+    assert_matches_oracle(kg, [])
 
 
 def test_denotation_forward_join(mini_kg):

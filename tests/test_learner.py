@@ -668,3 +668,30 @@ def test_fit_merges_co_occurring_features(cfg):
             assert (columns[i] == columns[j]) == (occurs[i] == occurs[j])
     new, old = fit_both(QU_INSTANCES, cfg)
     assert new == old
+
+
+def brute_force_columns(instances, n):
+    """Ids grouped by the tuple of instances that hold them, groups numbered
+    by their lowest id."""
+    held_by = [tuple(k for k, (ids, _) in enumerate(instances) if i in ids) for i in range(n)]
+    groups = sorted(set(held_by), key=held_by.index)
+    return [groups.index(held) for held in held_by]
+
+
+@st.composite
+def interned_instances(draw):
+    """``(instances, n)``: instances over ids below ``n``, some holding no id,
+    and ``n`` may exceed every id held, as a fold's rows over the shared index."""
+    n = draw(st.integers(0, 10))
+    ids = st.lists(st.integers(0, n - 1), max_size=n, unique=True) if n else st.just([])
+    instances = draw(st.lists(st.tuples(ids.map(tuple), st.sampled_from([0.0, 1.0])),
+                              max_size=8))
+    return instances, n
+
+
+@example(([((3, 0), 1.0), ((), 0.0), ((0, 3, 1), 0.0)], 6))
+@settings(max_examples=300, deadline=None)
+@given(interned_instances())
+def test_columns_group_ids_by_the_instances_that_hold_them(case):
+    instances, n = case
+    assert learner._columns(instances, n) == brute_force_columns(instances, n)
