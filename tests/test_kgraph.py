@@ -135,9 +135,17 @@ def assert_matches_oracle(kg, triples):
     objects as the oracle's forward index, and ``incoming(e)`` each relation
     into ``e`` with the subjects of its backward index; both list nothing
     for an entity that no triple leads out of or into.  ``phrase_tokens``
-    holds each relation's phrase tokenized.
+    holds each relation's phrase tokenized.  Every one-member entry of
+    either index that holds the same member is one shared frozenset.
     """
     expected, forward, backward = oracle_indexes(triples)
+    singletons: dict = {}
+    for index in (kg._forward, kg._backward):
+        for rels in index.values():
+            for members in rels.values():
+                if len(members) == 1:
+                    (member,) = members
+                    assert singletons.setdefault(member, members) is members
     for e in kg.entities:
         for listed, index in ((list(kg.outgoing(e)), forward), (list(kg.incoming(e)), backward)):
             assert dict(listed) == {r: members for (x, r), members in index.items() if x == e}
@@ -171,6 +179,28 @@ def test_index_inversion_exhaustive(mini_kg, toy_kg, toy_dir):
     toy_triples = [tuple(line.split("\t")) for line in lines if line and line[0] != "#"]
     assert len(toy_triples) == 96
     assert_matches_oracle(toy_kg, toy_triples)
+
+
+def test_one_member_entries_share_a_frozenset_that_no_growth_changes():
+    # b's entry shares x's frozenset with a's until y reaches a, which must
+    # not reach b; the mirror triples do the same in the backward index.
+    ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "b", "x", "y")}
+    rels = {r: kgraph.Relation(r, r) for r in ("r", "s")}
+    triples = [Triple(*t.split()) for t in (
+        "a r x", "b r x", "b r x", "a r y",
+        "x s a", "x s b", "x s b", "y s a",
+    )]
+    kg = KnowledgeGraph(ents, rels, triples)
+    assert kg.forward("b", "r") == {"x"}
+    assert kg.forward("a", "r") == {"x", "y"}
+    assert kg.backward("x", "r") == {"a", "b"}
+    assert kg.backward("b", "s") == {"x"}
+    assert kg.backward("a", "s") == {"x", "y"}
+    holding_x = [members for index in (kg._forward, kg._backward)
+                 for rels in index.values() for members in rels.values() if members == {"x"}]
+    assert len(holding_x) == 2
+    assert all(members is kg.forward("b", "r") for members in holding_x)
+    assert_matches_oracle(kg, triples)
 
 
 def test_index_holds_the_catalogs_id_strings(toy_dir):
