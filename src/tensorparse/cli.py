@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import TensorparseError, evaluator, kgraph, learner, logform, toy
@@ -185,7 +186,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader of stdout has gone. Python flushes stdout again at exit,
+        # so point it at devnull for that flush to write nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (TensorparseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

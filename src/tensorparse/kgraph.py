@@ -12,15 +12,14 @@ The constructor checks every triple's ids against the catalogs and hands
 the indexes the catalog's own id strings, and no separate triple set is
 kept; ``kg.triples`` is a read-only view over the forward index.
 
-An index entry that holds one member holds that member's one shared
-``frozenset((member,))``, made the first time the member is needed; the
-entry becomes a set of its own only when a second, distinct member
-arrives, and only such grown sets are frozen when the build ends.  Every
-entry is a frozenset either way, so no read builds a set.  On the
-``pipebench`` ``large`` graph (seed 1), whose 100,000 forward entries each
-hold one object, this takes the memory ``load_graph`` retains from 41.1
-to 21.1 MiB and its peak from 45.5 to 25.5 MiB (``tracemalloc``, Python
-3.11).
+Every index entry is a frozenset, so no read builds a set.  While the
+constructor inserts, an entry is its bare member until a second, distinct
+member arrives, and a set from then on; after the last insertion each grown
+set is frozen and each bare member becomes that member's one
+``frozenset((member,))``, shared by every one-member entry of both indexes.
+On the ``pipebench`` ``large`` graph (seed 1), whose 100,000 forward
+entries each hold one object, ``load_graph`` retains 21.1 MiB and peaks
+at 25.5 MiB (``tracemalloc``, Python 3.11).
 
 Graphs are immutable once built; all lookup methods are safe for
 concurrent use.
@@ -76,15 +75,37 @@ _EMPTY: frozenset = frozenset()
 _NO_FACTS: dict = {}
 
 
-def _freeze(index: dict) -> int:
-    """Freeze each grown set of an index in place; return how many members
-    the index holds.  A one-member entry is already its shared frozenset."""
+def _add(index: dict, key: str, relation: str, member: str) -> None:
+    """Put ``member`` in ``index[key][relation]``: bare while it is the only
+    member, in a set of the entry's own once a second, distinct one arrives."""
+    rels = index.get(key)
+    if rels is None:
+        index[key] = {relation: member}
+        return
+    members = rels.get(relation)
+    if members is None:
+        rels[relation] = member
+    elif type(members) is set:
+        members.add(member)
+    elif members != member:
+        rels[relation] = {members, member}
+
+
+def _freeze(index: dict, singletons: dict) -> int:
+    """Freeze each grown set of an index in place and replace each bare member
+    with its one frozenset in ``singletons``; return the member count."""
     count = 0
     for rels in index.values():
         for r, members in rels.items():
             if type(members) is set:
                 rels[r] = frozenset(members)
-            count += len(members)
+                count += len(members)
+            else:
+                one = singletons.get(members)
+                if one is None:
+                    one = singletons[members] = frozenset((members,))
+                rels[r] = one
+                count += 1
     return count
 
 
@@ -127,10 +148,10 @@ class KnowledgeGraph:
     ``_forward`` maps subject to ``{relation: frozenset(objects)}`` and
     ``_backward`` maps object to ``{relation: frozenset(subjects)}``; both
     are built in one pass over the triples, so they are exact inverses.
-    One-member entries share one frozenset per member, across both
-    indexes.  ``triples`` is a :class:`TripleView` over ``_forward``.  A
-    triple whose subject, relation or object is missing from the catalogs
-    raises :class:`ReferentialError`.
+    Each one-member entry is its member's one frozenset, shared by both
+    indexes and made when the build freezes them.  ``triples`` is a
+    :class:`TripleView` over ``_forward``; a triple whose subject, relation
+    or object is missing from the catalogs raises :class:`ReferentialError`.
     """
 
     def __init__(
@@ -146,10 +167,6 @@ class KnowledgeGraph:
         # triple.
         entity_ids = {eid: eid for eid in self.entities}
         relation_ids = {rid: rid for rid in self.relations}
-        # Each member's one shared frozenset((member,)), made when an entry
-        # first needs it; a second, distinct member grows an entry into a set
-        # of its own.
-        singletons: dict = {}
         forward: dict = {}
         backward: dict = {}
         for subject, relation, obj in triples:
@@ -162,35 +179,17 @@ class KnowledgeGraph:
             o = entity_ids.get(obj)
             if o is None:
                 raise ReferentialError(f"unknown object entity id: {obj}")
-            rels = forward.get(s)
-            if rels is None:
-                rels = forward[s] = {}
-            members = rels.get(r)
-            if members is None:
-                one = singletons.get(o)
-                rels[r] = one if one is not None else singletons.setdefault(o, frozenset((o,)))
-            elif type(members) is set:
-                members.add(o)
-            elif o not in members:
-                rels[r] = {*members, o}
-            rels = backward.get(o)
-            if rels is None:
-                rels = backward[o] = {}
-            members = rels.get(r)
-            if members is None:
-                one = singletons.get(s)
-                rels[r] = one if one is not None else singletons.setdefault(s, frozenset((s,)))
-            elif type(members) is set:
-                members.add(s)
-            elif s not in members:
-                rels[r] = {*members, s}
-        # Freed before the grown sets are frozen and the alias index is
-        # built, when memory peaks.
-        del entity_ids, relation_ids, singletons
-        _freeze(backward)
+            _add(forward, s, r, o)
+            _add(backward, o, r, s)
+        # Freed before the indexes are frozen and the alias index is built,
+        # when memory peaks.
+        del entity_ids, relation_ids
+        singletons: dict = {}  # member -> frozenset((member,)), for both indexes
+        _freeze(backward, singletons)
+        self.triples = TripleView(forward, _freeze(forward, singletons))
+        del singletons
         self._forward = forward
         self._backward = backward
-        self.triples = TripleView(forward, _freeze(forward))
         alias_index: dict = {}
         for ent in self.entities.values():
             keys = {normalize_phrase(a) for a in ent.aliases}

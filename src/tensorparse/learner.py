@@ -271,10 +271,8 @@ def _fit(instances, names, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:
                 acc = grad_sq[c] + g2
                 grad_sq[c] = acc
                 eta = lr / (sqrt(acc) + eps)
-                w = weights[c] - eta * g
-                if l2:
-                    w /= 1.0 + eta * l2  # proximal shrinkage
-                weights[c] = w
+                # proximal shrinkage; with l2 == 0 it divides by exactly 1.0
+                weights[c] = (weights[c] - eta * g) / (1.0 + eta * l2)
         held_weights = [weights[c] for c in held_cols]
         penalty = 0.5 * l2 * sum(map(mul, held_weights, held_weights))
         epoch_losses.append(loss / len(instances) + penalty)
@@ -380,7 +378,7 @@ def load_model(path) -> Model:
     a v1 file too, whose header does not say its candidate cap."""
     with open(path, encoding="utf-8") as fh:
         try:
-            lines = fh.read().splitlines()
+            lines = [line.rstrip("\n") for line in fh]
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"{path}: not UTF-8 ({exc.reason})") from None
     if not lines:

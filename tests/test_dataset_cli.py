@@ -298,3 +298,26 @@ def test_python_m_tensorparse_runs_as_a_process(tmp_path):
     assert bad.returncode == 1
     assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
     assert not (tmp_path / "m.model").exists()
+
+
+@pytest.mark.parametrize("weights", [1, 2000])
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, weights):
+    # One line stays in stdout's buffer until the final flush; 2,000 lines
+    # overflow it, so the first failed write comes from print itself.
+    model = tmp_path / "m.model"
+    model.write_text("tensorparse-model v2 max_candidates=200\n"
+                     + "".join(f"p:a|t{i}\t1.5\n" for i in range(weights)))
+    package_root = os.path.dirname(os.path.dirname(tensorparse.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so its every write fails
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "tensorparse", "inspect", "--model", str(model),
+             "--top-k", "100000"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""

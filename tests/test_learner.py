@@ -271,6 +271,19 @@ def test_model_file_errors(tmp_path):
         bad.write_text(f"tensorparse-model {version} max_candidates=200\n")
         with pytest.raises(ModelFormatError, match=re.escape(f"bad model version: {version!r}")):
             load_model(bad)
+    # A model line ends at LF (CR LF and CR read as LF); the other breaks that
+    # str.splitlines takes are characters of the line.
+    for brk in ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        value = f"1.0{brk}p:c|d\t2.0"
+        bad.write_text(f"{HEADER}\np:a|b\t{value}\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=re.escape(f"line 2: bad weight {value!r}")):
+            load_model(bad)
+        bad.write_text(f"{HEADER}\n{brk}\np:a|b\tbad\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=re.escape("line 2: expected key<TAB>weight")):
+            load_model(bad)
+    bad.write_bytes(f"{HEADER}\r\np:a|b\t1.5\r\n\r\np:a|c\t2.5\rp:a|d\tbad\n".encode())
+    with pytest.raises(ModelFormatError, match=re.escape("line 5: bad weight 'bad'")):
+        load_model(bad)
     # every spelling repr(float) gives still loads
     bad.write_text(f"{HEADER}\np:a|b\t-1e-05\np:a|c\t1.5e+16\n"
                    "p:a|d\t5e-324\np:a|e\t-0.0\np:a|f\t+.5\np:a|g\t7.\n")
