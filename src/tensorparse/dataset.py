@@ -36,6 +36,9 @@ def load_dataset(source: Iterable[str]) -> list[DatasetExample]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"invalid JSON ({exc.msg})", lineno) from exc
+        except (ValueError, RecursionError) as exc:
+            # an integer past Python's digit limit, or nesting past the recursion limit
+            raise DatasetError(f"invalid JSON ({exc})", lineno) from exc
         if not isinstance(obj, dict):
             raise DatasetError("expected a JSON object", lineno)
         question = obj.get("question")

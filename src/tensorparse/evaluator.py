@@ -142,7 +142,9 @@ def format_report(report: EvalReport) -> str:
 
 
 def write_report(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    # A lone surrogate (a JSON "\\ud800" escape) is written as the text \ud800,
+    # which no literal backslash reads as: the question column doubles those.
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
         fh.write(format_report(report))
 
 

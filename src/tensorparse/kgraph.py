@@ -301,25 +301,6 @@ def _parse_catalog(catalog_source: Iterable[str]):
     return entities, relations
 
 
-def _triple_fields(triple_source: Iterable[str]):
-    """Yield each triple line's three tab-separated fields.
-
-    A :class:`ReferentialError` thrown in at a yield comes back out with the
-    number of the line whose fields were yielded.
-    """
-    for lineno, line in _content_lines(triple_source):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise GraphParseError(
-                f"triple line needs 3 tab-separated fields, got {len(fields)}",
-                lineno,
-            )
-        try:
-            yield fields
-        except ReferentialError as exc:
-            raise ReferentialError(f"line {lineno}: {exc}") from None
-
-
 def load_graph(
     triple_source: Iterable[str], catalog_source: Iterable[str]
 ) -> KnowledgeGraph:
@@ -335,18 +316,28 @@ def load_graph(
     then restored to the state it was in: nothing built here holds a
     cycle, and each collection pass would rescan every set built so far.
     """
+    lineno = 0
+
+    def triples():
+        nonlocal lineno
+        for lineno, line in _content_lines(triple_source):
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise GraphParseError(
+                    f"triple line needs 3 tab-separated fields, got {len(fields)}",
+                    lineno,
+                )
+            yield fields
+
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         entities, relations = _parse_catalog(catalog_source)
-        triples = _triple_fields(triple_source)
         try:
-            return KnowledgeGraph(entities, relations, triples)
+            return KnowledgeGraph(entities, relations, triples())
         except ReferentialError as exc:
-            # The constructor stopped at the triple the generator last
-            # yielded; the generator re-raises with that line's number.
-            triples.throw(exc)
-            raise
+            # the constructor stopped at the triple last read, on line lineno
+            raise ReferentialError(f"line {lineno}: {exc}") from None
     finally:
         if was_enabled:
             gc.enable()

@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from . import ConfigError, kgraph
+from . import ConfigError
 from .features import tokenize
+
+if TYPE_CHECKING:  # kgraph imports this module, not the reverse
+    from .kgraph import KnowledgeGraph
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def serialize(lf: LogicalForm) -> str:
 ID_FORBIDDEN = frozenset("(),") | frozenset(filter(str.isspace, map(chr, range(0x3001))))
 
 
-def _linked_entities(query_tokens, kg: kgraph.KnowledgeGraph):
+def _linked_entities(query_tokens, kg: KnowledgeGraph):
     """Entities named by a span of the query, ascending by id; a span longer
     than the graph's longest alias names nothing, so none is looked up."""
     seen = set()
@@ -109,7 +112,7 @@ def _linked_entities(query_tokens, kg: kgraph.KnowledgeGraph):
 
 
 def generate_candidates(
-    query_tokens, kg: kgraph.KnowledgeGraph, cfg: GenConfig
+    query_tokens, kg: KnowledgeGraph, cfg: GenConfig
 ) -> list[Candidate]:
     """Enumerate template candidates for the linked entity spans.
 

@@ -6,7 +6,9 @@ form cannot hold, a model key given twice, a model weight that is not an
 ASCII decimal literal, and a dataset with no questions must end in exit
 status 1, and so must ``train --out`` naming a directory,
 with an error that names that path and not a temporary file.  A triple
-naming an id missing from the catalog is an error that names its line.
+naming an id missing from the catalog is an error that names its line,
+and so is a dataset line nested 100,000 deep or holding an integer past
+Python's digit limit, which ``json`` rejects with no ``JSONDecodeError``.
 A v1 model file (it does not say the candidate cap it was trained with)
 and a model key that no score reads end in exit status 1, and so does a
 ``predict`` whose linked entities have no facts, so no candidate.  A flag
@@ -59,7 +61,9 @@ MUST_FAIL = {"duplicate-key": "duplicate key", "forbidden-id": "must be non-empt
              "v1-model": "error: unsupported model version 1,",
              "foreign-key": "unknown feature key 'lf:other'\n",
              "blank-lines": "error: ",
-             "unknown-id": "error: line 2: unknown relation id: currencyx\n"}
+             "unknown-id": "error: line 2: unknown relation id: currencyx\n",
+             "deep-json": "error: line 1: invalid JSON (",
+             "long-int": "error: line 1: invalid JSON ("}
 
 HUGE = "9" * 20
 
@@ -80,7 +84,7 @@ def _cases():
                                              "underscore-weight", "v1-model", "foreign-key"],
                                  "--kg": ["unknown-id"],
                                  "--catalog": ["forbidden-id"],
-                                 "--data": ["blank-lines"]}.get(flag, [])
+                                 "--data": ["blank-lines", "deep-json", "long-int"]}.get(flag, [])
             cases += [(command, flag, kind) for kind in kinds]
     return cases
 
@@ -102,7 +106,8 @@ def corpus(toy_dir, tmp_path_factory):
            "duplicate-key": root / "duplicate.model",
            "underscore-weight": root / "underscore.model", "v1-model": root / "v1.model",
            "foreign-key": root / "foreign.model", "forbidden-id": root / "catalog.tsv",
-           "blank-lines": root / "blank.jsonl", "unknown-id": root / "triples.tsv"}
+           "blank-lines": root / "blank.jsonl", "unknown-id": root / "triples.tsv",
+           "deep-json": root / "deep.jsonl", "long-int": root / "long-int.jsonl"}
     bad["non-utf8"].write_bytes(b"\xff\xfe\x00 not utf-8\n")
     bad["truncated-header"].write_text("tensorparse-model v")
     bad["directory"].mkdir()
@@ -117,6 +122,8 @@ def corpus(toy_dir, tmp_path_factory):
     bad["blank-lines"].write_text("\n  \n\t\n")
     bad["unknown-id"].write_text("brazil\tcurrency\tbrazilian_real\n"
                                  "brazil\tcurrencyx\tbrazilian_real\n")
+    bad["deep-json"].write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    bad["long-int"].write_text('{"question": "q?", "answers": ["a"], "n": ' + "9" * 5001 + "}\n")
     return model, bad
 
 

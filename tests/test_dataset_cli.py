@@ -93,7 +93,9 @@ def test_cli_eval_report_keeps_one_row_per_question(workspace, tmp_path):
     data = tmp_path / "odd.jsonl"
     data.write_text(
         '{"question": "what currency\\tdoes brazil\\nuse?", "answers": ["Brazilian real"]}\n'
-        '{"question": "back\\\\slash\\r\\nwhat borders kenya?", "answers": ["Ethiopia"]}\n',
+        '{"question": "back\\\\slash\\r\\nwhat borders kenya?", "answers": ["Ethiopia"]}\n'
+        # a lone surrogate, written as the text \ud800
+        '{"question": "what currency does brazil use? \\ud800", "answers": ["Brazilian real"]}\n',
         encoding="utf-8",
     )
     report = tmp_path / "report.txt"
@@ -109,9 +111,10 @@ def test_cli_eval_report_keeps_one_row_per_question(workspace, tmp_path):
     lines = report.read_bytes().decode("utf-8").split("\n")
     assert lines[-1] == ""
     rows = [line.split("\t") for line in lines[1:-1]]
-    assert [len(fields) for fields in rows] == [6, 6]
+    assert [len(fields) for fields in rows] == [6, 6, 6]
     assert [fields[1] for fields in rows] == [
-        r"what currency\tdoes brazil\nuse?", r"back\\slash\r\nwhat borders kenya?"
+        r"what currency\tdoes brazil\nuse?", r"back\\slash\r\nwhat borders kenya?",
+        r"what currency does brazil use? \ud800",
     ]
 
 

@@ -360,9 +360,20 @@ def test_intersection_subset_property():
         assert both <= denotation(b, kg)
 
 
+def _run_fresh(code):
+    """stdout of ``code`` run in a fresh interpreter that imports this package."""
+    src = str(Path(tensorparse.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 @pytest.mark.parametrize("first", ["logform", "kgraph"])
 def test_denotation_after_either_import_order(first):
-    # kgraph and logform import each other; either may be imported first.
+    # kgraph imports logform, which names KnowledgeGraph in annotations only;
+    # either module may be imported first.
     code = (
         f"import tensorparse.{first}\n"
         "from tensorparse.kgraph import Entity, KnowledgeGraph, Relation, Triple, denotation\n"
@@ -371,12 +382,12 @@ def test_denotation_after_either_import_order(first):
         " [Triple('a', 'r', 'b')])\n"
         "print(sorted(denotation(Join('r', EntityLit('a')), kg)))\n"
     )
-    src = str(Path(tensorparse.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "['b']\n"
+    assert _run_fresh(code) == "['b']\n"
+
+
+def test_logform_does_not_import_kgraph():
+    code = "import sys, tensorparse.logform\nprint('tensorparse.kgraph' in sys.modules)\n"
+    assert _run_fresh(code) == "False\n"
 
 
 # Catalog text: any printable characters but the field and alias separators.
