@@ -2,7 +2,11 @@
 
 Answer sets are compared by normalized entity name (lowercased,
 punctuation-stripped, single-spaced), decoupling gold files from graph
-internals.  A name with no letter or digit matches no name.
+internals.  A name with no letter or digit matches no name.  The F1 of
+answer lists ``p`` and ``g`` is ``f1(normalize_answer_set(p),
+normalize_answer_set(g))``; :func:`candidate_f1s` normalizes a question's
+gold answers once and reads each entity's normalized name from
+``KnowledgeGraph.names``, so no name is normalized again per candidate.
 
 One pass per question: :func:`prepare` tokenizes it, generates its
 candidates and scores each one's F1, and training rows
@@ -16,7 +20,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from . import ConfigError, learner, logform
 from .dataset import DatasetExample
@@ -30,29 +34,41 @@ def normalize_answer_set(answers: Iterable[str]) -> frozenset:
     return frozenset(filter(None, map(normalize_phrase, answers)))
 
 
-def f1(predicted: Iterable[str], gold: Iterable[str]) -> float:
+def f1(predicted: AbstractSet[str], gold: AbstractSet[str]) -> float:
     """Harmonic mean of set precision and recall, with partial credit.
 
-    Defined as 0 when either set is empty or the intersection is empty;
-    1 requires equality of nonempty sets.
+    Both arguments are sets of normalized names, as
+    :func:`normalize_answer_set` gives them.  Defined as 0 when either set
+    is empty or the intersection is empty; 1 requires equality of nonempty
+    sets.
     """
-    p = normalize_answer_set(predicted)
-    g = normalize_answer_set(gold)
-    if not p or not g:
+    if not predicted or not gold:
         return 0.0
-    hits = len(p & g)
+    hits = len(predicted & gold)
     if hits == 0:
         return 0.0
-    precision = hits / len(p)
-    recall = hits / len(g)
+    precision = hits / len(predicted)
+    recall = hits / len(gold)
     return 2.0 * precision * recall / (precision + recall)
 
 
 def candidate_f1s(
     candidates: list[logform.Candidate], gold: Iterable[str], kg: KnowledgeGraph
 ) -> list[float]:
-    """F1 of each candidate's denotation against the gold answers, in order."""
-    return [f1((kg.entity(eid).name for eid in c.denotation), gold) for c in candidates]
+    """F1 of each candidate's denotation against the gold answers, in order.
+
+    The gold answers are normalized once; each denotation member's
+    normalized name comes from ``kg.names``, and a name that normalizes to
+    nothing is left out, as :func:`normalize_answer_set` leaves it.
+    """
+    g = normalize_answer_set(gold)
+    names = kg.names
+    scores = []
+    for c in candidates:
+        p = {names[eid] for eid in c.denotation}
+        p.discard("")
+        scores.append(f1(p, g))
+    return scores
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,11 @@ lead out of and into an entity (:meth:`KnowledgeGraph.outgoing`,
 :meth:`KnowledgeGraph.incoming`) and which entities an alias names;
 ``max_alias_tokens``, the token count of the longest alias, bounds the
 spans that entity linking tries; ``phrase_tokens`` maps each relation
-id to its phrase's tokens, from which generation assembles utterances.
+id to its phrase's tokens, from which generation assembles utterances;
+``names`` maps each entity id to its normalized name, the very string the
+alias index keys that name by (``""`` for a name with no letter or
+digit), from which F1 reads answer names.  Each name is normalized once,
+when the graph is built.
 The constructor checks every triple's ids against the catalogs and hands
 the indexes the catalog's own id strings, and no separate triple set is
 kept; ``kg.triples`` is a read-only view over the forward index.
@@ -18,8 +22,8 @@ member arrives, and a set from then on; after the last insertion each grown
 set is frozen and each bare member becomes that member's one
 ``frozenset((member,))``, shared by every one-member entry of both indexes.
 On the ``pipebench`` ``large`` graph (seed 1), whose 100,000 forward
-entries each hold one object, ``load_graph`` retains 21.1 MiB and peaks
-at 25.5 MiB (``tracemalloc``, Python 3.11).
+entries each hold one object, ``load_graph`` retains 21.5 MiB and peaks
+at 24.3 MiB (``tracemalloc``, Python 3.11).
 
 Graphs are immutable once built; all lookup methods are safe for
 concurrent use.
@@ -50,6 +54,13 @@ class GraphParseError(GraphError):
 
 class ReferentialError(GraphError):
     """A triple or logical form names an id missing from the catalogs."""
+
+
+def _shown(ident: str) -> str:
+    """An id as an error message echoes it: as it is when printable, else its
+    ``repr``, so no id can break the message's line or reach a terminal as a
+    control sequence."""
+    return ident if ident.isprintable() else repr(ident)
 
 
 @dataclass(frozen=True)
@@ -172,13 +183,13 @@ class KnowledgeGraph:
         for subject, relation, obj in triples:
             s = entity_ids.get(subject)
             if s is None:
-                raise ReferentialError(f"unknown subject entity id: {subject}")
+                raise ReferentialError(f"unknown subject entity id: {_shown(subject)}")
             r = relation_ids.get(relation)
             if r is None:
-                raise ReferentialError(f"unknown relation id: {relation}")
+                raise ReferentialError(f"unknown relation id: {_shown(relation)}")
             o = entity_ids.get(obj)
             if o is None:
-                raise ReferentialError(f"unknown object entity id: {obj}")
+                raise ReferentialError(f"unknown object entity id: {_shown(obj)}")
             _add(forward, s, r, o)
             _add(backward, o, r, s)
         # Freed before the indexes are frozen and the alias index is built,
@@ -190,15 +201,20 @@ class KnowledgeGraph:
         del singletons
         self._forward = forward
         self._backward = backward
+        # key -> [the key's string, then the ids of the entities it names]:
+        # an entity's name is that first string, the one the index keeps
         alias_index: dict = {}
+        names: dict = {}
         for ent in self.entities.values():
-            keys = {normalize_phrase(a) for a in ent.aliases}
-            if ent.name not in ent.aliases:
-                keys.add(normalize_phrase(ent.name))
+            name = normalize_phrase(ent.name)
+            keys = {normalize_phrase(a) for a in ent.aliases if a != ent.name}
+            keys.add(name)
             keys.discard("")
             for key in keys:
-                alias_index.setdefault(key, set()).add(ent.id)
-        self._alias_index = {k: tuple(sorted(v)) for k, v in alias_index.items()}
+                alias_index.setdefault(key, [key]).append(ent.id)
+            names[ent.id] = alias_index[name][0] if name else name
+        self.names = names
+        self._alias_index = {k: tuple(sorted(v[1:])) for k, v in alias_index.items()}
         # a key of k tokens matches only a tokenized span of k tokens
         self.max_alias_tokens = max((k.count(" ") + 1 for k in alias_index), default=0)
         self.phrase_tokens = {rid: tuple(tokenize(r.phrase)) for rid, r in self.relations.items()}
@@ -218,25 +234,27 @@ class KnowledgeGraph:
         return iter(self._backward.get(entity_id, _NO_FACTS).items())
 
     def entities_by_alias(self, span: Iterable[str]) -> tuple[Entity, ...]:
-        """Entities whose normalized alias equals the normalized span.
+        """Entities with a normalized alias equal to the span's tokens.
 
-        Returned in ascending entity-id order; empty tuple when nothing
-        matches.
+        ``span`` holds tokens as :func:`features.tokenize` gives them, which
+        are already normalized, so their single-spaced join is the key
+        looked up.  Returned in ascending entity-id order; empty tuple when
+        nothing matches.
         """
-        key = normalize_phrase(" ".join(span))
+        key = " ".join(span)
         return tuple(self.entities[eid] for eid in self._alias_index.get(key, ()))
 
     def entity(self, entity_id: str) -> Entity:
         try:
             return self.entities[entity_id]
         except KeyError:
-            raise ReferentialError(f"unknown entity id: {entity_id}") from None
+            raise ReferentialError(f"unknown entity id: {_shown(entity_id)}") from None
 
     def relation(self, relation_id: str) -> Relation:
         try:
             return self.relations[relation_id]
         except KeyError:
-            raise ReferentialError(f"unknown relation id: {relation_id}") from None
+            raise ReferentialError(f"unknown relation id: {_shown(relation_id)}") from None
 
 
 def _content_lines(source: Iterable[str]):

@@ -9,6 +9,8 @@ with an error that names that path and not a temporary file.  A triple
 naming an id missing from the catalog is an error that names its line,
 and so is a dataset line nested 100,000 deep or holding an integer past
 Python's digit limit, which ``json`` rejects with no ``JSONDecodeError``.
+The error echoes an unknown id that is not printable as its ``repr``, so it
+stays one line of printable text.
 A v1 model file (it does not say the candidate cap it was trained with)
 and a model key that no score reads end in exit status 1, and so does a
 ``predict`` whose linked entities have no facts, so no candidate.  A flag
@@ -166,6 +168,29 @@ def test_cli_bad_input_is_one_line_error(toy_dir, corpus, tmp_path, capsys,
     else:
         assert code == 0
         assert not NON_FINITE.search(out + err)
+
+
+# Line breaks that str.splitlines() splits on but a file's lines do not, and
+# ESC, which starts a terminal control sequence.
+UNPRINTABLE = {"U+2028": "\u2028", "U+0085": "\x85", "VT": "\x0b", "FS": "\x1c",
+               "ESC": "\x1b"}
+
+
+@pytest.mark.parametrize("field", [0, 1], ids=["subject", "relation"])
+@pytest.mark.parametrize("char", UNPRINTABLE.values(), ids=UNPRINTABLE.keys())
+def test_unknown_unprintable_triple_id_is_one_error_line(toy_dir, tmp_path, capsys,
+                                                         field, char):
+    fields = ["brazil", "currency", "brazilian_real"]
+    fields[field] = fields[field][:3] + char + fields[field][3:]
+    triples = tmp_path / "triples.tsv"
+    triples.write_text("brazil\tcurrency\tbrazilian_real\n" + "\t".join(fields) + "\n",
+                       encoding="utf-8")
+    argv = _argv("train", toy_dir, None, tmp_path) + ["--kg", str(triples)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: line 2: unknown ")
+    assert err.endswith("\n") and err[:-1].isprintable()
+    assert repr(fields[field]) in err
 
 
 def test_train_into_a_directory_names_the_path(toy_dir, tmp_path, capsys):

@@ -1,6 +1,9 @@
+import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorparse import evaluator, learner, logform
 from tensorparse.dataset import DatasetExample
@@ -12,9 +15,11 @@ from tensorparse.evaluator import (
     evaluate,
     f1,
     format_report,
+    normalize_answer_set,
     prepare,
 )
 from tensorparse.features import tokenize
+from tensorparse.kgraph import load_graph
 from tensorparse.logform import GenConfig
 
 
@@ -47,14 +52,19 @@ def test_f1_identity_and_zero_cases():
     assert f1({"a"}, {"b"}) == 0.0
 
 
+def answer_f1(predicted, gold):
+    """The F1 of two answer lists, as the evaluator specifies it."""
+    return f1(normalize_answer_set(predicted), normalize_answer_set(gold))
+
+
 def test_f1_normalizes_names():
-    assert f1({"Brazilian Real!"}, {"brazilian real"}) == 1.0
+    assert answer_f1({"Brazilian Real!"}, {"brazilian real"}) == 1.0
 
 
 def test_f1_name_with_no_letter_or_digit_matches_nothing():
-    assert f1(["東京"], ["北京"]) == 0.0
-    assert f1(["!!!"], ["???"]) == 0.0
-    assert f1(["!!!", "Kenya"], ["kenya"]) == 1.0
+    assert answer_f1(["東京"], ["北京"]) == 0.0
+    assert answer_f1(["!!!"], ["???"]) == 0.0
+    assert answer_f1(["!!!", "Kenya"], ["kenya"]) == 1.0
 
 
 def test_f1_range_and_symmetry():
@@ -75,6 +85,41 @@ def test_f1_matches_brute_force():
         p = set(rng.sample(universe, rng.randint(0, 8)))
         g = set(rng.sample(universe, rng.randint(0, 8)))
         assert f1(p, g) == brute_force_f1(p, g)
+
+
+# Entity names and gold answers across case, punctuation and non-ASCII
+# letters, some sharing a normalized name and some with no letter or digit.
+NAME_POOL = ["Kenya", "KENYA!", "kenya", "Brazilian Real", "brazilian-real", "São Paulo",
+             "s o  Paulo", "東京", "!!!", "—", "Ünïcode 7", "unicode 7"]
+answer_names = st.one_of(st.sampled_from(NAME_POOL),
+                         st.text(alphabet="aZ9 -!é東", min_size=1, max_size=6))
+
+
+@st.composite
+def answer_cases(draw):
+    """``(graph, candidates, gold)``: a loaded graph whose entities ``e0`` and
+    ``e1`` share a normalized name and whose ``e2`` has no letter or digit,
+    candidates with any non-empty denotation over it, the first holding
+    ``e0`` and ``e1``, and gold answers."""
+    entity_names = ["Kenya", "KENYA!", "東京"] + draw(st.lists(answer_names, max_size=6))
+    catalog = "".join(f"E\te{i}\t{name}\t\n" for i, name in enumerate(entity_names))
+    kg = load_graph(io.StringIO(""), io.StringIO(catalog))
+    members = st.sampled_from(sorted(kg.entities))
+    denotations = [frozenset({"e0", "e1"})] + draw(
+        st.lists(st.frozensets(members, min_size=1), max_size=6))
+    candidates = [logform.Candidate(logform.EntityLit(min(d)), (), d) for d in denotations]
+    gold = draw(st.lists(st.one_of(st.sampled_from(entity_names), answer_names), max_size=5))
+    return kg, candidates, gold
+
+
+@settings(max_examples=200, deadline=None)
+@given(answer_cases())
+def test_candidate_f1s_are_the_f1_of_raw_names(case):
+    # the specification: each denotation's raw entity names against the raw
+    # gold answers, both normalized into sets
+    kg, candidates, gold = case
+    assert candidate_f1s(candidates, gold, kg) == [
+        answer_f1([kg.entities[e].name for e in c.denotation], gold) for c in candidates]
 
 
 def test_evaluate_no_candidates(mini_kg):

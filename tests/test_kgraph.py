@@ -135,8 +135,10 @@ def assert_matches_oracle(kg, triples):
     objects as the oracle's forward index, and ``incoming(e)`` each relation
     into ``e`` with the subjects of its backward index; both list nothing
     for an entity that no triple leads out of or into.  ``phrase_tokens``
-    holds each relation's phrase tokenized.  Every one-member entry of
-    either index that holds the same member is one shared frozenset.
+    holds each relation's phrase tokenized, and ``names`` each entity's name
+    normalized, as the very string that keys it in the alias index.  Every
+    one-member entry of either index that holds the same member is one
+    shared frozenset.
     """
     expected, forward, backward = oracle_indexes(triples)
     singletons: dict = {}
@@ -163,6 +165,9 @@ def assert_matches_oracle(kg, triples):
     assert all(type(t) is Triple for t in kg.triples)
     assert ("x", "y") not in kg.triples and "abc" not in kg.triples
     assert kg._alias_index == oracle_alias_index(kg.entities)
+    assert kg.names == {eid: normalize_phrase(e.name) for eid, e in kg.entities.items()}
+    alias_keys = {key: key for key in kg._alias_index}
+    assert all(alias_keys[name] is name for name in kg.names.values() if name)
     assert kg.max_alias_tokens == max(
         (len(key.split()) for key in oracle_alias_index(kg.entities)), default=0)
     assert kg.phrase_tokens == {rid: tuple(tokenize(r.phrase)) for rid, r in kg.relations.items()}
@@ -258,7 +263,6 @@ def test_load_graph_restores_gc_state(enabled, triples, catalog, error):
 
 def test_entities_by_alias(mini_kg):
     assert [e.id for e in mini_kg.entities_by_alias(["brazil"])] == ["brazil"]
-    assert [e.id for e in mini_kg.entities_by_alias(["Brazil"])] == ["brazil"]
     assert [e.id for e in mini_kg.entities_by_alias(["dominican", "republic"])] == [
         "dominican_republic"
     ]
@@ -276,6 +280,41 @@ def test_alias_index_covers_a_name_missing_from_the_aliases():
     assert kg.entities_by_alias(["Big", "Apple"]) == ()
     assert kg.entities_by_alias(["the", "big", "apple"]) == (ents["nyc"],)
     assert kg.entities_by_alias(["new", "york"]) == (ents["ny"],)
+
+
+def test_names_are_the_alias_keys_they_give():
+    # "kenya" is first an alias of k1, then the name of k2 and k3; "!!!" names
+    # nothing
+    ents = {"k1": kgraph.Entity("k1", "Republic of Kenya", ("Kenya!",)),
+            "k2": kgraph.Entity("k2", "KENYA", ("KENYA",)),
+            "k3": kgraph.Entity("k3", "kenya", ()),
+            "x": kgraph.Entity("x", "!!!", ("!!!",))}
+    kg = KnowledgeGraph(ents, {}, [])
+    assert kg.names == {"k1": "republic of kenya", "k2": "kenya", "k3": "kenya", "x": ""}
+    (key,) = [k for k in kg._alias_index if k == "kenya"]
+    assert kg.names["k2"] is key and kg.names["k3"] is key
+    assert kg.entities_by_alias(["kenya"]) == (ents["k1"], ents["k2"], ents["k3"])
+    assert_matches_oracle(kg, [])
+
+
+def test_unknown_id_that_is_not_printable_is_echoed_as_its_repr():
+    ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "s")}
+    rels = {"r": kgraph.Relation("r", "r")}
+    kg = KnowledgeGraph(ents, rels, [])
+    for bad in ("x\u2028y", "x\x85y", "x\x0by", "x\x1cy", "x\x1b[31my", "x\ty"):
+        for triple, message in [(Triple(bad, "r", "a"), "unknown subject entity id"),
+                                (Triple("s", bad, "a"), "unknown relation id"),
+                                (Triple("s", "r", bad), "unknown object entity id")]:
+            with pytest.raises(ReferentialError) as exc:
+                KnowledgeGraph(ents, rels, [triple])
+            assert str(exc.value) == f"{message}: {bad!r}"
+        for lookup, message in [(kg.entity, "unknown entity id"),
+                                (kg.relation, "unknown relation id")]:
+            with pytest.raises(ReferentialError) as exc:
+                lookup(bad)
+            assert str(exc.value) == f"{message}: {bad!r}"
+    with pytest.raises(ReferentialError, match="^unknown entity id: caf\u00e9 x$"):
+        kg.entity("caf\u00e9 x")  # printable, so echoed as it is
 
 
 def test_directly_built_graph_holds_its_phrase_tokens():

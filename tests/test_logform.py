@@ -130,6 +130,15 @@ def test_generate_currency_query(mini_kg):
     assert target.denotation == {"brazilian_real"}
 
 
+def test_generate_from_any_spelling_of_the_question(mini_kg):
+    # linking looks up joined tokens, which tokenize has already lowercased
+    # and stripped of punctuation
+    cands = generate_candidates(tokenize("What currency does BRAZIL use?!"), mini_kg, GenConfig())
+    assert cands
+    assert cands == generate_candidates(tokenize("what currency does brazil use"), mini_kg,
+                                        GenConfig())
+
+
 def test_generate_no_link(mini_kg):
     assert generate_candidates(["hello", "world"], mini_kg, GenConfig()) == []
 
