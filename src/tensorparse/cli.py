@@ -72,7 +72,7 @@ def _utf8_lines(fh, path):
     try:
         yield from fh
     except UnicodeDecodeError as exc:
-        raise TensorparseError(f"{path}: not UTF-8 ({exc.reason})") from None
+        raise TensorparseError(f"{kgraph._shown(path)}: not UTF-8 ({exc.reason})") from None
 
 
 def _load_graph(args):

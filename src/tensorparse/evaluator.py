@@ -247,7 +247,7 @@ def cross_validate(
     scores = [r.average_f1 for r in reports]
     summary = CvSummary(
         mean_average_f1=statistics.fmean(scores),
-        stdev_average_f1=statistics.stdev(scores) if len(scores) > 1 else 0.0,
+        stdev_average_f1=statistics.stdev(scores),
         mean_oracle_f1=statistics.fmean(r.oracle_f1 for r in reports),
     )
     return reports, summary

@@ -19,8 +19,9 @@ _NON_ALNUM = re.compile(r"[^a-z0-9]+")
 PAIR_PREFIX = "p:"
 LF_PREFIX = "lf:"
 
-# No generated form denotes nothing, so no model trains this bucket; it stays
-# a known key because older v2 model files hold it.
+# No generated form denotes nothing, so no model trains this bucket.  It stays
+# a known key because older v2 model files hold it, and because the
+# benchmark's bucket oracle (pipebench checks.bucket(0)) names it.
 DENOT_EMPTY = "denot.empty"
 DENOT_SIZE_1 = "denot.size.1"
 DENOT_SIZE_2 = "denot.size.2"
@@ -47,28 +48,8 @@ def unigram_features(tokens: Iterable[str]) -> dict:
     return {t: 1.0 for t in tokens}
 
 
-def pair_key(query_term: str, utterance_term: str) -> str:
-    return f"{PAIR_PREFIX}{query_term}|{utterance_term}"
-
-
 def lf_key(name: str) -> str:
     return LF_PREFIX + name
-
-
-def parse_key(text: str):
-    """Decode an encoded feature key.
-
-    Returns ``("pair", queryTerm, utteranceTerm)`` or ``("lf", name)``.
-    """
-    if text.startswith(PAIR_PREFIX):
-        body = text[len(PAIR_PREFIX):]
-        q, sep, u = body.partition("|")
-        if not sep:
-            raise ValueError(f"malformed pair key: {text!r}")
-        return ("pair", q, u)
-    if text.startswith(LF_PREFIX):
-        return ("lf", text[len(LF_PREFIX):])
-    raise ValueError(f"unknown feature key kind: {text!r}")
 
 
 def tensor_pair_features(query_vec: dict, utterance_vec: dict) -> dict:

@@ -34,17 +34,13 @@ from __future__ import annotations
 import gc
 from collections.abc import Set
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from . import TensorparseError, logform
 from .features import normalize_phrase, tokenize
 
 
-class GraphError(TensorparseError):
-    pass
-
-
-class GraphParseError(GraphError):
+class GraphParseError(TensorparseError):
     """Malformed catalog or triple line."""
 
     def __init__(self, message: str, line_number: int):
@@ -52,14 +48,14 @@ class GraphParseError(GraphError):
         self.line_number = line_number
 
 
-class ReferentialError(GraphError):
+class ReferentialError(TensorparseError):
     """A triple or logical form names an id missing from the catalogs."""
 
 
 def _shown(ident: str) -> str:
-    """An id as an error message echoes it: as it is when printable, else its
-    ``repr``, so no id can break the message's line or reach a terminal as a
-    control sequence."""
+    """An id or a path as an error message echoes it: as it is when printable,
+    else its ``repr``, so none can break the message's line or reach a terminal
+    as a control sequence."""
     return ident if ident.isprintable() else repr(ident)
 
 
@@ -74,12 +70,6 @@ class Entity:
 class Relation:
     id: str
     phrase: str
-
-
-class Triple(NamedTuple):
-    subject: str
-    relation: str
-    object: str
 
 
 _EMPTY: frozenset = frozenset()
@@ -123,8 +113,8 @@ def _freeze(index: dict, singletons: dict) -> int:
 class TripleView(Set):
     """The graph's distinct triples, read from its forward index.
 
-    ``len`` is O(1), iteration yields :class:`Triple`, and membership is two
-    dict lookups and a set lookup.  Set operators return frozensets.
+    ``len`` is O(1), iteration yields ``(s, r, o)`` tuples, and membership is
+    two dict lookups and a set lookup.  Set operators return frozensets.
     """
 
     __slots__ = ("_forward", "_count")
@@ -140,11 +130,11 @@ class TripleView(Set):
     def __len__(self) -> int:
         return self._count
 
-    def __iter__(self) -> Iterator[Triple]:
+    def __iter__(self) -> Iterator[tuple[str, str, str]]:
         for s, rels in self._forward.items():
             for r, objs in rels.items():
                 for o in objs:
-                    yield Triple(s, r, o)
+                    yield s, r, o
 
     def __contains__(self, item) -> bool:
         if not isinstance(item, tuple) or len(item) != 3:
@@ -169,7 +159,7 @@ class KnowledgeGraph:
         self,
         entities: dict,
         relations: dict,
-        triples: Iterable[Triple],
+        triples: Iterable[tuple[str, str, str]],
     ):
         self.entities: dict = dict(entities)
         self.relations: dict = dict(relations)
@@ -324,7 +314,7 @@ def load_graph(
 ) -> KnowledgeGraph:
     """Build a fully indexed graph from TSV line streams.
 
-    Triple lines are ``subject<TAB>relation<TAB>object``; catalog lines
+    A triple line is ``subject<TAB>relation<TAB>object``; catalog lines
     are ``E<TAB>id<TAB>name<TAB>alias1|alias2|...`` or
     ``R<TAB>id<TAB>phrase<TAB>domainType<TAB>rangeType``.  Blank lines
     and ``#`` comments are ignored; duplicate triples deduplicate.  An

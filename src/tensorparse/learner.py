@@ -52,7 +52,7 @@ from typing import Mapping, Optional
 from . import ConfigError, TensorparseError, features, logform
 from .dataset import DatasetExample
 from .kernel import dot
-from .kgraph import KnowledgeGraph
+from .kgraph import KnowledgeGraph, _shown
 from .logform import Candidate, GenConfig
 
 MODEL_MAGIC = "tensorparse-model"
@@ -95,7 +95,7 @@ class Model:
         rows: dict = {}
         for key, weight in weights.items():
             if key.startswith(features.PAIR_PREFIX) and "|" in key:
-                _, q, u = features.parse_key(key)
+                q, _, u = key[len(features.PAIR_PREFIX):].partition("|")
                 rows.setdefault(q, {})[u] = weight
         object.__setattr__(self, "weights", MappingProxyType(weights))
         object.__setattr__(self, "rows", rows)
@@ -380,7 +380,7 @@ def load_model(path) -> Model:
         try:
             lines = [line.rstrip("\n") for line in fh]
         except UnicodeDecodeError as exc:
-            raise ModelFormatError(f"{path}: not UTF-8 ({exc.reason})") from None
+            raise ModelFormatError(f"{_shown(str(path))}: not UTF-8 ({exc.reason})") from None
     if not lines:
         raise ModelFormatError("empty model file")
     header = lines[0].split(" ")

@@ -9,8 +9,8 @@ with an error that names that path and not a temporary file.  A triple
 naming an id missing from the catalog is an error that names its line,
 and so is a dataset line nested 100,000 deep or holding an integer past
 Python's digit limit, which ``json`` rejects with no ``JSONDecodeError``.
-The error echoes an unknown id that is not printable as its ``repr``, so it
-stays one line of printable text.
+The error echoes an unknown id, or the path of a file that is not UTF-8, that
+is not printable as its ``repr``, so it stays one line of printable text.
 A v1 model file (it does not say the candidate cap it was trained with)
 and a model key that no score reads end in exit status 1, and so does a
 ``predict`` whose linked entities have no facts, so no candidate.  A flag
@@ -191,6 +191,24 @@ def test_unknown_unprintable_triple_id_is_one_error_line(toy_dir, tmp_path, caps
     assert len(err.splitlines()) == 1 and err.startswith("error: line 2: unknown ")
     assert err.endswith("\n") and err[:-1].isprintable()
     assert repr(fields[field]) in err
+
+
+PATH_FLAGS = [("inspect", "--model"), ("eval", "--model"), ("predict", "--model"),
+              ("train", "--kg"), ("train", "--catalog"), ("train", "--data")]
+
+
+@pytest.mark.parametrize("command, flag", PATH_FLAGS, ids=[" ".join(f) for f in PATH_FLAGS])
+@pytest.mark.parametrize("char", ["\u2028", "\x1b"], ids=["U+2028", "ESC"])
+def test_unprintable_path_of_a_non_utf8_file_is_one_error_line(toy_dir, corpus, tmp_path,
+                                                               capsys, command, flag, char):
+    model, _ = corpus
+    path = tmp_path / f"bad{char}name"
+    path.write_bytes(b"\xff\xfe")
+    argv = _argv(command, toy_dir, model, tmp_path) + [flag, str(path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert err == f"error: {str(path)!r}: not UTF-8 (invalid start byte)\n"
 
 
 def test_train_into_a_directory_names_the_path(toy_dir, tmp_path, capsys):

@@ -135,16 +135,9 @@ def test_assemble_empty_query():
 
 def test_key_kinds_disjoint():
     # pair keys and lf keys can never collide: distinct prefixes
-    pair = features.pair_key("denot", "empty")
+    (pair,) = features.tensor_pair_features({"denot": 1.0}, {"empty": 1.0})
     lf = features.lf_key("denot.empty")
-    assert pair != lf
-    assert features.parse_key(pair) == ("pair", "denot", "empty")
-    assert features.parse_key(lf) == ("lf", "denot.empty")
-
-
-def test_parse_key_rejects_garbage():
-    with pytest.raises(ValueError):
-        features.parse_key("weights")
+    assert (pair, lf) == ("p:denot|empty", "lf:denot.empty")
 
 
 def test_determinism_iteration_order():

@@ -17,7 +17,6 @@ from tensorparse.kgraph import (
     GraphParseError,
     KnowledgeGraph,
     ReferentialError,
-    Triple,
     denotation,
     load_graph,
 )
@@ -60,9 +59,9 @@ def test_unknown_triple_id_named():
     ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "b", "s")}
     rels = {"r": kgraph.Relation("r", "r")}
     for triples, message in [
-        ([Triple("s", "r", "a"), Triple("x", "r", "b")], "unknown subject entity id: x"),
-        ([Triple("s", "r", "a"), Triple("s", "q", "b")], "unknown relation id: q"),
-        ([Triple("s", "r", "a"), Triple("s", "r", "y")], "unknown object entity id: y"),
+        ([("s", "r", "a"), ("x", "r", "b")], "unknown subject entity id: x"),
+        ([("s", "r", "a"), ("s", "q", "b")], "unknown relation id: q"),
+        ([("s", "r", "a"), ("s", "r", "y")], "unknown object entity id: y"),
     ]:
         with pytest.raises(ReferentialError, match=f"^{message}$"):
             KnowledgeGraph(ents, rels, triples)
@@ -162,7 +161,7 @@ def assert_matches_oracle(kg, triples):
     assert len(kg.triples) == len(expected)
     assert set(kg.triples) == expected
     assert kg.triples == expected and expected == kg.triples
-    assert all(type(t) is Triple for t in kg.triples)
+    assert all(type(t) is tuple for t in kg.triples)
     assert ("x", "y") not in kg.triples and "abc" not in kg.triples
     assert kg._alias_index == oracle_alias_index(kg.entities)
     assert kg.names == {eid: normalize_phrase(e.name) for eid, e in kg.entities.items()}
@@ -191,7 +190,7 @@ def test_one_member_entries_share_a_frozenset_that_no_growth_changes():
     # not reach b; the mirror triples do the same in the backward index.
     ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "b", "x", "y")}
     rels = {r: kgraph.Relation(r, r) for r in ("r", "s")}
-    triples = [Triple(*t.split()) for t in (
+    triples = [tuple(t.split()) for t in (
         "a r x", "b r x", "b r x", "a r y",
         "x s a", "x s b", "x s b", "y s a",
     )]
@@ -302,9 +301,9 @@ def test_unknown_id_that_is_not_printable_is_echoed_as_its_repr():
     rels = {"r": kgraph.Relation("r", "r")}
     kg = KnowledgeGraph(ents, rels, [])
     for bad in ("x\u2028y", "x\x85y", "x\x0by", "x\x1cy", "x\x1b[31my", "x\ty"):
-        for triple, message in [(Triple(bad, "r", "a"), "unknown subject entity id"),
-                                (Triple("s", bad, "a"), "unknown relation id"),
-                                (Triple("s", "r", bad), "unknown object entity id")]:
+        for triple, message in [((bad, "r", "a"), "unknown subject entity id"),
+                                (("s", bad, "a"), "unknown relation id"),
+                                (("s", "r", bad), "unknown object entity id")]:
             with pytest.raises(ReferentialError) as exc:
                 KnowledgeGraph(ents, rels, [triple])
             assert str(exc.value) == f"{message}: {bad!r}"
@@ -366,11 +365,7 @@ def random_graph(rng):
     ents = {f"e{i}": kgraph.Entity(f"e{i}", f"e{i}", (f"e{i}",)) for i in range(n_ents)}
     rels = {r: kgraph.Relation(r, r) for r in ("r0", "r1")}
     triples = {
-        Triple(
-            f"e{rng.randrange(n_ents)}",
-            rng.choice(("r0", "r1")),
-            f"e{rng.randrange(n_ents)}",
-        )
+        (f"e{rng.randrange(n_ents)}", rng.choice(("r0", "r1")), f"e{rng.randrange(n_ents)}")
         for _ in range(rng.randint(0, 15))
     }
     return KnowledgeGraph(ents, rels, triples)
@@ -415,10 +410,10 @@ def test_denotation_after_either_import_order(first):
     # either module may be imported first.
     code = (
         f"import tensorparse.{first}\n"
-        "from tensorparse.kgraph import Entity, KnowledgeGraph, Relation, Triple, denotation\n"
+        "from tensorparse.kgraph import Entity, KnowledgeGraph, Relation, denotation\n"
         "from tensorparse.logform import EntityLit, Join\n"
         "kg = KnowledgeGraph({e: Entity(e, e, (e,)) for e in 'ab'}, {'r': Relation('r', 'r')},"
-        " [Triple('a', 'r', 'b')])\n"
+        " [('a', 'r', 'b')])\n"
         "print(sorted(denotation(Join('r', EntityLit('a')), kg)))\n"
     )
     assert _run_fresh(code) == "['b']\n"
@@ -449,7 +444,7 @@ def catalogs(draw):
         rid: kgraph.Relation(rid, draw(field_text.filter(bool)))
         for rid in draw(st.lists(ids, min_size=1, max_size=4, unique=True))
     }
-    triples = draw(st.lists(st.builds(Triple, st.sampled_from(sorted(entities)),
+    triples = draw(st.lists(st.tuples(st.sampled_from(sorted(entities)),
                                       st.sampled_from(sorted(relations)),
                                       st.sampled_from(sorted(entities))), max_size=12))
     return entities, relations, triples

@@ -363,7 +363,7 @@ def test_save_into_missing_directory_names_the_model_file(tmp_path):
 
 tokens = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=6)
 feature_keys = st.one_of(
-    st.builds(features.pair_key, tokens, tokens),
+    st.builds(lambda q, u: f"p:{q}|{u}", tokens, tokens),
     st.sampled_from(sorted(features.lf_key(name) for name in features.LF_FEATURE_NAMES)),
 )
 finite_weights = st.one_of(
@@ -397,7 +397,7 @@ def _pack(value: float) -> bytes:
 query_token_lists = st.lists(st.sampled_from(["", "a", "b", "zz"]), max_size=6)
 utterance_token_lists = st.lists(st.sampled_from(["a", "b", "b|c", "yy"]), max_size=5)
 scoring_keys = st.one_of(
-    st.builds(features.pair_key, st.sampled_from(["", "a", "b"]),
+    st.builds(lambda q, u: f"p:{q}|{u}", st.sampled_from(["", "a", "b"]),
               st.sampled_from(["a", "b", "b|c"])),
     st.sampled_from(sorted(features.lf_key(name) for name in features.LF_FEATURE_NAMES)),
     st.sampled_from(["p:a", "p:a|b|c", "p:|b", "lf:other", "x:a|b", "a|b"]),
@@ -447,6 +447,19 @@ def test_predict_scores_are_score_of_assemble(tmp_path_factory, weights, query, 
         by_rule = min(zip(candidates, expected),
                       key=lambda ce: (-ce[1], serialize(ce[0].logical_form)))[0]
         assert winner is by_rule
+
+
+@pytest.mark.parametrize("key, rows", [
+    ("p:a|b", {"a": {"b": 0.5}}),
+    ("p:a|b|c", {"a": {"b|c": 0.5}}),
+    ("p:|b", {"": {"b": 0.5}}),
+    ("p:a", {}),
+    ("x:a|b", {}),
+    ("a|b", {}),
+    ("lf:denot.size.1", {}),
+])
+def test_model_rows_split_pair_keys_at_the_first_bar(key, rows):
+    assert Model(weights={key: 0.5}).rows == rows
 
 
 def test_model_weights_are_read_only(tmp_path, sep_kg):
@@ -647,7 +660,7 @@ def test_fit_sums_in_instance_order(case):
 
 def qu_instance(query, utterance, label):
     """Pair features of one (query, utterance) pair: the Q x U product."""
-    return [features.pair_key(q, u) for q in query.split() for u in utterance.split()], label
+    return [f"p:{q}|{u}" for q in query.split() for u in utterance.split()], label
 
 
 # Two questions with two candidates each, as the learner sees them: every

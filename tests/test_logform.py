@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tensorparse import kgraph, logform
 from tensorparse.features import normalize_phrase, tokenize
-from tensorparse.kgraph import Entity, KnowledgeGraph, Relation, Triple
+from tensorparse.kgraph import Entity, KnowledgeGraph, Relation
 from tensorparse.logform import (
     Candidate,
     EntityLit,
@@ -276,7 +276,7 @@ def test_linking_reaches_the_longest_alias(mini_kg):
     assert mini_kg.max_alias_tokens == 3  # "the dominican republic"
     kg = KnowledgeGraph({"a": Entity("a", "A", ("a",)),
                          "gd": Entity("gd", "Grand Duchy of Fenwick", ())},
-                        {"r": Relation("r", "r")}, [Triple("gd", "r", "a")])
+                        {"r": Relation("r", "r")}, [("gd", "r", "a")])
     assert kg.max_alias_tokens == 4
     tokens = tokenize("what does the grand duchy of fenwick use")
     assert [e.id for e in logform._linked_entities(tokens, kg)] == ["gd"]
@@ -410,8 +410,8 @@ def graphs_and_queries(draw):
     if draw(st.booleans()):
         subject = draw(st.sampled_from(sorted(entities)))
         rel = st.sampled_from(sorted(relations))
-        triples = triples + [Triple(subject, draw(rel), named[0]),
-                             Triple(subject, draw(rel), named[1])]
+        triples = triples + [(subject, draw(rel), named[0]),
+                             (subject, draw(rel), named[1])]
     catalog = "".join(
         f"E\t{e.id}\t{e.name}\t{'|'.join(e.aliases + (e.id,))}\n" for e in entities.values()
     ) + "".join(
