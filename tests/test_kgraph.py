@@ -135,7 +135,10 @@ def assert_matches_oracle(kg, triples):
     into ``e`` with the subjects of its backward index; both list nothing
     for an entity that no triple leads out of or into.  ``phrase_tokens``
     holds each relation's phrase tokenized, and ``names`` each entity's name
-    normalized, as the very string that keys it in the alias index.  Every
+    normalized, as the very string that keys it in the alias index, which
+    splits into the name's tokens.  Each alias key gives the catalog's own
+    entities in ascending id order, as the index's one tuple, and
+    ``alias_prefixes`` holds every proper token prefix of every key.  Every
     one-member entry of either index that holds the same member is one
     shared frozenset.
     """
@@ -163,12 +166,21 @@ def assert_matches_oracle(kg, triples):
     assert kg.triples == expected and expected == kg.triples
     assert all(type(t) is tuple for t in kg.triples)
     assert ("x", "y") not in kg.triples and "abc" not in kg.triples
-    assert kg._alias_index == oracle_alias_index(kg.entities)
+    aliases = oracle_alias_index(kg.entities)
+    assert kg._alias_index.keys() == aliases.keys()
+    for key, ids in aliases.items():
+        found = kg.entities_by_alias(key)
+        assert found is kg._alias_index[key] and type(found) is tuple
+        assert len(found) == len(ids)
+        assert all(ent is kg.entities[eid] for ent, eid in zip(found, ids))
+    assert kg.alias_prefixes == {" ".join(key.split()[:i])
+                                 for key in aliases for i in range(1, len(key.split()))}
+    assert type(kg.alias_prefixes) is frozenset
     assert kg.names == {eid: normalize_phrase(e.name) for eid, e in kg.entities.items()}
     alias_keys = {key: key for key in kg._alias_index}
     assert all(alias_keys[name] is name for name in kg.names.values() if name)
-    assert kg.max_alias_tokens == max(
-        (len(key.split()) for key in oracle_alias_index(kg.entities)), default=0)
+    assert all(tuple(kg.names[eid].split()) == tuple(tokenize(e.name))
+               for eid, e in kg.entities.items())
     assert kg.phrase_tokens == {rid: tuple(tokenize(r.phrase)) for rid, r in kg.relations.items()}
 
 
@@ -261,11 +273,12 @@ def test_load_graph_restores_gc_state(enabled, triples, catalog, error):
 
 
 def test_entities_by_alias(mini_kg):
-    assert [e.id for e in mini_kg.entities_by_alias(["brazil"])] == ["brazil"]
-    assert [e.id for e in mini_kg.entities_by_alias(["dominican", "republic"])] == [
+    assert [e.id for e in mini_kg.entities_by_alias("brazil")] == ["brazil"]
+    assert [e.id for e in mini_kg.entities_by_alias("dominican republic")] == [
         "dominican_republic"
     ]
-    assert mini_kg.entities_by_alias(["xyzzy"]) == ()
+    assert mini_kg.entities_by_alias("xyzzy") == ()
+    assert mini_kg.entities_by_alias("the dominican") == ()  # a prefix, not an alias
 
 
 def test_alias_index_covers_a_name_missing_from_the_aliases():
@@ -274,11 +287,12 @@ def test_alias_index_covers_a_name_missing_from_the_aliases():
     ents = {"nyc": kgraph.Entity("nyc", "New York City", ("the big apple", "NYC")),
             "ny": kgraph.Entity("ny", "New York", ("New York",))}
     kg = KnowledgeGraph(ents, {}, [])
-    assert kg._alias_index == oracle_alias_index(ents)
-    assert kg.entities_by_alias(["new", "york", "city"]) == (ents["nyc"],)
-    assert kg.entities_by_alias(["Big", "Apple"]) == ()
-    assert kg.entities_by_alias(["the", "big", "apple"]) == (ents["nyc"],)
-    assert kg.entities_by_alias(["new", "york"]) == (ents["ny"],)
+    assert_matches_oracle(kg, [])
+    assert kg.entities_by_alias("new york city") == (ents["nyc"],)
+    assert kg.entities_by_alias("Big Apple") == ()
+    assert kg.entities_by_alias("the big apple") == (ents["nyc"],)
+    assert kg.entities_by_alias("new york") == (ents["ny"],)
+    assert kg.alias_prefixes == {"new", "new york", "the", "the big"}
 
 
 def test_names_are_the_alias_keys_they_give():
@@ -292,7 +306,7 @@ def test_names_are_the_alias_keys_they_give():
     assert kg.names == {"k1": "republic of kenya", "k2": "kenya", "k3": "kenya", "x": ""}
     (key,) = [k for k in kg._alias_index if k == "kenya"]
     assert kg.names["k2"] is key and kg.names["k3"] is key
-    assert kg.entities_by_alias(["kenya"]) == (ents["k1"], ents["k2"], ents["k3"])
+    assert kg.entities_by_alias("kenya") == (ents["k1"], ents["k2"], ents["k3"])
     assert_matches_oracle(kg, [])
 
 

@@ -273,15 +273,33 @@ def brute_force_linked(query_tokens, kg):
 
 
 def test_linking_reaches_the_longest_alias(mini_kg):
-    assert mini_kg.max_alias_tokens == 3  # "the dominican republic"
+    # "the dominican republic" is an alias, so its proper prefixes grow spans
+    assert mini_kg.alias_prefixes == {"the", "the dominican", "dominican", "brazilian", "brad",
+                                      "performance"}
     kg = KnowledgeGraph({"a": Entity("a", "A", ("a",)),
                          "gd": Entity("gd", "Grand Duchy of Fenwick", ())},
                         {"r": Relation("r", "r")}, [("gd", "r", "a")])
-    assert kg.max_alias_tokens == 4
+    # none of "grand", "grand duchy" and "grand duchy of" names an entity, yet
+    # each grows the span to the next token
+    assert kg.alias_prefixes == {"grand", "grand duchy", "grand duchy of"}
+    looked_up = []
+    lookup = kg.entities_by_alias
+    kg.entities_by_alias = lambda key: looked_up.append(key) or lookup(key)
     tokens = tokenize("what does the grand duchy of fenwick use")
     assert [e.id for e in logform._linked_entities(tokens, kg)] == ["gd"]
-    assert "join(r, ent(gd))" in {serialize(c.logical_form)
-                                  for c in generate_candidates(tokens, kg, GenConfig())}
+    # every token, and a longer span only while the span before it is a prefix
+    assert sorted(looked_up) == sorted(tokens + ["grand duchy", "grand duchy of",
+                                                 "grand duchy of fenwick"])
+    looked_up.clear()
+    # a prefix run into a token that does not continue it stops growing there,
+    # and the next start links what follows
+    tokens = tokenize("grand duchy of a fenwick")
+    assert [e.id for e in logform._linked_entities(tokens, kg)] == ["a"]
+    assert sorted(looked_up) == sorted(tokens + ["grand duchy", "grand duchy of",
+                                                 "grand duchy of a"])
+    assert "join(r, ent(gd))" in {
+        serialize(c.logical_form)
+        for c in generate_candidates(tokenize("the grand duchy of fenwick"), kg, GenConfig())}
     assert logform._linked_entities(["fenwick"], kg) == []
 
 
@@ -289,10 +307,35 @@ WORDS = ["a", "b", "cc", "d"]
 alias_texts = st.lists(st.sampled_from(WORDS + ["-", "B"]), min_size=1, max_size=5).map(" ".join)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(alias_texts, st.lists(alias_texts, max_size=3)), max_size=5),
-       st.lists(st.sampled_from(WORDS), min_size=1, max_size=9))
-def test_linked_entities_match_brute_force(named, query):
+@st.composite
+def aliased_queries(draw):
+    """``(named, query)``: ``named`` lists each entity's name and other
+    aliases, and the query runs random words together with whole aliases and
+    with proper prefixes of multi-token aliases, each cut off by a word that
+    does not continue it."""
+    named = draw(st.lists(st.tuples(alias_texts, st.lists(alias_texts, max_size=3)),
+                          max_size=5))
+    alias_tokens = [tokenize(a) for name, others in named for a in (name, *others)]
+    long_aliases = [tokens for tokens in alias_tokens if len(tokens) > 1]
+    query = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["words", "alias", "prefix"]))
+        if kind == "alias" and alias_tokens:
+            query += draw(st.sampled_from(alias_tokens))
+        elif kind == "prefix" and long_aliases:
+            tokens = draw(st.sampled_from(long_aliases))
+            cut = draw(st.integers(1, len(tokens) - 1))
+            query += tokens[:cut]
+            query.append(draw(st.sampled_from([w for w in WORDS if w != tokens[cut]])))
+        else:
+            query += draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3))
+    return named, query
+
+
+@settings(max_examples=300, deadline=None)
+@given(aliased_queries())
+def test_linked_entities_match_brute_force(named_and_query):
+    named, query = named_and_query
     entities = {f"e{i}": Entity(f"e{i}", name, tuple(aliases))
                 for i, (name, aliases) in enumerate(named)}
     kg = KnowledgeGraph(entities, {"r": Relation("r", "r")}, [])
