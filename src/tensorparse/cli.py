@@ -116,9 +116,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    model = learner.load_model(args.model)  # before the graph, the slow load
     kg = _load_graph(args)
     data = _load_data(args.data)
-    model = learner.load_model(args.model)
     report = evaluator.evaluate(model, data, kg, model.gen_cfg)
     if args.report:
         evaluator.write_report(report, args.report)
@@ -127,11 +127,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    kg = _load_graph(args)
+    # the cheap checks first: a bad model or question need not wait for the graph
     model = learner.load_model(args.model)
     tokens = tokenize(args.question)
     if not tokens:
         raise TensorparseError("question has no tokens")
+    kg = _load_graph(args)
     candidates = logform.generate_candidates(tokens, kg, model.gen_cfg)
     best = learner.predict(model, tokens, candidates)
     if best is None:

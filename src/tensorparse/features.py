@@ -40,6 +40,9 @@ def tokenize(text: str) -> list[str]:
 
 def normalize_phrase(text: str) -> str:
     """Canonical single-spaced form used for alias and answer matching."""
+    if text.isascii() and text.isalnum():
+        # all of [A-Za-z0-9], so tokenize gives one token: the text lowercased
+        return text.lower()
     return " ".join(tokenize(text))
 
 

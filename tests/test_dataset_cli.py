@@ -223,6 +223,32 @@ def test_cli_missing_file_is_domain_error(workspace, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_cli_reads_the_model_before_the_graph(workspace, tmp_path, capsys, command):
+    # The model file is read before the graph loads, so a bad one is the error
+    # shown even when the graph is missing too, and shown without the wait.
+    model = tmp_path / "bad.model"
+    model.write_text("not a model\n", encoding="utf-8")
+    argv = [command, "--kg", str(tmp_path / "no-such-triples.tsv"),
+            "--catalog", str(workspace / "catalog.tsv"), "--model", str(model)]
+    argv += (["--data", str(workspace / "dataset.jsonl")] if command == "eval"
+             else ["--question", "what currency does brazil use?"])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: bad model header: 'not a model'\n"
+
+
+def test_cli_predict_rejects_an_empty_question_before_the_graph(workspace, capsys):
+    rc = cli.main([
+        "predict",
+        "--kg", str(workspace / "no-such-triples.tsv"),
+        "--catalog", str(workspace / "catalog.tsv"),
+        "--model", str(workspace / "toy.model"),
+        "--question", "?!",
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: question has no tokens\n"
+
+
 def test_cli_unknown_command_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

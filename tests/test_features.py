@@ -46,6 +46,17 @@ def test_tokenize_of_space_joined_parts_is_their_tokens_concatenated(parts):
     assert features.tokenize(" ".join(parts)) == [t for p in parts for t in features.tokenize(p)]
 
 
+@example("Ditipu")
+@example("\u212aelvin")  # not ASCII, though it lowercases to ASCII letters
+@example("a²")  # isalnum, but "²" is not one of tokenize's characters
+@example("")
+@given(st.one_of(token_text, st.text(st.sampled_from(list("aZ9²")), max_size=6), st.text()))
+def test_normalize_phrase_is_its_tokens_joined(text):
+    """An all-ASCII alphanumeric text skips the regex; every text normalizes
+    to its tokens joined by single spaces."""
+    assert features.normalize_phrase(text) == " ".join(features.tokenize(text))
+
+
 def test_unigram_features_binary():
     assert features.unigram_features(["the", "adjoins", "of", "ethiopia"]) == {
         "the": 1.0, "adjoins": 1.0, "of": 1.0, "ethiopia": 1.0,

@@ -521,24 +521,83 @@ def test_denotation_matches_oracle_on_random_graphs(catalog, data):
         assert got == oracle_denotation(lf, forward, backward)
 
 
+# Lines that load_graph skips but counts: comments, some holding tabs and some
+# with '#' after leading whitespace, blank lines and whitespace-only lines.
+comment_text = st.text(st.one_of(st.characters(exclude_categories=("Cc", "Cs")), st.just("\t")),
+                       max_size=8)
+skipped_lines = st.one_of(
+    st.builds("{}#{}".format, st.sampled_from(["", " ", "\t", " \t ", "\u3000"]), comment_text),
+    st.just(""),
+    st.text(" \t\x0b\x0c\u00a0\u2003\u3000", min_size=1, max_size=4),
+)
+
+
+def scattered(draw, lines):
+    """``lines`` with skipped lines drawn in among them, each ended by LF or CRLF."""
+    out = list(lines)
+    for junk in draw(st.lists(skipped_lines, min_size=1, max_size=8)):
+        out.insert(draw(st.integers(0, len(out))), junk)
+    return [line + draw(st.sampled_from(["\n", "\r\n"])) for line in out]
+
+
+def write_lines(path, lines):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+
+
+def load_files(root, triples_file, newline=None):
+    with open(root / triples_file, encoding="utf-8", newline=newline) as t, open(
+        root / "catalog.tsv", encoding="utf-8", newline=newline
+    ) as c:
+        return load_graph(t, c)
+
+
 @settings(max_examples=100, deadline=None)
 @given(catalogs(), st.data())
 def test_load_graph_round_trip(tmp_path_factory, catalog, data):
     entities, relations, triples = catalog
     root = tmp_path_factory.mktemp("graph")
-    with open(root / "catalog.tsv", "w", encoding="utf-8") as fh:
-        for e in entities.values():
-            fh.write(f"E\t{e.id}\t{e.name}\t{'|'.join(e.aliases)}\n")
-        for r in relations.values():
-            # the domain and range type fields are read past, whatever they hold
-            fh.write(f"R\t{r.id}\t{r.phrase}\t{data.draw(field_text)}\t{data.draw(field_text)}\n")
-    with open(root / "triples.tsv", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{s}\t{r}\t{o}\n" for s, r, o in triples)
-    with open(root / "triples.tsv", encoding="utf-8") as t, open(
-        root / "catalog.tsv", encoding="utf-8"
-    ) as c:
-        kg = load_graph(t, c)
+    catalog_lines = [f"E\t{e.id}\t{e.name}\t{'|'.join(e.aliases)}" for e in entities.values()]
+    # the domain and range type fields are read past, whatever they hold
+    catalog_lines += [f"R\t{r.id}\t{r.phrase}\t{data.draw(field_text)}\t{data.draw(field_text)}"
+                      for r in relations.values()]
+    triple_lines = [f"{s}\t{r}\t{o}" for s, r, o in triples]
+    write_lines(root / "catalog.tsv", [line + "\n" for line in catalog_lines])
+    write_lines(root / "triples.tsv", [line + "\n" for line in triple_lines])
+    kg = load_files(root, "triples.tsv")
     assert kg.entities == entities
     assert kg.relations == relations
     assert kg.triples == frozenset(triples)
     assert_matches_oracle(kg, triples)
+
+    # The same graph from files with skipped lines and CRLF endings scattered
+    # through both, whether the reader keeps a line's CR (newline="") or not.
+    newline = data.draw(st.sampled_from([None, ""]))
+    write_lines(root / "catalog.tsv", scattered(data.draw, catalog_lines))
+    dirty = scattered(data.draw, triple_lines)
+    write_lines(root / "dirty.tsv", dirty)
+    dirty_kg = load_files(root, "dirty.tsv", newline)
+    assert dirty_kg.entities == entities
+    assert dirty_kg.relations == relations
+    assert dirty_kg._forward == kg._forward and dirty_kg._backward == kg._backward
+    assert dirty_kg.names == kg.names and dirty_kg._alias_index == kg._alias_index
+    assert_matches_oracle(dirty_kg, triples)
+
+    # One bad line among them: its error names its own line of the file.
+    s, r, o = next(iter(triples), (next(iter(entities)), next(iter(relations)), next(iter(entities))))
+    line, error = data.draw(st.sampled_from([
+        (f"{s}\t{r}", GraphParseError),
+        (f"{s}\t{r}\t{o}\t{o}", GraphParseError),
+        (f"nope-{s}\t{r}\t{o}", ReferentialError),
+        (f"{s}\tnope-{r}\t{o}", ReferentialError),
+        (f"{s}\t{r}\tnope-{o}", ReferentialError),
+    ]))
+    dirty.insert(data.draw(st.integers(0, len(dirty))), line + data.draw(st.sampled_from(["\n", "\r\n"])))
+    write_lines(root / "bad.tsv", dirty)
+    with open(root / "bad.tsv", encoding="utf-8", newline="") as fh:
+        (number,) = [n for n, text in enumerate(fh, start=1) if text.rstrip("\r\n") == line]
+    with pytest.raises(error) as exc:
+        load_files(root, "bad.tsv", newline)
+    assert str(exc.value).startswith(f"line {number}: ")
+    if error is GraphParseError:
+        assert exc.value.line_number == number
