@@ -17,15 +17,22 @@ The constructor checks every triple's ids against the catalogs and hands
 the indexes the catalog's own id strings, and no separate triple set is
 kept; ``kg.triples`` is a read-only view over the forward index.
 
-Every index entry is a frozenset, so no read builds a set.  While the
-constructor inserts, an entry is its bare member until a second, distinct
-member arrives, and a set from then on; the constructor's loop does both
-insertions itself, with no call per triple.  After the last insertion one
-pass over each index freezes each grown set and turns each bare member into
-that member's one ``frozenset((member,))``, shared by every one-member entry
-of both indexes.  :func:`load_graph` gives the memory this takes.
+Every index entry a read returns is a frozenset, so no read builds a set.
+While the constructor inserts, an entry is its bare member until a second,
+distinct member arrives, and a set from then on; the constructor's loop does
+both insertions itself, with no call per triple, and makes no pass over the
+indexes after it.  The first read of an entity in one direction finalizes
+that entity's entries in that index in place: each grown set becomes a
+frozenset and each bare member that member's one ``frozenset((member,))``,
+shared by every finalized one-member entry of both indexes.  The entity is
+then recorded as done, so a later read is one dict lookup.  A question
+reads few of a graph's entities, so most entries are never finalized.
+:func:`load_graph` gives the memory this takes.
 
-Graphs are immutable once built; all lookup methods are safe for
+A graph answers every lookup the same way once built.  A read may finalize
+entries, but finalizing is idempotent: two threads that make the same first
+read at once write equal frozensets, and take each shared one-member
+frozenset through ``dict.setdefault``, so all lookup methods are safe for
 concurrent use.
 """
 
@@ -76,31 +83,43 @@ _EMPTY: frozenset = frozenset()
 _NO_FACTS: dict = {}
 
 
-def _freeze(index: dict, singletons: dict) -> None:
-    """Freeze each grown set of an index in place and replace each bare member
-    with its one frozenset in ``singletons``."""
-    for rels in index.values():
-        for r, members in rels.items():
-            if type(members) is set:
-                rels[r] = frozenset(members)
-            else:
-                one = singletons.get(members)
-                if one is None:
-                    one = singletons[members] = frozenset((members,))
-                rels[r] = one
+def _finalized(index: dict, done: dict, entity_id: str, singletons: dict) -> dict:
+    """The entity's ``{relation: frozenset(members)}`` in ``index``, for its
+    first read.
+
+    Finalizes the entity's entries in place, each grown set to a frozenset and
+    each bare member to its one frozenset in ``singletons``, then records the
+    entity in ``done``.  Each step is idempotent, so threads may finalize one
+    entity at once.  An entity with no entries gives ``_NO_FACTS`` and is not
+    recorded.
+    """
+    rels = index.get(entity_id)
+    if rels is None:
+        return _NO_FACTS
+    for r, members in rels.items():
+        if type(members) is set:
+            rels[r] = frozenset(members)
+        elif type(members) is not frozenset:
+            rels[r] = singletons.setdefault(members, frozenset((members,)))
+    done[entity_id] = rels
+    return rels
 
 
 class TripleView(Set):
     """The graph's distinct triples, read from its forward index.
 
     ``len`` is O(1), iteration yields ``(s, r, o)`` tuples, and membership is
-    two dict lookups and a set lookup.  Set operators return frozensets.
+    two dict lookups and a set lookup.  Both read the index as the graph's
+    reads do, finalizing what they reach.  Set operators return frozensets.
     """
 
-    __slots__ = ("_forward", "_count")
+    __slots__ = ("_forward", "_done", "_singletons", "_count")
 
-    def __init__(self, forward: dict, count: int):
+    def __init__(self, forward: dict, done: dict, singletons: dict, count: int):
+        # the graph's own dicts, not the graph, so that no cycle holds it
         self._forward = forward
+        self._done = done
+        self._singletons = singletons
         self._count = count
 
     @classmethod
@@ -111,7 +130,11 @@ class TripleView(Set):
         return self._count
 
     def __iter__(self) -> Iterator[tuple[str, str, str]]:
-        for s, rels in self._forward.items():
+        forward, done = self._forward, self._done
+        for s in forward:
+            rels = done.get(s)
+            if rels is None:
+                rels = _finalized(forward, done, s, self._singletons)
             for r, objs in rels.items():
                 for o in objs:
                     yield s, r, o
@@ -120,17 +143,24 @@ class TripleView(Set):
         if not isinstance(item, tuple) or len(item) != 3:
             return False
         s, r, o = item
-        return o in self._forward.get(s, _NO_FACTS).get(r, _EMPTY)
+        rels = self._done.get(s)
+        if rels is None:
+            rels = _finalized(self._forward, self._done, s, self._singletons)
+        return o in rels.get(r, _EMPTY)
 
 
 class KnowledgeGraph:
     """Forward and backward indexes over a deduplicated set of triples.
 
-    ``_forward`` maps subject to ``{relation: frozenset(objects)}`` and
-    ``_backward`` maps object to ``{relation: frozenset(subjects)}``; both
-    are built in one pass over the triples, so they are exact inverses.
-    Each one-member entry is its member's one frozenset, shared by both
-    indexes and made when the build freezes them.  ``triples`` is a
+    ``_forward`` maps subject to ``{relation: objects}`` and ``_backward``
+    maps object to ``{relation: subjects}``; both are built in one pass over
+    the triples, so they are exact inverses.  An entry is a bare member or a
+    set until the first read of its entity in its direction finalizes it
+    (see :func:`_finalized`); ``_forward_done`` and ``_backward_done`` map
+    each entity read so far to its finalized entries, in which each
+    one-member entry is its member's one frozenset in ``_singletons``,
+    shared by both indexes.  A read finalizes what it reaches, idempotently,
+    so reads are safe for concurrent use.  ``triples`` is a
     :class:`TripleView` over ``_forward``; a triple whose subject, relation
     or object is missing from the catalogs raises :class:`ReferentialError`.
     """
@@ -195,16 +225,14 @@ class KnowledgeGraph:
                     members.add(s)
                 elif members != s:
                     rels[r] = {members, s}
-        # Freed before the indexes are frozen and the alias index is built,
-        # when memory peaks.
+        # Freed before the alias index is built, when memory peaks.
         del entity_ids, relation_ids
-        singletons: dict = {}  # member -> frozenset((member,)), for both indexes
-        _freeze(backward, singletons)
-        _freeze(forward, singletons)
-        del singletons
-        self.triples = TripleView(forward, count)
         self._forward = forward
         self._backward = backward
+        self._forward_done: dict = {}
+        self._backward_done: dict = {}
+        self._singletons: dict = {}  # member -> frozenset((member,)), for both indexes
+        self.triples = TripleView(forward, self._forward_done, self._singletons, count)
         # key -> [the key's string, then the ids of the entities it names]:
         # an entity's name is that first string, the one the index keeps
         alias_index: dict = {}
@@ -241,18 +269,30 @@ class KnowledgeGraph:
         self.phrase_tokens = {rid: tuple(tokenize(r.phrase)) for rid, r in self.relations.items()}
 
     def forward(self, subject: str, relation: str) -> frozenset:
-        return self._forward.get(subject, _NO_FACTS).get(relation, _EMPTY)
+        rels = self._forward_done.get(subject)
+        if rels is None:
+            rels = _finalized(self._forward, self._forward_done, subject, self._singletons)
+        return rels.get(relation, _EMPTY)
 
     def backward(self, obj: str, relation: str) -> frozenset:
-        return self._backward.get(obj, _NO_FACTS).get(relation, _EMPTY)
+        rels = self._backward_done.get(obj)
+        if rels is None:
+            rels = _finalized(self._backward, self._backward_done, obj, self._singletons)
+        return rels.get(relation, _EMPTY)
 
     def outgoing(self, entity_id: str) -> Iterator[tuple[str, frozenset]]:
         """``(relation id, frozenset(objects))`` for each relation out of the entity."""
-        return iter(self._forward.get(entity_id, _NO_FACTS).items())
+        rels = self._forward_done.get(entity_id)
+        if rels is None:
+            rels = _finalized(self._forward, self._forward_done, entity_id, self._singletons)
+        return iter(rels.items())
 
     def incoming(self, entity_id: str) -> Iterator[tuple[str, frozenset]]:
         """``(relation id, frozenset(subjects))`` for each relation into the entity."""
-        return iter(self._backward.get(entity_id, _NO_FACTS).items())
+        rels = self._backward_done.get(entity_id)
+        if rels is None:
+            rels = _finalized(self._backward, self._backward_done, entity_id, self._singletons)
+        return iter(rels.items())
 
     def entities_by_alias(self, key: str) -> tuple[Entity, ...]:
         """Entities with a normalized alias equal to ``key``.
@@ -350,12 +390,18 @@ def load_graph(
     which skips, splits and checks each line in one loop, so the fields of
     one line at a time are held.  On the ``pipebench`` ``large`` graph
     (seed 1: 100,000 triple lines, whose forward entries each hold one
-    object, and 17,508 catalog lines) this retains 21.5 MiB and peaks at
-    23.5 MiB (``tracemalloc``, Python 3.11).
+    object, and 17,508 catalog lines) this retains 20.2 MiB and peaks at
+    22.2 MiB (``tracemalloc``, Python 3.11), no entry finalized yet.
 
     The cyclic garbage collector is paused while the graph is built and
     then restored to the state it was in: nothing built here holds a
     cycle, and each collection pass would rescan every set built so far.
+    On success, unless some objects are frozen (``gc.get_freeze_count()``
+    is not 0), ``gc.freeze()`` then ``gc.unfreeze()`` moves every object
+    the process tracks, the new graph's among them, to the oldest
+    generation without scanning it, so the first young collection after
+    the load does not walk the whole graph.  The graph it returns is
+    finalized by its reads, idempotently, and is safe for concurrent use.
     """
     lineno = 0
 
@@ -378,10 +424,16 @@ def load_graph(
     try:
         entities, relations = _parse_catalog(catalog_source)
         try:
-            return KnowledgeGraph(entities, relations, triples())
+            kg = KnowledgeGraph(entities, relations, triples())
         except ReferentialError as exc:
             # the constructor stopped at the triple last read, on line lineno
             raise ReferentialError(f"line {lineno}: {exc}") from None
+        if gc.get_freeze_count() == 0:
+            # to the oldest generation, unscanned; unfreeze would also thaw
+            # what a caller froze, hence the check
+            gc.freeze()
+            gc.unfreeze()
+        return kg
     finally:
         if was_enabled:
             gc.enable()

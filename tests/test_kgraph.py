@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,12 @@ def oracle_alias_index(entities):
     return {k: tuple(sorted(v)) for k, v in alias_index.items()}
 
 
+def read_entries(kg):
+    """``(relation, members)`` for every entry the graph's reads return, once
+    every entity has been read both ways."""
+    return [entry for e in kg.entities for read in (kg.outgoing, kg.incoming) for entry in read(e)]
+
+
 def assert_matches_oracle(kg, triples):
     """Every lookup of ``kg``, over every entity and relation, against the oracle.
 
@@ -138,18 +145,11 @@ def assert_matches_oracle(kg, triples):
     normalized, as the very string that keys it in the alias index, which
     splits into the name's tokens.  Each alias key gives the catalog's own
     entities in ascending id order, as the index's one tuple, and
-    ``alias_prefixes`` holds every proper token prefix of every key.  Every
-    one-member entry of either index that holds the same member is one
-    shared frozenset.
+    ``alias_prefixes`` holds every proper token prefix of every key.  Once
+    every entity has been read, every one-member entry that either index
+    reads out with the same member is one shared frozenset.
     """
     expected, forward, backward = oracle_indexes(triples)
-    singletons: dict = {}
-    for index in (kg._forward, kg._backward):
-        for rels in index.values():
-            for members in rels.values():
-                if len(members) == 1:
-                    (member,) = members
-                    assert singletons.setdefault(member, members) is members
     for e in kg.entities:
         for listed, index in ((list(kg.outgoing(e)), forward), (list(kg.incoming(e)), backward)):
             assert dict(listed) == {r: members for (x, r), members in index.items() if x == e}
@@ -166,6 +166,11 @@ def assert_matches_oracle(kg, triples):
     assert kg.triples == expected and expected == kg.triples
     assert all(type(t) is tuple for t in kg.triples)
     assert ("x", "y") not in kg.triples and "abc" not in kg.triples
+    singletons: dict = {}
+    for _, members in read_entries(kg):
+        if len(members) == 1:
+            (member,) = members
+            assert singletons.setdefault(member, members) is members
     aliases = oracle_alias_index(kg.entities)
     assert kg._alias_index.keys() == aliases.keys()
     for key, ids in aliases.items():
@@ -212,8 +217,7 @@ def test_one_member_entries_share_a_frozenset_that_no_growth_changes():
     assert kg.backward("x", "r") == {"a", "b"}
     assert kg.backward("b", "s") == {"x"}
     assert kg.backward("a", "s") == {"x", "y"}
-    holding_x = [members for index in (kg._forward, kg._backward)
-                 for rels in index.values() for members in rels.values() if members == {"x"}]
+    holding_x = [members for _, members in read_entries(kg) if members == {"x"}]
     assert len(holding_x) == 2
     assert all(members is kg.forward("b", "r") for members in holding_x)
     assert_matches_oracle(kg, triples)
@@ -230,12 +234,12 @@ def test_index_holds_the_catalogs_id_strings(toy_dir):
     relation_ids = {r: r for r in kg.relations}
     assert all(entity_ids[e] is e is kg.entities[e].id for e in kg.entities)
     for index in (kg._forward, kg._backward):
-        assert index
-        for e, rels in index.items():
-            assert entity_ids[e] is e
-            for r, members in rels.items():
-                assert relation_ids[r] is r
-                assert all(entity_ids[m] is m for m in members)
+        assert index and all(entity_ids[e] is e for e in index)
+    entries = read_entries(kg)
+    assert entries
+    for r, members in entries:
+        assert relation_ids[r] is r
+        assert all(entity_ids[m] is m for m in members)
 
 
 BAD_MID_TRIPLE = MINI_TRIPLES + "brazil\tcurrency\n" + MINI_TRIPLES
@@ -250,26 +254,129 @@ BAD_CATALOG = MINI_CATALOG + "E\tatlantis\tAtlantis\n" + "E\tlemuria\tLemuria\t\
     (MINI_TRIPLES, BAD_CATALOG, GraphParseError),
 ], ids=["loads", "bad-triple-line", "unknown-id", "bad-catalog-line"])
 def test_load_graph_restores_gc_state(enabled, triples, catalog, error):
-    seen = []
+    # once with objects the caller froze, which must stay frozen, then as is
+    for froze in (True, False):
+        seen = []
 
-    def lines(text):
-        for line in io.StringIO(text):
-            seen.append(gc.isenabled())
-            yield line
+        def lines(text):
+            for line in io.StringIO(text):
+                seen.append(gc.isenabled())
+                yield line
 
-    was_enabled = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
+        was_enabled = gc.isenabled()
+        # Counts start from zero, so a young collection after the load would
+        # move the graph one generation, not two, and the check below sees it.
+        gc.collect()
+        (gc.enable if enabled else gc.disable)()
+        if froze:
+            gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            if error is None:
+                kg = load_graph(lines(triples), lines(catalog))
+            else:
+                with pytest.raises(error):
+                    load_graph(lines(triples), lines(catalog))
+            after = gc.isenabled()
+            after_frozen = gc.get_freeze_count()
+            young = {id(obj) for generation in (0, 1) for obj in gc.get_objects(generation)}
+        finally:
+            if froze:
+                gc.unfreeze()
+            (gc.enable if was_enabled else gc.disable)()
+        assert after is enabled
+        assert seen and not any(seen)  # paused while the sources are read
+        assert after_frozen == frozen
+        if error is None and not froze:
+            # in the oldest generation, where no young collection scans them
+            indexes = (kg._forward, kg._backward)
+            containers = [*indexes, *(rels for index in indexes for rels in index.values()),
+                          *(members for index in indexes for rels in index.values()
+                            for members in rels.values() if type(members) is set)]
+            tracked = [obj for obj in containers if gc.is_tracked(obj)]
+            assert len(tracked) >= 4  # both indexes and ethiopia's two sets
+            assert not any(id(obj) in young for obj in tracked)
+
+
+def test_a_read_finalizes_only_the_entity_and_direction_it_asks_for(mini_kg):
+    kg = mini_kg
+
+    def finalized(index, e):
+        kinds = {type(members) for members in index[e].values()}
+        assert kinds == {frozenset} or frozenset not in kinds
+        return kinds == {frozenset}
+
+    # load_graph finalizes nothing
+    assert kg._forward_done == {} and kg._backward_done == {} and kg._singletons == {}
+    assert not any(finalized(index, e) for index in (kg._forward, kg._backward) for e in index)
+    assert dict(kg.outgoing("ethiopia")) == {"adjoins": {"kenya", "sudan"}}
+    assert kg._forward_done.keys() == {"ethiopia"} and kg._backward_done == {}
+    assert [e for e in kg._forward if finalized(kg._forward, e)] == ["ethiopia"]
+    assert not any(finalized(kg._backward, e) for e in kg._backward)
+    assert kg._forward_done["ethiopia"] is kg._forward["ethiopia"]
+    assert kg.backward("ethiopia", "adjoins") == {"kenya", "sudan"}
+    assert kg._backward_done.keys() == {"ethiopia"}
+    assert [e for e in kg._backward if finalized(kg._backward, e)] == ["ethiopia"]
+    # one-member entries of both directions share their member's frozenset
+    assert kg.forward("kenya", "adjoins") is kg.forward("sudan", "adjoins") == {"ethiopia"}
+    assert kg.backward("kenya", "adjoins") == {"ethiopia"}
+    assert kg.backward("kenya", "adjoins") is kg.forward("kenya", "adjoins")
+    assert kg._forward_done.keys() == {"ethiopia", "kenya", "sudan"}
+    assert kg._backward_done.keys() == {"ethiopia", "kenya"}
+    # a read of an entity with no entries, or of an unknown one, records nothing
+    assert list(kg.incoming("p1")) == [] and kg.forward("atlantis", "actor") == frozenset()
+    assert kg._backward_done.keys() == {"ethiopia", "kenya"}
+    assert kg._forward_done.keys() == {"ethiopia", "kenya", "sudan"}
+    # membership in kg.triples reads the subject's forward entries
+    assert ("p1", "film", "troy") in kg.triples
+    assert kg._forward_done.keys() == {"ethiopia", "kenya", "sudan", "p1"}
+    assert kg._backward_done.keys() == {"ethiopia", "kenya"}
+
+
+def test_concurrent_first_reads_agree_with_the_oracle(toy_dir):
+    # More threads than cores, each making every first read of one fresh
+    # graph in its own order; a finalize that another thread can catch
+    # half done, or that makes a member two one-member frozensets, fails.
+    lines = (toy_dir / toy.TRIPLES_FILE).read_text(encoding="utf-8").splitlines()
+    _, forward, backward = oracle_indexes(
+        tuple(line.split("\t")) for line in lines if line and line[0] != "#")
+    oracle = {"outgoing": forward, "incoming": backward}
+    threads = (os.cpu_count() or 1) + 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        if error is None:
-            load_graph(lines(triples), lines(catalog))
-        else:
-            with pytest.raises(error):
-                load_graph(lines(triples), lines(catalog))
-        after = gc.isenabled()
+        for graph in range(100):
+            kg = load_files(toy_dir, toy.TRIPLES_FILE)
+            reads = [(e, direction) for e in kg.entities for direction in oracle]
+            got = [None] * threads
+            start = threading.Barrier(threads, timeout=60)
+
+            def reader(i):
+                order = reads[:]
+                random.Random(graph * threads + i).shuffle(order)
+                start.wait()
+                got[i] = [(e, direction, list(getattr(kg, direction)(e)))
+                          for e, direction in order]
+
+            workers = [threading.Thread(target=reader, args=(i,)) for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+            singletons: dict = {}
+            for listed in got:
+                assert len(listed) == len(reads)
+                for e, direction, entries in listed:
+                    index = oracle[direction]
+                    assert dict(entries) == {r: m for (x, r), m in index.items() if x == e}
+                    for _, members in entries:
+                        assert type(members) is frozenset
+                        if len(members) == 1:
+                            (member,) = members
+                            assert singletons.setdefault(member, members) is members
     finally:
-        (gc.enable if was_enabled else gc.disable)()
-    assert after is enabled
-    assert seen and not any(seen)  # paused while the sources are read
+        sys.setswitchinterval(interval)
 
 
 def test_entities_by_alias(mini_kg):
@@ -579,7 +686,8 @@ def test_load_graph_round_trip(tmp_path_factory, catalog, data):
     dirty_kg = load_files(root, "dirty.tsv", newline)
     assert dirty_kg.entities == entities
     assert dirty_kg.relations == relations
-    assert dirty_kg._forward == kg._forward and dirty_kg._backward == kg._backward
+    assert ({e: (dict(dirty_kg.outgoing(e)), dict(dirty_kg.incoming(e))) for e in entities}
+            == {e: (dict(kg.outgoing(e)), dict(kg.incoming(e))) for e in entities})
     assert dirty_kg.names == kg.names and dirty_kg._alias_index == kg._alias_index
     assert_matches_oracle(dirty_kg, triples)
 
