@@ -18,22 +18,26 @@ the indexes the catalog's own id strings, and no separate triple set is
 kept; ``kg.triples`` is a read-only view over the forward index.
 
 Every index entry a read returns is a frozenset, so no read builds a set.
-While the constructor inserts, an entry is its bare member until a second,
-distinct member arrives, and a set from then on; the constructor's loop does
-both insertions itself, with no call per triple, and makes no pass over the
-indexes after it.  The first read of an entity in one direction finalizes
-that entity's entries in that index in place: each grown set becomes a
-frozenset and each bare member that member's one ``frozenset((member,))``,
-shared by every finalized one-member entry of both indexes.  The entity is
-then recorded as done, so a later read is one dict lookup.  A question
-reads few of a graph's entities, so most entries are never finalized.
-:func:`load_graph` gives the memory this takes.
+The constructor's loop inserts each triple itself, with no call per
+triple, and makes no pass over the indexes after it.  In the forward
+index a subject's entry is its bare member until a second, distinct
+member arrives, and a set from then on; this insertion is the one that
+finds a triple already seen.  Each new triple then appends its relation
+and subject to its object's one flat list, ``[r, s, r, s, ...]``, with no
+check of its own.  The first read of a subject finalizes its forward
+entries in place: each grown set becomes a frozenset and each bare member
+that member's one ``frozenset((member,))``.  The first read of an object
+groups its list into ``{relation: frozenset(subjects)}``, one-member
+entries again the member's one frozenset, which both indexes share.
+Either way the entity is then recorded as done, so a later read is one
+dict lookup.  A question reads few of a graph's entities, so most entries
+are never finalized.  :func:`load_graph` gives the memory this takes.
 
-A graph answers every lookup the same way once built.  A read may finalize
-entries, but finalizing is idempotent: two threads that make the same first
-read at once write equal frozensets, and take each shared one-member
-frozenset through ``dict.setdefault``, so all lookup methods are safe for
-concurrent use.
+A graph answers every lookup the same way once built.  A first read is
+idempotent: two threads that make it at once build equal frozensets, take
+each shared one-member frozenset through ``dict.setdefault``, and record a
+grouped object through ``dict.setdefault`` too, so all lookup methods are
+safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -84,13 +88,13 @@ _NO_FACTS: dict = {}
 
 
 def _finalized(index: dict, done: dict, entity_id: str, singletons: dict) -> dict:
-    """The entity's ``{relation: frozenset(members)}`` in ``index``, for its
-    first read.
+    """The subject's ``{relation: frozenset(objects)}`` in the forward
+    ``index``, for its first read.
 
-    Finalizes the entity's entries in place, each grown set to a frozenset and
+    Finalizes the subject's entries in place, each grown set to a frozenset and
     each bare member to its one frozenset in ``singletons``, then records the
-    entity in ``done``.  Each step is idempotent, so threads may finalize one
-    entity at once.  An entity with no entries gives ``_NO_FACTS`` and is not
+    subject in ``done``.  Each step is idempotent, so threads may finalize one
+    subject at once.  A subject with no entries gives ``_NO_FACTS`` and is not
     recorded.
     """
     rels = index.get(entity_id)
@@ -103,6 +107,35 @@ def _finalized(index: dict, done: dict, entity_id: str, singletons: dict) -> dic
             rels[r] = singletons.setdefault(members, frozenset((members,)))
     done[entity_id] = rels
     return rels
+
+
+def _grouped(backward: dict, done: dict, obj: str, singletons: dict) -> dict:
+    """The object's ``{relation: frozenset(subjects)}``, for its first read.
+
+    Groups the object's ``[r, s, r, s, ...]`` list by relation, in the order
+    each relation first appears; a one-member entry is its member's one
+    frozenset in ``singletons``.  The list is left as it is and the result
+    recorded in ``done`` through ``dict.setdefault``, so threads that group
+    one object at once all return the one dict recorded.  An object with no
+    entries gives ``_NO_FACTS`` and is not recorded.
+    """
+    pairs = backward.get(obj)
+    if pairs is None:
+        return _NO_FACTS
+    subjects: dict = {}
+    it = iter(pairs)
+    for r, s in zip(it, it):
+        members = subjects.get(r)
+        if members is None:
+            subjects[r] = [s]
+        else:
+            members.append(s)
+    rels = {
+        r: frozenset(members) if len(members) > 1
+        else singletons.setdefault(members[0], frozenset(members))
+        for r, members in subjects.items()
+    }
+    return done.setdefault(obj, rels)
 
 
 class TripleView(Set):
@@ -152,17 +185,20 @@ class TripleView(Set):
 class KnowledgeGraph:
     """Forward and backward indexes over a deduplicated set of triples.
 
-    ``_forward`` maps subject to ``{relation: objects}`` and ``_backward``
-    maps object to ``{relation: subjects}``; both are built in one pass over
-    the triples, so they are exact inverses.  An entry is a bare member or a
-    set until the first read of its entity in its direction finalizes it
-    (see :func:`_finalized`); ``_forward_done`` and ``_backward_done`` map
-    each entity read so far to its finalized entries, in which each
-    one-member entry is its member's one frozenset in ``_singletons``,
-    shared by both indexes.  A read finalizes what it reaches, idempotently,
-    so reads are safe for concurrent use.  ``triples`` is a
-    :class:`TripleView` over ``_forward``; a triple whose subject, relation
-    or object is missing from the catalogs raises :class:`ReferentialError`.
+    ``_forward`` maps subject to ``{relation: objects}``, an entry a bare
+    member or a set until the subject's first read finalizes it (see
+    :func:`_finalized`).  ``_backward`` maps object to one flat list
+    ``[r, s, r, s, ...]`` of the distinct ``(relation, subject)`` pairs into
+    it, in the order their triples first arrived, which the object's first
+    read groups (see :func:`_grouped`).  Both are built in one pass over the
+    triples, so they are exact inverses.  ``_forward_done`` and
+    ``_backward_done`` map each entity read so far to its
+    ``{relation: frozenset}``, in which each one-member entry is its
+    member's one frozenset in ``_singletons``, shared by both directions.
+    A first read is idempotent, so reads are safe for concurrent use.
+    ``triples`` is a :class:`TripleView` over ``_forward``; a triple whose
+    subject, relation or object is missing from the catalogs raises
+    :class:`ReferentialError`.
     """
 
     def __init__(
@@ -194,37 +230,32 @@ class KnowledgeGraph:
                 else:
                     kind, ident = "object entity", obj
                 raise ReferentialError(f"unknown {kind} id: {_shown(ident)}") from None
-            # One insertion, written out for each index rather than called,
-            # which saves about a tenth of the loop: an entry is its bare
-            # member until a second, distinct one arrives, and a set of its
-            # own from then on.
+            # The insertion is written out rather than called, which saves
+            # about a tenth of the loop: a forward entry is its bare member
+            # until a second, distinct one arrives, and a set of its own from
+            # then on.  Only this insertion finds a triple already seen.
             rels = forward.get(s)
             if rels is None:
                 forward[s] = {r: o}
-                count += 1
             else:
                 members = rels.get(r)
                 if members is None:
                     rels[r] = o
-                    count += 1
                 elif type(members) is set:
-                    if o not in members:
-                        members.add(o)
-                        count += 1
+                    if o in members:
+                        continue
+                    members.add(o)
                 elif members != o:
                     rels[r] = {members, o}
-                    count += 1
-            rels = backward.get(o)
-            if rels is None:
-                backward[o] = {r: s}
+                else:
+                    continue
+            # the triple is new: the object's list takes its pair unchecked
+            count += 1
+            pairs = backward.get(o)
+            if pairs is None:
+                backward[o] = [r, s]
             else:
-                members = rels.get(r)
-                if members is None:
-                    rels[r] = s
-                elif type(members) is set:
-                    members.add(s)
-                elif members != s:
-                    rels[r] = {members, s}
+                pairs += r, s
         # Freed before the alias index is built, when memory peaks.
         del entity_ids, relation_ids
         self._forward = forward
@@ -277,7 +308,7 @@ class KnowledgeGraph:
     def backward(self, obj: str, relation: str) -> frozenset:
         rels = self._backward_done.get(obj)
         if rels is None:
-            rels = _finalized(self._backward, self._backward_done, obj, self._singletons)
+            rels = _grouped(self._backward, self._backward_done, obj, self._singletons)
         return rels.get(relation, _EMPTY)
 
     def outgoing(self, entity_id: str) -> Iterator[tuple[str, frozenset]]:
@@ -291,7 +322,7 @@ class KnowledgeGraph:
         """``(relation id, frozenset(subjects))`` for each relation into the entity."""
         rels = self._backward_done.get(entity_id)
         if rels is None:
-            rels = _finalized(self._backward, self._backward_done, entity_id, self._singletons)
+            rels = _grouped(self._backward, self._backward_done, entity_id, self._singletons)
         return iter(rels.items())
 
     def entities_by_alias(self, key: str) -> tuple[Entity, ...]:
@@ -390,18 +421,19 @@ def load_graph(
     which skips, splits and checks each line in one loop, so the fields of
     one line at a time are held.  On the ``pipebench`` ``large`` graph
     (seed 1: 100,000 triple lines, whose forward entries each hold one
-    object, and 17,508 catalog lines) this retains 20.2 MiB and peaks at
-    22.2 MiB (``tracemalloc``, Python 3.11), no entry finalized yet.
+    object, and 17,508 catalog lines) this retains 12.9 MiB and peaks at
+    14.9 MiB (``tracemalloc``, Python 3.11), no entry finalized yet.
 
     The cyclic garbage collector is paused while the graph is built and
     then restored to the state it was in: nothing built here holds a
-    cycle, and each collection pass would rescan every set built so far.
-    On success, unless some objects are frozen (``gc.get_freeze_count()``
-    is not 0), ``gc.freeze()`` then ``gc.unfreeze()`` moves every object
-    the process tracks, the new graph's among them, to the oldest
-    generation without scanning it, so the first young collection after
-    the load does not walk the whole graph.  The graph it returns is
-    finalized by its reads, idempotently, and is safe for concurrent use.
+    cycle, and each collection pass would rescan every list and set built
+    so far.  On success, unless some objects are frozen
+    (``gc.get_freeze_count()`` is not 0), ``gc.freeze()`` then
+    ``gc.unfreeze()`` moves every object the process tracks, the new
+    graph's among them, to the oldest generation without scanning it, so
+    the first young collection after the load does not walk the whole
+    graph.  The graph it returns is readied by its first reads,
+    idempotently, and is safe for concurrent use.
     """
     lineno = 0
 

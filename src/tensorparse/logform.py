@@ -15,9 +15,10 @@ R is a relation's phrase and E an entity's name.  Entities are linked by
 spans grown from each query token while some alias begins with the span,
 so every catalog alias can link.
 T1 reads the relations out of E, T2 those into E, and T3 pairs relations
-into E1 and E2 that share a subject, R read out of the shared subjects,
-so every form denotes the index set it was read from.  Output is sorted
-by serialized form and the first N are kept, N the configured cap.
+into E1 and E2 that share a subject, R read out of the shared subjects
+(once per distinct set of them), so every form denotes the index set it
+was read from.  Output is sorted by serialized form and the first N are
+kept, N the configured cap.
 """
 
 from __future__ import annotations
@@ -148,6 +149,9 @@ def generate_candidates(
         for rid, subjects in kg.incoming(eid):
             add(ReverseJoin(rid, lit), ("the", "things", "whose", *phrase[rid], "is", *name),
                 subjects)
+    # shared subjects -> {relation: objects} read out of them; on a hub, many
+    # (r1, r2) pairs share one set of subjects
+    outers: dict = {}
     for (e1, name1), (e2, name2) in itertools.permutations(linked, 2):
         for r1, subjects1 in kg.incoming(e1):
             for r2, subjects2 in kg.incoming(e2):
@@ -157,10 +161,12 @@ def generate_candidates(
                                       ReverseJoin(r2, EntityLit(e2)))
                     thing = ("the", "thing", "whose", *phrase[r1], "is", *name1,
                              "and", "whose", *phrase[r2], "is", *name2)
-                    outer: dict = {}
-                    for s in things:
-                        for rid, objects in kg.outgoing(s):
-                            outer[rid] = outer[rid] | objects if rid in outer else objects
+                    outer = outers.get(things)
+                    if outer is None:
+                        outer = outers[things] = {}
+                        for s in things:
+                            for rid, objects in kg.outgoing(s):
+                                outer[rid] = outer[rid] | objects if rid in outer else objects
                     for rid, objects in outer.items():
                         add(Join(rid, inner), ("the", *phrase[rid], "of", *thing), objects)
 

@@ -290,18 +290,26 @@ def test_load_graph_restores_gc_state(enabled, triples, catalog, error):
         if error is None and not froze:
             # in the oldest generation, where no young collection scans them
             indexes = (kg._forward, kg._backward)
-            containers = [*indexes, *(rels for index in indexes for rels in index.values()),
-                          *(members for index in indexes for rels in index.values()
+            containers = [*indexes, *(entries for index in indexes for entries in index.values()),
+                          *(members for rels in kg._forward.values()
                             for members in rels.values() if type(members) is set)]
             tracked = [obj for obj in containers if gc.is_tracked(obj)]
-            assert len(tracked) >= 4  # both indexes and ethiopia's two sets
+            # both indexes, ethiopia's forward set and every object's list
+            assert all(gc.is_tracked(pairs) for pairs in kg._backward.values())
+            assert len(tracked) >= 3 + len(kg._backward)
             assert not any(id(obj) in young for obj in tracked)
 
 
 def test_a_read_finalizes_only_the_entity_and_direction_it_asks_for(mini_kg):
     kg = mini_kg
+    loaded = {o: pairs[:] for o, pairs in kg._backward.items()}
 
     def finalized(index, e):
+        if index is kg._backward:
+            # an object's first read groups its list, which it leaves as loaded
+            assert index[e] == loaded[e]
+            rels = kg._backward_done.get(e)
+            return rels is not None and all(type(m) is frozenset for m in rels.values())
         kinds = {type(members) for members in index[e].values()}
         assert kinds == {frozenset} or frozenset not in kinds
         return kinds == {frozenset}
@@ -331,6 +339,7 @@ def test_a_read_finalizes_only_the_entity_and_direction_it_asks_for(mini_kg):
     assert ("p1", "film", "troy") in kg.triples
     assert kg._forward_done.keys() == {"ethiopia", "kenya", "sudan", "p1"}
     assert kg._backward_done.keys() == {"ethiopia", "kenya"}
+    assert kg._backward == loaded
 
 
 def test_concurrent_first_reads_agree_with_the_oracle(toy_dir):
@@ -587,6 +596,17 @@ def test_indexes_match_oracle_on_random_graphs(catalog, data):
     }
     kg = KnowledgeGraph(entities, relations, iter(triples))
     assert_matches_oracle(kg, triples)
+    # each object's flat list holds the distinct (r, s) pairs into it, each
+    # once, in the order their triples first arrived, and reads leave it so;
+    # incoming lists the relations in that order too
+    pairs_into: dict = {}
+    for s, r, o in triples:
+        pairs_into.setdefault(o, {}).setdefault((r, s))
+    assert kg._backward == {o: [x for pair in pairs for x in pair]
+                            for o, pairs in pairs_into.items()}
+    assert all(type(pairs) is list for pairs in kg._backward.values())
+    for o, pairs in pairs_into.items():
+        assert [r for r, _ in kg.incoming(o)] == list(dict.fromkeys(r for r, _ in pairs))
 
 
 def oracle_denotation(lf, forward, backward):

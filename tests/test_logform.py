@@ -1,4 +1,5 @@
 import io
+import itertools
 import sys
 
 import pytest
@@ -473,3 +474,97 @@ def graphs_and_queries(draw):
 def test_generate_matches_reference_on_random_graphs(graph_and_query, cap):
     kg, query = graph_and_query
     assert_matches_reference(query, kg, cap)
+
+
+def previous_generate_candidates(query_tokens, kg, cfg):
+    """``generate_candidates`` as it was when T3 read the outer relations
+    anew for every (r1, r2) pair, kept to check that reading them once per
+    set of shared subjects changes no output."""
+    if not query_tokens:
+        raise ValueError("query_tokens must be non-empty")
+    linked = [(ent.id, tuple(kg.names[ent.id].split()))
+              for ent in logform._linked_entities(list(query_tokens), kg)]
+    phrase = kg.phrase_tokens
+    forms: dict = {}
+
+    def add(lf, utterance, denotation):
+        forms[serialize(lf)] = (lf, utterance, denotation)
+
+    for eid, name in linked:
+        lit = EntityLit(eid)
+        for rid, objects in kg.outgoing(eid):
+            add(Join(rid, lit), ("the", *phrase[rid], "of", *name), objects)
+        for rid, subjects in kg.incoming(eid):
+            add(ReverseJoin(rid, lit), ("the", "things", "whose", *phrase[rid], "is", *name),
+                subjects)
+    for (e1, name1), (e2, name2) in itertools.permutations(linked, 2):
+        for r1, subjects1 in kg.incoming(e1):
+            for r2, subjects2 in kg.incoming(e2):
+                things = subjects1 & subjects2
+                if things:
+                    inner = Intersect(ReverseJoin(r1, EntityLit(e1)),
+                                      ReverseJoin(r2, EntityLit(e2)))
+                    thing = ("the", "thing", "whose", *phrase[r1], "is", *name1,
+                             "and", "whose", *phrase[r2], "is", *name2)
+                    outer: dict = {}
+                    for s in things:
+                        for rid, objects in kg.outgoing(s):
+                            outer[rid] = outer[rid] | objects if rid in outer else objects
+                    for rid, objects in outer.items():
+                        add(Join(rid, inner), ("the", *phrase[rid], "of", *thing), objects)
+
+    return [Candidate(lf, utterance, denotation)
+            for _, (lf, utterance, denotation) in sorted(forms.items())[: cfg.max_candidates]]
+
+
+HUB_QUERY = tokenize("alpha and beta")
+
+
+def hub_graph(triples, relations):
+    """Subjects ``s0``, ``s1``, ... with facts into ``alpha``, ``beta`` and
+    ``gamma``, which only the question names."""
+    names = {"alpha", "beta", "gamma", *(s for s, _, _ in triples)}
+    return KnowledgeGraph({e: Entity(e, e, (e,)) for e in names},
+                          {r: Relation(r, r) for r in relations}, triples)
+
+
+@st.composite
+def hubs(draw):
+    """A hub graph: every subject takes each relation into ``alpha``,
+    ``beta``, ``gamma`` or nothing, so many (r1, r2) pairs share one set of
+    subjects."""
+    relations = [f"r{j}" for j in range(draw(st.integers(1, 6)))]
+    targets = st.sampled_from(("alpha", "beta", "gamma", None))
+    triples = [(f"s{i}", r, o) for i in range(draw(st.integers(1, 12)))
+               for r in relations for o in [draw(targets)] if o]
+    return hub_graph(triples, relations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs_and_queries(), hubs().map(lambda kg: (kg, HUB_QUERY))),
+       st.sampled_from(CAPS))
+def test_generate_matches_the_previous_generator(graph_and_query, cap):
+    kg, query = graph_and_query
+    cfg = GenConfig(max_candidates=cap)
+    assert generate_candidates(query, kg, cfg) == previous_generate_candidates(query, kg, cfg)
+
+
+def test_t3_reads_each_shared_subject_once_per_set_of_them(monkeypatch):
+    # R = 10 relations from each of 200 subjects, r0-r4 into alpha and r5-r9
+    # into beta: all 2 * 5 * 5 ordered (r1, r2) pairs share the one set of
+    # all 200 subjects, whose outgoing relations are read once.
+    relations = [f"r{j}" for j in range(10)]
+    kg = hub_graph([(f"s{i}", r, "alpha" if j < 5 else "beta")
+                    for i in range(200) for j, r in enumerate(relations)], relations)
+    read = []
+    outgoing = kg.outgoing
+
+    def counted(entity_id):
+        read.append(entity_id)
+        return outgoing(entity_id)
+
+    monkeypatch.setattr(kg, "outgoing", counted)
+    got = generate_candidates(HUB_QUERY, kg, GenConfig())
+    assert len(got) == 200  # of 510 forms: 2 * 25 * 10 T3 and 10 T2
+    # T1 reads alpha and beta, T3 each subject once
+    assert sorted(read) == sorted(["alpha", "beta", *(f"s{i}" for i in range(200))])
