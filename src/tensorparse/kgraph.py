@@ -125,11 +125,7 @@ def _grouped(backward: dict, done: dict, obj: str, singletons: dict) -> dict:
     subjects: dict = {}
     it = iter(pairs)
     for r, s in zip(it, it):
-        members = subjects.get(r)
-        if members is None:
-            subjects[r] = [s]
-        else:
-            members.append(s)
+        subjects.setdefault(r, []).append(s)
     rels = {
         r: frozenset(members) if len(members) > 1
         else singletons.setdefault(members[0], frozenset(members))
