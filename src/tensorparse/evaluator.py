@@ -80,6 +80,18 @@ class PerQueryResult:
     oracle_f1: float
     candidate_count: int
 
+    # one per evaluated question: the fields go straight into the instance
+    # dict, as in logform's records
+    def __init__(self, index, question, predicted_form, predicted_f1, oracle_f1,
+                 candidate_count):
+        d = self.__dict__
+        d["index"] = index
+        d["question"] = question
+        d["predicted_form"] = predicted_form
+        d["predicted_f1"] = predicted_f1
+        d["oracle_f1"] = oracle_f1
+        d["candidate_count"] = candidate_count
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -121,7 +133,8 @@ def _report(model: learner.Model, data: list[DatasetExample], questions) -> Eval
             pred_f1 = 0.0
         else:
             pred_form = logform.serialize(predicted.logical_form)
-            pred_f1 = scores[candidates.index(predicted)]
+            # by identity: == would compare forms down every earlier candidate
+            pred_f1 = next(s for c, s in zip(candidates, scores) if c is predicted)
         rows.append(
             PerQueryResult(
                 index=index,

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:
     from .logform import Candidate
 
-_NON_ALNUM = re.compile(r"[^a-z0-9]+")
+_TOKEN = re.compile(r"[a-z0-9]+")
 
 PAIR_PREFIX = "p:"
 LF_PREFIX = "lf:"
@@ -28,14 +28,18 @@ DENOT_SIZE_2 = "denot.size.2"
 DENOT_SIZE_3TO5 = "denot.size.3to5"
 DENOT_SIZE_6PLUS = "denot.size.6plus"
 
+# The least size of the open bucket: every larger size is in it too.
+DENOT_SIZE_6PLUS_MIN = 6
+
 LF_FEATURE_NAMES = frozenset(
     {DENOT_EMPTY, DENOT_SIZE_1, DENOT_SIZE_2, DENOT_SIZE_3TO5, DENOT_SIZE_6PLUS}
 )
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on any non-alphanumeric run, drop empties."""
-    return [t for t in _NON_ALNUM.split(text.lower()) if t]
+    """Lowercase, then each maximal run of ``[a-z0-9]``: the text split on
+    every other character, empty pieces dropped."""
+    return _TOKEN.findall(text.lower())
 
 
 def normalize_phrase(text: str) -> str:
@@ -76,7 +80,7 @@ def denotation_size_bucket(size: int) -> str:
         return DENOT_SIZE_1
     if size == 2:
         return DENOT_SIZE_2
-    if size <= 5:
+    if size < DENOT_SIZE_6PLUS_MIN:
         return DENOT_SIZE_3TO5
     return DENOT_SIZE_6PLUS
 

@@ -33,9 +33,11 @@ maps key text to weight, the keys the model file holds, and keeps the
 
 Prediction scores through the paper's factorization, score = qᵀWu plus
 a denotation-size weight: a :class:`Model` also holds W as one row
-``{u: weight}`` per query token, so :func:`predict` builds no pair key
-and adds each candidate's weights in the order :func:`score` over
-:func:`features.assemble` adds them, to the same float.
+``{u: weight}`` per query token and the weight of each denotation size's
+``lf:denot.size…`` feature in a table indexed by size, both built when
+the model is, so :func:`predict` builds no key and adds each candidate's
+weights in the order :func:`score` over :func:`features.assemble` adds
+them, to the same float.
 """
 
 from __future__ import annotations
@@ -80,15 +82,19 @@ class Model:
     ``predict`` generate candidates with.
 
     ``weights`` is a read-only view over the model's own copy of the
-    mapping it is made with, so ``rows`` cannot go stale: every
-    ``p:<q>|<u>`` key, split at its first ``|``, is the entry ``u`` of
-    the row ``q``.  ``rows`` is derived, takes no part in equality, and
-    is not to be mutated.
+    mapping it is made with, so the derived fields cannot go stale:
+    every ``p:<q>|<u>`` key, split at its first ``|``, is the entry ``u``
+    of the row ``q`` in ``rows``, and ``size_weights[min(n, 6)]`` is the
+    weight of the bucket feature of a denotation of ``n`` members, or
+    ``None`` if the model has none (6 is
+    :data:`features.DENOT_SIZE_6PLUS_MIN`).  The derived fields take no
+    part in equality or ``repr``, and ``rows`` is not to be mutated.
     """
 
     weights: Mapping[str, float]
     gen_cfg: GenConfig = GenConfig()
     rows: dict = field(init=False, repr=False, compare=False)
+    size_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = dict(self.weights)
@@ -99,6 +105,9 @@ class Model:
                 rows.setdefault(q, {})[u] = weight
         object.__setattr__(self, "weights", MappingProxyType(weights))
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "size_weights", tuple(
+            weights.get(features.lf_key(features.denotation_size_bucket(n)))
+            for n in range(features.DENOT_SIZE_6PLUS_MIN + 1)))
 
 
 @dataclass(frozen=True)
@@ -147,12 +156,14 @@ def _scores(model: Model, query_tokens, candidates) -> list[float]:
     The rows of the query's distinct tokens are fetched once; a
     candidate's score walks them in first-occurrence order, each over the
     candidate's distinct utterance tokens in order, then adds its
-    denotation-size weight: the order in which ``dot`` adds the assembled
-    vector's weights, so every float is the same.  Query tokens hold no
-    ``|``, as :func:`features.tokenize` gives them.
+    denotation-size weight, read from ``model.size_weights`` by size: the
+    order in which ``dot`` adds the assembled vector's weights, so every
+    float is the same.  Query tokens hold no ``|``, as
+    :func:`features.tokenize` gives them.
     """
     rows = [row for row in map(model.rows.get, dict.fromkeys(query_tokens)) if row]
-    weight_of = model.weights.get
+    sizes = model.size_weights
+    last = len(sizes) - 1
     scores = []
     for c in candidates:
         total = 0.0
@@ -162,7 +173,8 @@ def _scores(model: Model, query_tokens, candidates) -> list[float]:
                 w = row.get(u)
                 if w is not None:
                     total += w
-        w = weight_of(features.lf_key(features.denotation_size_bucket(len(c.denotation))))
+        n = len(c.denotation)
+        w = sizes[n if n < last else last]
         if w is not None:
             total += w
         scores.append(total)

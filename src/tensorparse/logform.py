@@ -17,8 +17,9 @@ so every catalog alias can link.
 T1 reads the relations out of E, T2 those into E, and T3 pairs relations
 into E1 and E2 that share a subject, R read out of the shared subjects
 (once per distinct set of them), so every form denotes the index set it
-was read from.  Output is sorted by serialized form and the first N are
-kept, N the configured cap.
+was read from.  Each form is keyed by its serialized text, written from
+the ids generation builds it of rather than by :func:`serialize`; output
+is sorted by that text and the first N are kept, N the configured cap.
 """
 
 from __future__ import annotations
@@ -34,9 +35,19 @@ if TYPE_CHECKING:  # kgraph imports this module, not the reverse
     from .kgraph import KnowledgeGraph
 
 
+# The records built once per form or candidate fill their fields straight into
+# the instance dict: a frozen dataclass's own __init__ goes through
+# object.__setattr__ once per field, about twice the cost.  dataclass keeps
+# an __init__ written in the class body and still generates the frozen
+# __setattr__/__delattr__, __eq__, __hash__ and __repr__.
+
+
 @dataclass(frozen=True)
 class EntityLit:
     entity_id: str
+
+    def __init__(self, entity_id):
+        self.__dict__["entity_id"] = entity_id
 
 
 @dataclass(frozen=True)
@@ -44,17 +55,32 @@ class Join:
     relation_id: str
     sub: "LogicalForm"
 
+    def __init__(self, relation_id, sub):
+        d = self.__dict__
+        d["relation_id"] = relation_id
+        d["sub"] = sub
+
 
 @dataclass(frozen=True)
 class ReverseJoin:
     relation_id: str
     sub: "LogicalForm"
 
+    def __init__(self, relation_id, sub):
+        d = self.__dict__
+        d["relation_id"] = relation_id
+        d["sub"] = sub
+
 
 @dataclass(frozen=True)
 class Intersect:
     left: "LogicalForm"
     right: "LogicalForm"
+
+    def __init__(self, left, right):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
 
 
 LogicalForm = Union[EntityLit, Join, ReverseJoin, Intersect]
@@ -65,6 +91,12 @@ class Candidate:
     logical_form: LogicalForm
     utterance_tokens: tuple[str, ...]
     denotation: frozenset
+
+    def __init__(self, logical_form, utterance_tokens, denotation):
+        d = self.__dict__
+        d["logical_form"] = logical_form
+        d["utterance_tokens"] = utterance_tokens
+        d["denotation"] = denotation
 
 
 @dataclass(frozen=True)
@@ -134,31 +166,30 @@ def generate_candidates(
     """
     if not query_tokens:
         raise ValueError("query_tokens must be non-empty")
-    linked = [(ent.id, tuple(kg.names[ent.id].split()))
+    linked = [(ent.id, EntityLit(ent.id), tuple(kg.names[ent.id].split()))
               for ent in _linked_entities(list(query_tokens), kg)]
     phrase = kg.phrase_tokens
+    # serialized form -> (form, utterance tokens, denotation); each key is
+    # written from the ids it holds and equals serialize(form)
     forms: dict = {}
-
-    def add(lf: LogicalForm, utterance: tuple, denotation: frozenset):
-        forms[serialize(lf)] = (lf, utterance, denotation)
-
-    for eid, name in linked:
-        lit = EntityLit(eid)
+    for eid, lit, name in linked:
         for rid, objects in kg.outgoing(eid):
-            add(Join(rid, lit), ("the", *phrase[rid], "of", *name), objects)
+            forms[f"join({rid}, ent({eid}))"] = (
+                Join(rid, lit), ("the", *phrase[rid], "of", *name), objects)
         for rid, subjects in kg.incoming(eid):
-            add(ReverseJoin(rid, lit), ("the", "things", "whose", *phrase[rid], "is", *name),
+            forms[f"rev({rid}, ent({eid}))"] = (
+                ReverseJoin(rid, lit), ("the", "things", "whose", *phrase[rid], "is", *name),
                 subjects)
     # shared subjects -> {relation: objects} read out of them; on a hub, many
     # (r1, r2) pairs share one set of subjects
     outers: dict = {}
-    for (e1, name1), (e2, name2) in itertools.permutations(linked, 2):
+    for (e1, lit1, name1), (e2, lit2, name2) in itertools.permutations(linked, 2):
         for r1, subjects1 in kg.incoming(e1):
             for r2, subjects2 in kg.incoming(e2):
                 things = subjects1 & subjects2
                 if things:
-                    inner = Intersect(ReverseJoin(r1, EntityLit(e1)),
-                                      ReverseJoin(r2, EntityLit(e2)))
+                    inner = Intersect(ReverseJoin(r1, lit1), ReverseJoin(r2, lit2))
+                    inner_key = f"and(rev({r1}, ent({e1})), rev({r2}, ent({e2})))"
                     thing = ("the", "thing", "whose", *phrase[r1], "is", *name1,
                              "and", "whose", *phrase[r2], "is", *name2)
                     outer = outers.get(things)
@@ -168,7 +199,7 @@ def generate_candidates(
                             for rid, objects in kg.outgoing(s):
                                 outer[rid] = outer[rid] | objects if rid in outer else objects
                     for rid, objects in outer.items():
-                        add(Join(rid, inner), ("the", *phrase[rid], "of", *thing), objects)
+                        forms[f"join({rid}, {inner_key})"] = (
+                            Join(rid, inner), ("the", *phrase[rid], "of", *thing), objects)
 
-    return [Candidate(lf, utterance, denotation)
-            for _, (lf, utterance, denotation) in sorted(forms.items())[: cfg.max_candidates]]
+    return [Candidate(*forms[key]) for key in sorted(forms)[: cfg.max_candidates]]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -55,6 +57,20 @@ def test_normalize_phrase_is_its_tokens_joined(text):
     """An all-ASCII alphanumeric text skips the regex; every text normalizes
     to its tokens joined by single spaces."""
     assert features.normalize_phrase(text) == " ".join(features.tokenize(text))
+
+
+@example("İ")  # lowercases to "i" and a combining dot above
+@example("Straße")  # "ß" lowercases to itself, not one of tokenize's characters
+@example("x²")  # a digit to str.isdigit(), not to the pattern
+@example("\uff11\uff12 apples")  # fullwidth digits
+@example("a\ud800b")  # a lone surrogate
+@example("\u017fı")  # lowercase already, and equal to "s" and "i" only when case is ignored
+@example("  --a--b  ")
+@given(st.one_of(token_text, st.text()))
+def test_tokenize_is_the_split_on_every_other_character(text):
+    """Each maximal [a-z0-9] run of the lowercased text, as splitting on the
+    runs of every other character and dropping empty pieces gives them."""
+    assert features.tokenize(text) == [t for t in re.split(r"[^a-z0-9]+", text.lower()) if t]
 
 
 def test_unigram_features_binary():
@@ -129,6 +145,13 @@ def test_logical_form_features_buckets(size, name):
     out = features.logical_form_features(make_candidate(size))
     assert out == {features.lf_key(name): 1.0}
     assert name in features.LF_FEATURE_NAMES
+
+
+def test_the_open_bucket_starts_at_its_least_size():
+    least = features.DENOT_SIZE_6PLUS_MIN
+    assert features.denotation_size_bucket(least - 1) != features.DENOT_SIZE_6PLUS
+    assert {features.denotation_size_bucket(n) for n in range(least, least + 100)} == \
+        {features.DENOT_SIZE_6PLUS}
 
 
 def test_assemble_union():

@@ -462,6 +462,26 @@ def test_model_rows_split_pair_keys_at_the_first_bar(key, rows):
     assert Model(weights={key: 0.5}).rows == rows
 
 
+@pytest.mark.parametrize("weights", [
+    {},
+    {"p:a|b": 1.5},
+    {"lf:denot.size.1": 0.25, "lf:denot.size.6plus": -1.5, "p:a|b": 1.5},
+    {features.lf_key(name): float(i) - 2.5 for i, name in enumerate(sorted(features.LF_FEATURE_NAMES))},
+])
+def test_model_size_weights_are_each_sizes_bucket_weight(weights):
+    model = Model(weights=weights)
+    last = features.DENOT_SIZE_6PLUS_MIN
+    assert len(model.size_weights) == last + 1
+    for n in range(11):
+        expected = weights.get(features.lf_key(features.denotation_size_bucket(n)))
+        assert model.size_weights[min(n, last)] == expected
+    # derived: out of equality and repr, as rows is
+    other = Model(weights=weights)
+    object.__setattr__(other, "size_weights", ())
+    assert other == model
+    assert "size_weights" not in repr(model) and repr(other) == repr(model)
+
+
 def test_model_weights_are_read_only(tmp_path, sep_kg):
     weights = {"p:a|b": 1.5, "lf:denot.empty": -0.25}
     hand_made = Model(weights=weights)

@@ -172,6 +172,22 @@ def test_generate_two_constraint(mini_kg):
     assert forms[key].denotation == {"achilles"}
 
 
+def test_generation_keys_forms_without_serializing_them(toy_kg, toy_data, mini_kg,
+                                                        monkeypatch):
+    """Each form's key is written from the ids generation holds, and its
+    candidates still come sorted by serialized form."""
+    calls = []
+    monkeypatch.setattr(logform, "serialize", lambda lf: calls.append(lf) or serialize(lf))
+    toy_cands = generate_candidates(tokenize(toy_data[0].question), toy_kg, GenConfig())
+    t3_cands = generate_candidates(["who", "did", "brad", "pitt", "play", "in", "troy"],
+                                   mini_kg, GenConfig())
+    assert calls == []
+    assert toy_cands and any(isinstance(c.logical_form.sub, Intersect) for c in t3_cands)
+    for cands in toy_cands, t3_cands:
+        forms = [serialize(c.logical_form) for c in cands]
+        assert forms == sorted(set(forms))
+
+
 def test_generated_forms_are_template_shaped(mini_kg):
     tokens = ["who", "did", "brad", "pitt", "play", "in", "troy"]
     for c in generate_candidates(tokens, mini_kg, GenConfig()):
