@@ -1,10 +1,9 @@
 """In-memory triple store with alias lookup and logical-form execution.
 
-The graph is indexed by the only questions asked of it: which objects a
-subject reaches through a relation (:meth:`KnowledgeGraph.forward`), which
-subjects reach an object (:meth:`KnowledgeGraph.backward`), which relations
-lead out of and into an entity (:meth:`KnowledgeGraph.outgoing`,
-:meth:`KnowledgeGraph.incoming`) and which entities an alias names
+The graph is indexed by the only questions asked of it: which relations
+lead out of an entity and to which objects (:meth:`KnowledgeGraph.outgoing`),
+which lead into it and from which subjects
+(:meth:`KnowledgeGraph.incoming`), and which entities an alias names
 (:meth:`KnowledgeGraph.entities_by_alias`); ``alias_prefixes`` holds every
 proper token prefix of every alias key, so entity linking grows a span only
 while some alias begins with it; ``phrase_tokens`` maps each relation
@@ -17,27 +16,24 @@ The constructor checks every triple's ids against the catalogs and hands
 the indexes the catalog's own id strings, and no separate triple set is
 kept; ``kg.triples`` is a read-only view over the forward index.
 
-Every index entry a read returns is a frozenset, so no read builds a set.
-The constructor's loop inserts each triple itself, with no call per
-triple, and makes no pass over the indexes after it.  In the forward
-index a subject's entry is its bare member until a second, distinct
-member arrives, and a set from then on; this insertion is the one that
-finds a triple already seen.  Each new triple then appends its relation
-and subject to its object's one flat list, ``[r, s, r, s, ...]``, with no
-check of its own.  The first read of a subject finalizes its forward
-entries in place: each grown set becomes a frozenset and each bare member
-that member's one ``frozenset((member,))``.  The first read of an object
-groups its list into ``{relation: frozenset(subjects)}``, one-member
-entries again the member's one frozenset, which both indexes share.
-Either way the entity is then recorded as done, so a later read is one
-dict lookup.  A question reads few of a graph's entities, so most entries
-are never finalized.  :func:`load_graph` gives the memory this takes.
+Both indexes have one layout: each entity maps to one flat list, a
+subject to ``[r, o, r, o, ...]`` and an object to ``[r, s, r, s, ...]``.
+The constructor's loop appends each triple's two pairs itself, with no
+call per triple and no check, so a repeated triple line stays in both
+lists, and makes no pass over the indexes after it.  The first read of an
+entity in one direction groups its list into ``{relation:
+frozenset(members)}`` (:func:`_grouped`), in the order each relation first
+appears, which removes the repeats; a one-member entry is the member's one
+frozenset, which both indexes share.  The entity is then recorded as done,
+so a later read is one dict lookup.  Every entry a read returns is a
+frozenset, so no read builds a set.  A question reads few of a graph's
+entities, so most lists are never grouped.  :func:`load_graph` gives the
+memory this takes.
 
 A graph answers every lookup the same way once built.  A first read is
-idempotent: two threads that make it at once build equal frozensets, take
-each shared one-member frozenset through ``dict.setdefault``, and record a
-grouped object through ``dict.setdefault`` too, so all lookup methods are
-safe for concurrent use.
+idempotent: two threads that make it at once build equal frozensets, and
+take each shared one-member frozenset and the recorded dict through
+``dict.setdefault``, so all lookup methods are safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -87,75 +83,63 @@ _EMPTY: frozenset = frozenset()
 _NO_FACTS: dict = {}
 
 
-def _finalized(index: dict, done: dict, entity_id: str, singletons: dict) -> dict:
-    """The subject's ``{relation: frozenset(objects)}`` in the forward
-    ``index``, for its first read.
+def _grouped(index: dict, done: dict, entity_id: str, singletons: dict) -> dict:
+    """The entity's ``{relation: frozenset(members)}`` in ``index``, for its
+    first read.
 
-    Finalizes the subject's entries in place, each grown set to a frozenset and
-    each bare member to its one frozenset in ``singletons``, then records the
-    subject in ``done``.  Each step is idempotent, so threads may finalize one
-    subject at once.  A subject with no entries gives ``_NO_FACTS`` and is not
+    Groups the entity's ``[r, m, r, m, ...]`` list by relation, in the order
+    each relation first appears.  An entry whose frozenset holds one member,
+    though a repeated triple may have left that member in the list more than
+    once, is its member's one frozenset in ``singletons``.  The list is left
+    as it is and the result recorded in ``done`` through ``dict.setdefault``,
+    so threads that group one entity at once all return the one dict
+    recorded.  An entity with no entries gives ``_NO_FACTS`` and is not
     recorded.
     """
-    rels = index.get(entity_id)
-    if rels is None:
-        return _NO_FACTS
-    for r, members in rels.items():
-        if type(members) is set:
-            rels[r] = frozenset(members)
-        elif type(members) is not frozenset:
-            rels[r] = singletons.setdefault(members, frozenset((members,)))
-    done[entity_id] = rels
-    return rels
-
-
-def _grouped(backward: dict, done: dict, obj: str, singletons: dict) -> dict:
-    """The object's ``{relation: frozenset(subjects)}``, for its first read.
-
-    Groups the object's ``[r, s, r, s, ...]`` list by relation, in the order
-    each relation first appears; a one-member entry is its member's one
-    frozenset in ``singletons``.  The list is left as it is and the result
-    recorded in ``done`` through ``dict.setdefault``, so threads that group
-    one object at once all return the one dict recorded.  An object with no
-    entries gives ``_NO_FACTS`` and is not recorded.
-    """
-    pairs = backward.get(obj)
+    pairs = index.get(entity_id)
     if pairs is None:
         return _NO_FACTS
-    subjects: dict = {}
+    grouped: dict = {}
     it = iter(pairs)
-    for r, s in zip(it, it):
-        subjects.setdefault(r, []).append(s)
-    rels = {
-        r: frozenset(members) if len(members) > 1
-        else singletons.setdefault(members[0], frozenset(members))
-        for r, members in subjects.items()
-    }
-    return done.setdefault(obj, rels)
+    for r, m in zip(it, it):
+        grouped.setdefault(r, []).append(m)
+    rels = {}
+    for r, members in grouped.items():
+        members = frozenset(members)
+        if len(members) == 1:
+            (member,) = members
+            members = singletons.setdefault(member, members)
+        rels[r] = members
+    return done.setdefault(entity_id, rels)
 
 
 class TripleView(Set):
     """The graph's distinct triples, read from its forward index.
 
-    ``len`` is O(1), iteration yields ``(s, r, o)`` tuples, and membership is
-    two dict lookups and a set lookup.  Both read the index as the graph's
-    reads do, finalizing what they reach.  Set operators return frozensets.
+    Iteration yields ``(s, r, o)`` tuples, and membership is two dict lookups
+    and a set lookup; both read the index as the graph's reads do, grouping
+    each subject they reach.  ``len`` counts the distinct pairs in each
+    subject's list on its first call, readying no subject, and keeps the
+    count.  Set operators return frozensets.
     """
 
     __slots__ = ("_forward", "_done", "_singletons", "_count")
 
-    def __init__(self, forward: dict, done: dict, singletons: dict, count: int):
+    def __init__(self, forward: dict, done: dict, singletons: dict):
         # the graph's own dicts, not the graph, so that no cycle holds it
         self._forward = forward
         self._done = done
         self._singletons = singletons
-        self._count = count
+        self._count = None
 
     @classmethod
     def _from_iterable(cls, it):
         return frozenset(it)
 
     def __len__(self) -> int:
+        if self._count is None:
+            self._count = sum(len(set(zip(it, it)))
+                              for it in map(iter, self._forward.values()))
         return self._count
 
     def __iter__(self) -> Iterator[tuple[str, str, str]]:
@@ -163,7 +147,7 @@ class TripleView(Set):
         for s in forward:
             rels = done.get(s)
             if rels is None:
-                rels = _finalized(forward, done, s, self._singletons)
+                rels = _grouped(forward, done, s, self._singletons)
             for r, objs in rels.items():
                 for o in objs:
                     yield s, r, o
@@ -174,27 +158,25 @@ class TripleView(Set):
         s, r, o = item
         rels = self._done.get(s)
         if rels is None:
-            rels = _finalized(self._forward, self._done, s, self._singletons)
+            rels = _grouped(self._forward, self._done, s, self._singletons)
         return o in rels.get(r, _EMPTY)
 
 
 class KnowledgeGraph:
-    """Forward and backward indexes over a deduplicated set of triples.
+    """Forward and backward indexes over a set of triples.
 
-    ``_forward`` maps subject to ``{relation: objects}``, an entry a bare
-    member or a set until the subject's first read finalizes it (see
-    :func:`_finalized`).  ``_backward`` maps object to one flat list
-    ``[r, s, r, s, ...]`` of the distinct ``(relation, subject)`` pairs into
-    it, in the order their triples first arrived, which the object's first
-    read groups (see :func:`_grouped`).  Both are built in one pass over the
-    triples, so they are exact inverses.  ``_forward_done`` and
-    ``_backward_done`` map each entity read so far to its
-    ``{relation: frozenset}``, in which each one-member entry is its
-    member's one frozenset in ``_singletons``, shared by both directions.
-    A first read is idempotent, so reads are safe for concurrent use.
-    ``triples`` is a :class:`TripleView` over ``_forward``; a triple whose
-    subject, relation or object is missing from the catalogs raises
-    :class:`ReferentialError`.
+    ``_forward`` maps each subject to one flat list ``[r, o, r, o, ...]`` and
+    ``_backward`` each object to ``[r, s, r, s, ...]``, each holding its
+    triples' pairs in the order the triples arrived, a repeated triple's as
+    often as it arrived.  Both are built in one pass over the triples, so they
+    are exact inverses.  An entity's first read in one direction groups its
+    list (see :func:`_grouped`) into ``_forward_done`` or ``_backward_done``,
+    which map each entity read so far to its ``{relation: frozenset}``, in
+    which each one-member entry is its member's one frozenset in
+    ``_singletons``, shared by both directions.  A first read is idempotent,
+    so reads are safe for concurrent use.  ``triples`` is a
+    :class:`TripleView` over ``_forward``; a triple whose subject, relation
+    or object is missing from the catalogs raises :class:`ReferentialError`.
     """
 
     def __init__(
@@ -212,7 +194,6 @@ class KnowledgeGraph:
         relation_ids = {rid: rid for rid in self.relations}
         forward: dict = {}
         backward: dict = {}
-        count = 0  # distinct triples: the members of the forward index
         for subject, relation, obj in triples:
             try:
                 s = entity_ids[subject]
@@ -226,27 +207,14 @@ class KnowledgeGraph:
                 else:
                     kind, ident = "object entity", obj
                 raise ReferentialError(f"unknown {kind} id: {_shown(ident)}") from None
-            # The insertion is written out rather than called, which saves
-            # about a tenth of the loop: a forward entry is its bare member
-            # until a second, distinct one arrives, and a set of its own from
-            # then on.  Only this insertion finds a triple already seen.
-            rels = forward.get(s)
-            if rels is None:
-                forward[s] = {r: o}
+            # written out rather than called, which saves about a tenth of the
+            # loop; a repeated triple is appended again, and a first read
+            # removes it
+            pairs = forward.get(s)
+            if pairs is None:
+                forward[s] = [r, o]
             else:
-                members = rels.get(r)
-                if members is None:
-                    rels[r] = o
-                elif type(members) is set:
-                    if o in members:
-                        continue
-                    members.add(o)
-                elif members != o:
-                    rels[r] = {members, o}
-                else:
-                    continue
-            # the triple is new: the object's list takes its pair unchecked
-            count += 1
+                pairs += r, o
             pairs = backward.get(o)
             if pairs is None:
                 backward[o] = [r, s]
@@ -259,7 +227,7 @@ class KnowledgeGraph:
         self._forward_done: dict = {}
         self._backward_done: dict = {}
         self._singletons: dict = {}  # member -> frozenset((member,)), for both indexes
-        self.triples = TripleView(forward, self._forward_done, self._singletons, count)
+        self.triples = TripleView(forward, self._forward_done, self._singletons)
         # key -> [the key's string, then the ids of the entities it names]:
         # an entity's name is that first string, the one the index keeps
         alias_index: dict = {}
@@ -295,23 +263,11 @@ class KnowledgeGraph:
         self.alias_prefixes = frozenset(prefixes)
         self.phrase_tokens = {rid: tuple(tokenize(r.phrase)) for rid, r in self.relations.items()}
 
-    def forward(self, subject: str, relation: str) -> frozenset:
-        rels = self._forward_done.get(subject)
-        if rels is None:
-            rels = _finalized(self._forward, self._forward_done, subject, self._singletons)
-        return rels.get(relation, _EMPTY)
-
-    def backward(self, obj: str, relation: str) -> frozenset:
-        rels = self._backward_done.get(obj)
-        if rels is None:
-            rels = _grouped(self._backward, self._backward_done, obj, self._singletons)
-        return rels.get(relation, _EMPTY)
-
     def outgoing(self, entity_id: str) -> Iterator[tuple[str, frozenset]]:
         """``(relation id, frozenset(objects))`` for each relation out of the entity."""
         rels = self._forward_done.get(entity_id)
         if rels is None:
-            rels = _finalized(self._forward, self._forward_done, entity_id, self._singletons)
+            rels = _grouped(self._forward, self._forward_done, entity_id, self._singletons)
         return iter(rels.items())
 
     def incoming(self, entity_id: str) -> Iterator[tuple[str, frozenset]]:
@@ -410,15 +366,17 @@ def load_graph(
     ``R<TAB>id<TAB>phrase<TAB>domainType<TAB>rangeType``.  Blank lines
     (empty or whitespace only) and comments (``#`` after any leading
     whitespace) are skipped but counted; the ``\\n`` and then the ``\\r``
-    characters that end a line are not part of its last field.  Duplicate
-    triples deduplicate.  An error in a triple line names the line.
+    characters that end a line are not part of its last field.  A
+    repeated triple line stays in the index lists until an entity's first
+    read groups them, and no read returns it twice.  An error in a triple
+    line names the line.
 
     The triple lines stream into the constructor through one generator,
     which skips, splits and checks each line in one loop, so the fields of
     one line at a time are held.  On the ``pipebench`` ``large`` graph
-    (seed 1: 100,000 triple lines, whose forward entries each hold one
-    object, and 17,508 catalog lines) this retains 12.9 MiB and peaks at
-    14.9 MiB (``tracemalloc``, Python 3.11), no entry finalized yet.
+    (seed 1: 100,000 triple lines, no two alike, and 17,508 catalog lines)
+    this retains 11.8 MiB and peaks at 13.8 MiB (``tracemalloc``, Python
+    3.11), no list grouped yet.
 
     The cyclic garbage collector is paused while the graph is built and
     then restored to the state it was in: nothing built here holds a
@@ -480,10 +438,12 @@ def denotation(lf, kg: KnowledgeGraph) -> frozenset:
         return frozenset((lf.entity_id,))
     if isinstance(lf, (logform.Join, logform.ReverseJoin)):
         kg.relation(lf.relation_id)
-        step = kg.forward if isinstance(lf, logform.Join) else kg.backward
+        step = kg.outgoing if isinstance(lf, logform.Join) else kg.incoming
         out: set = set()
         for e in denotation(lf.sub, kg):
-            out |= step(e, lf.relation_id)
+            for r, members in step(e):
+                if r == lf.relation_id:
+                    out |= members
         return frozenset(out)
     if isinstance(lf, logform.Intersect):
         return denotation(lf.left, kg) & denotation(lf.right, kg)

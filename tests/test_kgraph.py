@@ -143,7 +143,9 @@ def assert_matches_oracle(kg, triples):
     for an entity that no triple leads out of or into.  ``phrase_tokens``
     holds each relation's phrase tokenized, and ``names`` each entity's name
     normalized, as the very string that keys it in the alias index, which
-    splits into the name's tokens.  Each alias key gives the catalog's own
+    splits into the name's tokens.  ``denotation`` of a join or reverse
+    join of each relation over each entity reads the oracle's entry for
+    it.  Each alias key gives the catalog's own
     entities in ascending id order, as the index's one tuple, and
     ``alias_prefixes`` holds every proper token prefix of every key.  Once
     every entity has been read, every one-member entry that either index
@@ -156,9 +158,8 @@ def assert_matches_oracle(kg, triples):
             assert len(listed) == len(dict(listed))
             assert all(type(members) is frozenset for _, members in listed)
         for r in kg.relations:
-            assert kg.forward(e, r) == forward.get((e, r), frozenset())
-            assert kg.backward(e, r) == backward.get((e, r), frozenset())
-            assert type(kg.forward(e, r)) is type(kg.backward(e, r)) is frozenset
+            assert denotation(Join(r, EntityLit(e)), kg) == forward.get((e, r), frozenset())
+            assert denotation(ReverseJoin(r, EntityLit(e)), kg) == backward.get((e, r), frozenset())
             for o in kg.entities:
                 assert ((e, r, o) in kg.triples) == ((e, r, o) in expected)
     assert len(kg.triples) == len(expected)
@@ -203,8 +204,8 @@ def test_index_inversion_exhaustive(mini_kg, toy_kg, toy_dir):
 
 
 def test_one_member_entries_share_a_frozenset_that_no_growth_changes():
-    # b's entry shares x's frozenset with a's until y reaches a, which must
-    # not reach b; the mirror triples do the same in the backward index.
+    # b's entry, reached twice, is x's one frozenset; a's, which holds x and
+    # then y, is its own; the mirror triples do the same in the backward index.
     ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "b", "x", "y")}
     rels = {r: kgraph.Relation(r, r) for r in ("r", "s")}
     triples = [tuple(t.split()) for t in (
@@ -212,14 +213,40 @@ def test_one_member_entries_share_a_frozenset_that_no_growth_changes():
         "x s a", "x s b", "x s b", "y s a",
     )]
     kg = KnowledgeGraph(ents, rels, triples)
-    assert kg.forward("b", "r") == {"x"}
-    assert kg.forward("a", "r") == {"x", "y"}
-    assert kg.backward("x", "r") == {"a", "b"}
-    assert kg.backward("b", "s") == {"x"}
-    assert kg.backward("a", "s") == {"x", "y"}
+    out = {e: dict(kg.outgoing(e)) for e in ents}
+    into = {e: dict(kg.incoming(e)) for e in ents}
+    assert out["b"]["r"] == {"x"}
+    assert out["a"]["r"] == {"x", "y"}
+    assert into["x"]["r"] == {"a", "b"}
+    assert into["b"]["s"] == {"x"}
+    assert into["a"]["s"] == {"x", "y"}
     holding_x = [members for _, members in read_entries(kg) if members == {"x"}]
     assert len(holding_x) == 2
-    assert all(members is kg.forward("b", "r") for members in holding_x)
+    assert all(members is out["b"]["r"] for members in holding_x)
+    assert_matches_oracle(kg, triples)
+
+
+def test_repeated_triples_read_once_with_shared_singletons():
+    # "a r x" and "b r y" arrive twice, so a's and b's lists and x's and y's
+    # each hold a pair twice; a one-member entry is still its member's one
+    # frozenset, shared with an entry that holds the member once.
+    ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "b", "c", "x", "y")}
+    rels = {"r": kgraph.Relation("r", "r")}
+    triples = [tuple(t.split()) for t in (
+        "a r x", "b r y", "a r x", "c r x", "b r y", "y r b",
+    )]
+    kg = KnowledgeGraph(ents, rels, triples)
+    # len counts distinct triples and readies no entity
+    assert len(kg.triples) == 4
+    assert kg._forward_done == {} and kg._backward_done == {} and kg._singletons == {}
+    out = {e: dict(kg.outgoing(e)) for e in ents}
+    into = {e: dict(kg.incoming(e)) for e in ents}
+    assert out["a"]["r"] is out["c"]["r"] == {"x"}  # twice, once
+    assert into["y"]["r"] is out["y"]["r"] == {"b"}  # twice, once
+    assert out["b"]["r"] is into["b"]["r"] == {"y"}  # twice, once
+    assert into["x"]["r"] == {"a", "c"}
+    assert kg._singletons == {m: frozenset((m,)) for m in ("b", "x", "y")}
+    assert len(kg.triples) == 4 and set(kg.triples) == set(triples)
     assert_matches_oracle(kg, triples)
 
 
@@ -288,58 +315,50 @@ def test_load_graph_restores_gc_state(enabled, triples, catalog, error):
         assert seen and not any(seen)  # paused while the sources are read
         assert after_frozen == frozen
         if error is None and not froze:
-            # in the oldest generation, where no young collection scans them
+            # both indexes and every entity's list are tracked, and in the
+            # oldest generation, where no young collection scans them
             indexes = (kg._forward, kg._backward)
-            containers = [*indexes, *(entries for index in indexes for entries in index.values()),
-                          *(members for rels in kg._forward.values()
-                            for members in rels.values() if type(members) is set)]
-            tracked = [obj for obj in containers if gc.is_tracked(obj)]
-            # both indexes, ethiopia's forward set and every object's list
-            assert all(gc.is_tracked(pairs) for pairs in kg._backward.values())
-            assert len(tracked) >= 3 + len(kg._backward)
-            assert not any(id(obj) in young for obj in tracked)
+            containers = [*indexes, *(pairs for index in indexes for pairs in index.values())]
+            assert len(containers) == 2 + len(kg._forward) + len(kg._backward) > 2
+            assert all(gc.is_tracked(obj) for obj in containers)
+            assert not any(id(obj) in young for obj in containers)
 
 
 def test_a_read_finalizes_only_the_entity_and_direction_it_asks_for(mini_kg):
     kg = mini_kg
-    loaded = {o: pairs[:] for o, pairs in kg._backward.items()}
+    loaded = ({s: pairs[:] for s, pairs in kg._forward.items()},
+              {o: pairs[:] for o, pairs in kg._backward.items()})
 
-    def finalized(index, e):
-        if index is kg._backward:
-            # an object's first read groups its list, which it leaves as loaded
-            assert index[e] == loaded[e]
-            rels = kg._backward_done.get(e)
-            return rels is not None and all(type(m) is frozenset for m in rels.values())
-        kinds = {type(members) for members in index[e].values()}
-        assert kinds == {frozenset} or frozenset not in kinds
-        return kinds == {frozenset}
+    def assert_as_loaded():
+        # a first read groups the entity's list into its direction's done
+        # dict, and leaves both indexes' lists as loaded
+        assert (kg._forward, kg._backward) == loaded
+        assert all(type(members) is frozenset for done in (kg._forward_done, kg._backward_done)
+                   for rels in done.values() for members in rels.values())
 
-    # load_graph finalizes nothing
+    # load_graph readies nothing
     assert kg._forward_done == {} and kg._backward_done == {} and kg._singletons == {}
-    assert not any(finalized(index, e) for index in (kg._forward, kg._backward) for e in index)
     assert dict(kg.outgoing("ethiopia")) == {"adjoins": {"kenya", "sudan"}}
     assert kg._forward_done.keys() == {"ethiopia"} and kg._backward_done == {}
-    assert [e for e in kg._forward if finalized(kg._forward, e)] == ["ethiopia"]
-    assert not any(finalized(kg._backward, e) for e in kg._backward)
-    assert kg._forward_done["ethiopia"] is kg._forward["ethiopia"]
-    assert kg.backward("ethiopia", "adjoins") == {"kenya", "sudan"}
-    assert kg._backward_done.keys() == {"ethiopia"}
-    assert [e for e in kg._backward if finalized(kg._backward, e)] == ["ethiopia"]
+    assert_as_loaded()
+    assert dict(kg.incoming("ethiopia")) == {"adjoins": {"kenya", "sudan"}}
+    assert kg._forward_done.keys() == {"ethiopia"} and kg._backward_done.keys() == {"ethiopia"}
+    assert_as_loaded()
     # one-member entries of both directions share their member's frozenset
-    assert kg.forward("kenya", "adjoins") is kg.forward("sudan", "adjoins") == {"ethiopia"}
-    assert kg.backward("kenya", "adjoins") == {"ethiopia"}
-    assert kg.backward("kenya", "adjoins") is kg.forward("kenya", "adjoins")
+    kenya, sudan = dict(kg.outgoing("kenya")), dict(kg.outgoing("sudan"))
+    assert kenya["adjoins"] is sudan["adjoins"] == {"ethiopia"}
+    assert dict(kg.incoming("kenya"))["adjoins"] is kenya["adjoins"]
     assert kg._forward_done.keys() == {"ethiopia", "kenya", "sudan"}
     assert kg._backward_done.keys() == {"ethiopia", "kenya"}
     # a read of an entity with no entries, or of an unknown one, records nothing
-    assert list(kg.incoming("p1")) == [] and kg.forward("atlantis", "actor") == frozenset()
+    assert list(kg.incoming("p1")) == [] and list(kg.outgoing("atlantis")) == []
     assert kg._backward_done.keys() == {"ethiopia", "kenya"}
     assert kg._forward_done.keys() == {"ethiopia", "kenya", "sudan"}
     # membership in kg.triples reads the subject's forward entries
     assert ("p1", "film", "troy") in kg.triples
     assert kg._forward_done.keys() == {"ethiopia", "kenya", "sudan", "p1"}
     assert kg._backward_done.keys() == {"ethiopia", "kenya"}
-    assert kg._backward == loaded
+    assert_as_loaded()
 
 
 def test_concurrent_first_reads_agree_with_the_oracle(toy_dir):
@@ -596,17 +615,21 @@ def test_indexes_match_oracle_on_random_graphs(catalog, data):
     }
     kg = KnowledgeGraph(entities, relations, iter(triples))
     assert_matches_oracle(kg, triples)
-    # each object's flat list holds the distinct (r, s) pairs into it, each
-    # once, in the order their triples first arrived, and reads leave it so;
-    # incoming lists the relations in that order too
+    # each subject's flat list holds the (r, o) pair of every triple out of
+    # it, and each object's the (r, s) pair of every triple into it, in the
+    # order the triples arrived, repeats included, and reads leave them so;
+    # outgoing and incoming list the relations in first-seen order
+    pairs_from: dict = {}
     pairs_into: dict = {}
     for s, r, o in triples:
-        pairs_into.setdefault(o, {}).setdefault((r, s))
-    assert kg._backward == {o: [x for pair in pairs for x in pair]
-                            for o, pairs in pairs_into.items()}
-    assert all(type(pairs) is list for pairs in kg._backward.values())
-    for o, pairs in pairs_into.items():
-        assert [r for r, _ in kg.incoming(o)] == list(dict.fromkeys(r for r, _ in pairs))
+        pairs_from.setdefault(s, []).extend((r, o))
+        pairs_into.setdefault(o, []).extend((r, s))
+    assert kg._forward == pairs_from and kg._backward == pairs_into
+    assert all(type(pairs) is list for index in (kg._forward, kg._backward)
+               for pairs in index.values())
+    for pairs_of, read in ((pairs_from, kg.outgoing), (pairs_into, kg.incoming)):
+        for e, pairs in pairs_of.items():
+            assert [r for r, _ in read(e)] == list(dict.fromkeys(pairs[::2]))
 
 
 def oracle_denotation(lf, forward, backward):
