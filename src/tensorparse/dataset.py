@@ -20,13 +20,6 @@ class DatasetExample:
     question: str
     answers: tuple[str, ...]
 
-    # one per dataset line: the fields go straight into the instance dict, as
-    # in logform's records
-    def __init__(self, question, answers):
-        d = self.__dict__
-        d["question"] = question
-        d["answers"] = answers
-
 
 def load_dataset(source: Iterable[str]) -> list[DatasetExample]:
     """Parse JSONL lines ``{"question": ..., "answers": [...]}``.

@@ -80,18 +80,6 @@ class PerQueryResult:
     oracle_f1: float
     candidate_count: int
 
-    # one per evaluated question: the fields go straight into the instance
-    # dict, as in logform's records
-    def __init__(self, index, question, predicted_form, predicted_f1, oracle_f1,
-                 candidate_count):
-        d = self.__dict__
-        d["index"] = index
-        d["question"] = question
-        d["predicted_form"] = predicted_form
-        d["predicted_f1"] = predicted_f1
-        d["oracle_f1"] = oracle_f1
-        d["candidate_count"] = candidate_count
-
 
 @dataclass(frozen=True)
 class EvalReport:

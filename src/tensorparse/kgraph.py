@@ -14,7 +14,7 @@ digit), from which F1 reads answer names and generation an entity's name
 tokens.  Each name is normalized once, when the graph is built.
 The constructor checks every triple's ids against the catalogs and hands
 the indexes the catalog's own id strings, and no separate triple set is
-kept; ``kg.triples`` is a read-only view over the forward index.
+kept; ``len(kg.triples)`` counts the distinct triples.
 
 Both indexes have one layout: each entity maps to one flat list, a
 subject to ``[r, o, r, o, ...]`` and an object to ``[r, s, r, s, ...]``.
@@ -23,23 +23,21 @@ call per triple and no check, so a repeated triple line stays in both
 lists, and makes no pass over the indexes after it.  The first read of an
 entity in one direction groups its list into ``{relation:
 frozenset(members)}`` (:func:`_grouped`), in the order each relation first
-appears, which removes the repeats; a one-member entry is the member's one
-frozenset, which both indexes share.  The entity is then recorded as done,
+appears, which removes the repeats.  The entity is then recorded as done,
 so a later read is one dict lookup.  Every entry a read returns is a
 frozenset, so no read builds a set.  A question reads few of a graph's
 entities, so most lists are never grouped.  :func:`load_graph` gives the
 memory this takes.
 
 A graph answers every lookup the same way once built.  A first read is
-idempotent: two threads that make it at once build equal frozensets, and
-take each shared one-member frozenset and the recorded dict through
-``dict.setdefault``, so all lookup methods are safe for concurrent use.
+idempotent: two threads that make it at once build equal dicts and take
+the recorded one through ``dict.setdefault``, so all lookup methods are
+safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import gc
-from collections.abc import Set
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -79,22 +77,19 @@ class Relation:
     phrase: str
 
 
-_EMPTY: frozenset = frozenset()
 _NO_FACTS: dict = {}
 
 
-def _grouped(index: dict, done: dict, entity_id: str, singletons: dict) -> dict:
+def _grouped(index: dict, done: dict, entity_id: str) -> dict:
     """The entity's ``{relation: frozenset(members)}`` in ``index``, for its
     first read.
 
     Groups the entity's ``[r, m, r, m, ...]`` list by relation, in the order
-    each relation first appears.  An entry whose frozenset holds one member,
-    though a repeated triple may have left that member in the list more than
-    once, is its member's one frozenset in ``singletons``.  The list is left
-    as it is and the result recorded in ``done`` through ``dict.setdefault``,
-    so threads that group one entity at once all return the one dict
-    recorded.  An entity with no entries gives ``_NO_FACTS`` and is not
-    recorded.
+    each relation first appears; the frozensets drop a repeated triple's
+    member.  The list is left as it is and the result recorded in ``done``
+    through ``dict.setdefault``, so threads that group one entity at once
+    all return the one dict recorded.  An entity with no entries gives
+    ``_NO_FACTS`` and is not recorded.
     """
     pairs = index.get(entity_id)
     if pairs is None:
@@ -103,63 +98,24 @@ def _grouped(index: dict, done: dict, entity_id: str, singletons: dict) -> dict:
     it = iter(pairs)
     for r, m in zip(it, it):
         grouped.setdefault(r, []).append(m)
-    rels = {}
-    for r, members in grouped.items():
-        members = frozenset(members)
-        if len(members) == 1:
-            (member,) = members
-            members = singletons.setdefault(member, members)
-        rels[r] = members
-    return done.setdefault(entity_id, rels)
+    return done.setdefault(entity_id, {r: frozenset(ms) for r, ms in grouped.items()})
 
 
-class TripleView(Set):
-    """The graph's distinct triples, read from its forward index.
+class TripleView:
+    """The graph's distinct triples, of which only the count is read.
 
-    Iteration yields ``(s, r, o)`` tuples, and membership is two dict lookups
-    and a set lookup; both read the index as the graph's reads do, grouping
-    each subject they reach.  ``len`` counts the distinct pairs in each
-    subject's list on its first call, readying no subject, and keeps the
-    count.  Set operators return frozensets.
+    ``len`` counts the distinct pairs in each subject's forward list on
+    every call, and readies no subject.
     """
 
-    __slots__ = ("_forward", "_done", "_singletons", "_count")
+    __slots__ = ("_forward",)
 
-    def __init__(self, forward: dict, done: dict, singletons: dict):
-        # the graph's own dicts, not the graph, so that no cycle holds it
+    def __init__(self, forward: dict):
+        # the graph's own dict, not the graph, so that no cycle holds it
         self._forward = forward
-        self._done = done
-        self._singletons = singletons
-        self._count = None
-
-    @classmethod
-    def _from_iterable(cls, it):
-        return frozenset(it)
 
     def __len__(self) -> int:
-        if self._count is None:
-            self._count = sum(len(set(zip(it, it)))
-                              for it in map(iter, self._forward.values()))
-        return self._count
-
-    def __iter__(self) -> Iterator[tuple[str, str, str]]:
-        forward, done = self._forward, self._done
-        for s in forward:
-            rels = done.get(s)
-            if rels is None:
-                rels = _grouped(forward, done, s, self._singletons)
-            for r, objs in rels.items():
-                for o in objs:
-                    yield s, r, o
-
-    def __contains__(self, item) -> bool:
-        if not isinstance(item, tuple) or len(item) != 3:
-            return False
-        s, r, o = item
-        rels = self._done.get(s)
-        if rels is None:
-            rels = _grouped(self._forward, self._done, s, self._singletons)
-        return o in rels.get(r, _EMPTY)
+        return sum(len(set(zip(it, it))) for it in map(iter, self._forward.values()))
 
 
 class KnowledgeGraph:
@@ -171,12 +127,11 @@ class KnowledgeGraph:
     often as it arrived.  Both are built in one pass over the triples, so they
     are exact inverses.  An entity's first read in one direction groups its
     list (see :func:`_grouped`) into ``_forward_done`` or ``_backward_done``,
-    which map each entity read so far to its ``{relation: frozenset}``, in
-    which each one-member entry is its member's one frozenset in
-    ``_singletons``, shared by both directions.  A first read is idempotent,
-    so reads are safe for concurrent use.  ``triples`` is a
-    :class:`TripleView` over ``_forward``; a triple whose subject, relation
-    or object is missing from the catalogs raises :class:`ReferentialError`.
+    which map each entity read so far to its ``{relation: frozenset}``.  A
+    first read is idempotent, so reads are safe for concurrent use.
+    ``len(triples)`` counts the distinct triples (:class:`TripleView`); a
+    triple whose subject, relation or object is missing from the catalogs
+    raises :class:`ReferentialError`.
     """
 
     def __init__(
@@ -226,8 +181,7 @@ class KnowledgeGraph:
         self._backward = backward
         self._forward_done: dict = {}
         self._backward_done: dict = {}
-        self._singletons: dict = {}  # member -> frozenset((member,)), for both indexes
-        self.triples = TripleView(forward, self._forward_done, self._singletons)
+        self.triples = TripleView(forward)
         # key -> [the key's string, then the ids of the entities it names]:
         # an entity's name is that first string, the one the index keeps
         alias_index: dict = {}
@@ -267,14 +221,14 @@ class KnowledgeGraph:
         """``(relation id, frozenset(objects))`` for each relation out of the entity."""
         rels = self._forward_done.get(entity_id)
         if rels is None:
-            rels = _grouped(self._forward, self._forward_done, entity_id, self._singletons)
+            rels = _grouped(self._forward, self._forward_done, entity_id)
         return iter(rels.items())
 
     def incoming(self, entity_id: str) -> Iterator[tuple[str, frozenset]]:
         """``(relation id, frozenset(subjects))`` for each relation into the entity."""
         rels = self._backward_done.get(entity_id)
         if rels is None:
-            rels = _grouped(self._backward, self._backward_done, entity_id, self._singletons)
+            rels = _grouped(self._backward, self._backward_done, entity_id)
         return iter(rels.items())
 
     def entities_by_alias(self, key: str) -> tuple[Entity, ...]:

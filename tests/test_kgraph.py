@@ -147,9 +147,9 @@ def assert_matches_oracle(kg, triples):
     join of each relation over each entity reads the oracle's entry for
     it.  Each alias key gives the catalog's own
     entities in ascending id order, as the index's one tuple, and
-    ``alias_prefixes`` holds every proper token prefix of every key.  Once
-    every entity has been read, every one-member entry that either index
-    reads out with the same member is one shared frozenset.
+    ``alias_prefixes`` holds every proper token prefix of every key.
+    ``outgoing`` flattened over every entity gives the oracle's triple set,
+    and ``len(kg.triples)`` its size.
     """
     expected, forward, backward = oracle_indexes(triples)
     for e in kg.entities:
@@ -160,18 +160,8 @@ def assert_matches_oracle(kg, triples):
         for r in kg.relations:
             assert denotation(Join(r, EntityLit(e)), kg) == forward.get((e, r), frozenset())
             assert denotation(ReverseJoin(r, EntityLit(e)), kg) == backward.get((e, r), frozenset())
-            for o in kg.entities:
-                assert ((e, r, o) in kg.triples) == ((e, r, o) in expected)
+    assert {(e, r, o) for e in kg.entities for r, objs in kg.outgoing(e) for o in objs} == expected
     assert len(kg.triples) == len(expected)
-    assert set(kg.triples) == expected
-    assert kg.triples == expected and expected == kg.triples
-    assert all(type(t) is tuple for t in kg.triples)
-    assert ("x", "y") not in kg.triples and "abc" not in kg.triples
-    singletons: dict = {}
-    for _, members in read_entries(kg):
-        if len(members) == 1:
-            (member,) = members
-            assert singletons.setdefault(member, members) is members
     aliases = oracle_alias_index(kg.entities)
     assert kg._alias_index.keys() == aliases.keys()
     for key, ids in aliases.items():
@@ -203,9 +193,9 @@ def test_index_inversion_exhaustive(mini_kg, toy_kg, toy_dir):
     assert_matches_oracle(toy_kg, toy_triples)
 
 
-def test_one_member_entries_share_a_frozenset_that_no_growth_changes():
-    # b's entry, reached twice, is x's one frozenset; a's, which holds x and
-    # then y, is its own; the mirror triples do the same in the backward index.
+def test_an_entry_grown_from_one_member_holds_every_member():
+    # b's entry, reached twice, holds x once; a's holds x and then y; the
+    # mirror triples do the same in the backward index.
     ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "b", "x", "y")}
     rels = {r: kgraph.Relation(r, r) for r in ("r", "s")}
     triples = [tuple(t.split()) for t in (
@@ -222,14 +212,13 @@ def test_one_member_entries_share_a_frozenset_that_no_growth_changes():
     assert into["a"]["s"] == {"x", "y"}
     holding_x = [members for _, members in read_entries(kg) if members == {"x"}]
     assert len(holding_x) == 2
-    assert all(members is out["b"]["r"] for members in holding_x)
     assert_matches_oracle(kg, triples)
 
 
-def test_repeated_triples_read_once_with_shared_singletons():
+def test_repeated_triples_read_once():
     # "a r x" and "b r y" arrive twice, so a's and b's lists and x's and y's
-    # each hold a pair twice; a one-member entry is still its member's one
-    # frozenset, shared with an entry that holds the member once.
+    # each hold a pair twice; each read gives the member once, as it does for
+    # an entry that holds the member once.
     ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "b", "c", "x", "y")}
     rels = {"r": kgraph.Relation("r", "r")}
     triples = [tuple(t.split()) for t in (
@@ -238,15 +227,14 @@ def test_repeated_triples_read_once_with_shared_singletons():
     kg = KnowledgeGraph(ents, rels, triples)
     # len counts distinct triples and readies no entity
     assert len(kg.triples) == 4
-    assert kg._forward_done == {} and kg._backward_done == {} and kg._singletons == {}
+    assert kg._forward_done == {} and kg._backward_done == {}
     out = {e: dict(kg.outgoing(e)) for e in ents}
     into = {e: dict(kg.incoming(e)) for e in ents}
-    assert out["a"]["r"] is out["c"]["r"] == {"x"}  # twice, once
-    assert into["y"]["r"] is out["y"]["r"] == {"b"}  # twice, once
-    assert out["b"]["r"] is into["b"]["r"] == {"y"}  # twice, once
+    assert out["a"]["r"] == out["c"]["r"] == {"x"}  # twice, once
+    assert into["y"]["r"] == out["y"]["r"] == {"b"}  # twice, once
+    assert out["b"]["r"] == into["b"]["r"] == {"y"}  # twice, once
     assert into["x"]["r"] == {"a", "c"}
-    assert kg._singletons == {m: frozenset((m,)) for m in ("b", "x", "y")}
-    assert len(kg.triples) == 4 and set(kg.triples) == set(triples)
+    assert len(kg.triples) == 4
     assert_matches_oracle(kg, triples)
 
 
@@ -337,34 +325,30 @@ def test_a_read_finalizes_only_the_entity_and_direction_it_asks_for(mini_kg):
                    for rels in done.values() for members in rels.values())
 
     # load_graph readies nothing
-    assert kg._forward_done == {} and kg._backward_done == {} and kg._singletons == {}
+    assert kg._forward_done == {} and kg._backward_done == {}
     assert dict(kg.outgoing("ethiopia")) == {"adjoins": {"kenya", "sudan"}}
     assert kg._forward_done.keys() == {"ethiopia"} and kg._backward_done == {}
     assert_as_loaded()
     assert dict(kg.incoming("ethiopia")) == {"adjoins": {"kenya", "sudan"}}
     assert kg._forward_done.keys() == {"ethiopia"} and kg._backward_done.keys() == {"ethiopia"}
     assert_as_loaded()
-    # one-member entries of both directions share their member's frozenset
     kenya, sudan = dict(kg.outgoing("kenya")), dict(kg.outgoing("sudan"))
-    assert kenya["adjoins"] is sudan["adjoins"] == {"ethiopia"}
-    assert dict(kg.incoming("kenya"))["adjoins"] is kenya["adjoins"]
+    assert kenya["adjoins"] == sudan["adjoins"] == {"ethiopia"}
+    assert dict(kg.incoming("kenya")) == {"adjoins": {"ethiopia"}}
     assert kg._forward_done.keys() == {"ethiopia", "kenya", "sudan"}
     assert kg._backward_done.keys() == {"ethiopia", "kenya"}
     # a read of an entity with no entries, or of an unknown one, records nothing
     assert list(kg.incoming("p1")) == [] and list(kg.outgoing("atlantis")) == []
     assert kg._backward_done.keys() == {"ethiopia", "kenya"}
     assert kg._forward_done.keys() == {"ethiopia", "kenya", "sudan"}
-    # membership in kg.triples reads the subject's forward entries
-    assert ("p1", "film", "troy") in kg.triples
-    assert kg._forward_done.keys() == {"ethiopia", "kenya", "sudan", "p1"}
-    assert kg._backward_done.keys() == {"ethiopia", "kenya"}
     assert_as_loaded()
 
 
 def test_concurrent_first_reads_agree_with_the_oracle(toy_dir):
     # More threads than cores, each making every first read of one fresh
     # graph in its own order; a finalize that another thread can catch
-    # half done, or that makes a member two one-member frozensets, fails.
+    # half done, or that hands a thread a dict other than the one recorded,
+    # fails.
     lines = (toy_dir / toy.TRIPLES_FILE).read_text(encoding="utf-8").splitlines()
     _, forward, backward = oracle_indexes(
         tuple(line.split("\t")) for line in lines if line and line[0] != "#")
@@ -392,17 +376,15 @@ def test_concurrent_first_reads_agree_with_the_oracle(toy_dir):
             for worker in workers:
                 worker.join(timeout=60)
                 assert not worker.is_alive()
-            singletons: dict = {}
+            done = {"outgoing": kg._forward_done, "incoming": kg._backward_done}
             for listed in got:
                 assert len(listed) == len(reads)
                 for e, direction, entries in listed:
                     index = oracle[direction]
                     assert dict(entries) == {r: m for (x, r), m in index.items() if x == e}
-                    for _, members in entries:
+                    for r, members in entries:
                         assert type(members) is frozenset
-                        if len(members) == 1:
-                            (member,) = members
-                            assert singletons.setdefault(member, members) is members
+                        assert members is done[direction][e][r]
     finally:
         sys.setswitchinterval(interval)
 
@@ -614,6 +596,9 @@ def test_indexes_match_oracle_on_random_graphs(catalog, data):
         for eid, e in entities.items()
     }
     kg = KnowledgeGraph(entities, relations, iter(triples))
+    # len counts the distinct triples and readies no entity
+    assert len(kg.triples) == len(oracle_indexes(triples)[0])
+    assert kg._forward_done == {} and kg._backward_done == {}
     assert_matches_oracle(kg, triples)
     # each subject's flat list holds the (r, o) pair of every triple out of
     # it, and each object's the (r, s) pair of every triple into it, in the
@@ -717,7 +702,6 @@ def test_load_graph_round_trip(tmp_path_factory, catalog, data):
     kg = load_files(root, "triples.tsv")
     assert kg.entities == entities
     assert kg.relations == relations
-    assert kg.triples == frozenset(triples)
     assert_matches_oracle(kg, triples)
 
     # The same graph from files with skipped lines and CRLF endings scattered

@@ -1,6 +1,7 @@
-"""The records built per form, candidate, dataset line and report row write
-their fields in an ``__init__`` of their own; everything else about them
-must be what ``@dataclass(frozen=True)`` generates."""
+"""The records built per form and candidate write their fields in an
+``__init__`` of their own, and those built per dataset line and report row
+take the generated one; everything else about them must be what
+``@dataclass(frozen=True)`` generates."""
 
 import dataclasses
 import inspect
