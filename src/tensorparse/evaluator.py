@@ -161,8 +161,7 @@ def format_report(report: EvalReport) -> str:
 def write_report(report: EvalReport, path) -> None:
     # A lone surrogate (a JSON "\\ud800" escape) is written as the text \ud800,
     # which no literal backslash reads as: the question column doubles those.
-    with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
-        fh.write(format_report(report))
+    learner.write_replacing(path, format_report(report), errors="backslashreplace")
 
 
 @dataclass(frozen=True, kw_only=True)

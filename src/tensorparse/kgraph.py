@@ -3,15 +3,16 @@
 The graph is indexed by the only questions asked of it: which relations
 lead out of an entity and to which objects (:meth:`KnowledgeGraph.outgoing`),
 which lead into it and from which subjects
-(:meth:`KnowledgeGraph.incoming`), and which entities an alias names
-(:meth:`KnowledgeGraph.entities_by_alias`); ``alias_prefixes`` holds every
+(:meth:`KnowledgeGraph.incoming`), and the ids of the entities that a
+name or alias names (:meth:`KnowledgeGraph.entities_by_alias`), which is
+all that entity linking reads; ``alias_prefixes`` holds every
 proper token prefix of every alias key, so entity linking grows a span only
 while some alias begins with it; ``phrase_tokens`` maps each relation
 id to its phrase's tokens, from which generation assembles utterances;
-``names`` maps each entity id to its normalized name, the very string the
-alias index keys that name by (``""`` for a name with no letter or
-digit), from which F1 reads answer names and generation an entity's name
-tokens.  Each name is normalized once, when the graph is built.
+``names`` maps each entity id to its normalized name (``""`` for a name
+with no letter or digit), from which F1 reads answer names and generation
+an entity's name tokens.  Each name is normalized once, when the graph is
+built.
 The constructor checks every triple's ids against the catalogs and hands
 the indexes the catalog's own id strings, and no separate triple set is
 kept; ``len(kg.triples)`` counts the distinct triples.
@@ -129,6 +130,8 @@ class KnowledgeGraph:
     list (see :func:`_grouped`) into ``_forward_done`` or ``_backward_done``,
     which map each entity read so far to its ``{relation: frozenset}``.  A
     first read is idempotent, so reads are safe for concurrent use.
+    ``_alias_index`` maps each normalized name or alias but ``""`` to the
+    ascending tuple of ids of the entities it names.
     ``len(triples)`` counts the distinct triples (:class:`TripleView`); a
     triple whose subject, relation or object is missing from the catalogs
     raises :class:`ReferentialError`.
@@ -182,34 +185,21 @@ class KnowledgeGraph:
         self._forward_done: dict = {}
         self._backward_done: dict = {}
         self.triples = TripleView(forward)
-        # key -> [the key's string, then the ids of the entities it names]:
-        # an entity's name is that first string, the one the index keeps
-        alias_index: dict = {}
+        # key -> the ids of the entities it names, by name or by alias
+        alias_ids: dict = {}
         names: dict = {}
         for ent in self.entities.values():
-            name = normalize_phrase(ent.name)
-            keys = {name}
-            for a in ent.aliases:
-                if a != ent.name:
-                    keys.add(normalize_phrase(a))
+            name = names[ent.id] = normalize_phrase(ent.name)
+            keys = {name, *map(normalize_phrase, ent.aliases)}
             keys.discard("")
             for key in keys:
-                entry = alias_index.get(key)
-                if entry is None:
-                    alias_index[key] = [key, ent.id]
-                else:
-                    entry.append(ent.id)
-            names[ent.id] = alias_index[name][0] if name else name
+                alias_ids.setdefault(key, []).append(ent.id)
         self.names = names
-        entity = self.entities.__getitem__
-        self._alias_index = {
-            k: (entity(v[1]),) if len(v) == 2 else tuple(map(entity, sorted(v[1:])))
-            for k, v in alias_index.items()
-        }
+        self._alias_index = {key: tuple(sorted(ids)) for key, ids in alias_ids.items()}
         # Linking grows a span only while it is one of these: so it reaches
         # every key of several tokens, and grows no span that no key extends.
         prefixes: set = set()
-        for key in alias_index:
+        for key in self._alias_index:
             end = key.rfind(" ")
             while end > 0:
                 prefixes.add(key[:end])
@@ -231,13 +221,13 @@ class KnowledgeGraph:
             rels = _grouped(self._backward, self._backward_done, entity_id)
         return iter(rels.items())
 
-    def entities_by_alias(self, key: str) -> tuple[Entity, ...]:
-        """Entities with a normalized alias equal to ``key``.
+    def entities_by_alias(self, key: str) -> tuple[str, ...]:
+        """Ids of the entities whose normalized name or alias equals ``key``.
 
         ``key`` is the single-spaced join of tokens as
         :func:`features.tokenize` gives them, which are already normalized.
-        Returns the index's own tuple of the catalog's entities, in
-        ascending id order, or an empty tuple when nothing matches.
+        Returns the index's own tuple of ids, ascending, or an empty tuple
+        when nothing matches.
         """
         return self._alias_index.get(key, ())
 
@@ -289,8 +279,6 @@ def _parse_catalog(catalog_source: Iterable[str]):
             if eid in entities:
                 raise GraphParseError(f"duplicate entity id {eid!r}", lineno)
             aliases = tuple(filter(None, alias_field.split("|"))) if alias_field else ()
-            if name not in aliases:
-                aliases = (name, *aliases)
             entities[eid] = Entity(eid, name, aliases)
         elif kind == "R":
             if len(fields) != 5:
@@ -317,7 +305,9 @@ def load_graph(
 
     A triple line is ``subject<TAB>relation<TAB>object``; catalog lines
     are ``E<TAB>id<TAB>name<TAB>alias1|alias2|...`` or
-    ``R<TAB>id<TAB>phrase<TAB>domainType<TAB>rangeType``.  Blank lines
+    ``R<TAB>id<TAB>phrase<TAB>domainType<TAB>rangeType``.  An entity keeps
+    its aliases as its line lists them, empty ones left out, and links by
+    its name and by each of them.  Blank lines
     (empty or whitespace only) and comments (``#`` after any leading
     whitespace) are skipped but counted; the ``\\n`` and then the ``\\r``
     characters that end a line are not part of its last field.  A
@@ -329,7 +319,7 @@ def load_graph(
     which skips, splits and checks each line in one loop, so the fields of
     one line at a time are held.  On the ``pipebench`` ``large`` graph
     (seed 1: 100,000 triple lines, no two alike, and 17,508 catalog lines)
-    this retains 11.8 MiB and peaks at 13.8 MiB (``tracemalloc``, Python
+    this retains 11.0 MiB and peaks at 13.3 MiB (``tracemalloc``, Python
     3.11), no list grouped yet.
 
     The cyclic garbage collector is paused while the graph is built and

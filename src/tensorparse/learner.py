@@ -346,33 +346,40 @@ def top_features(model: Model, k: int) -> list[tuple[str, float]]:
     return ranked[:k]
 
 
-def save_model(model: Model, path) -> None:
-    """Write the versioned text format, keys sorted ascending.
-
-    The header is ``tensorparse-model v2 max_candidates=<training's cap>``.
-    Weights print via ``repr`` so they parse back to the identical float.
-    The text goes to a temporary file beside ``path`` that then replaces
-    it, so a failed write leaves any earlier file at ``path`` as it was.
-    """
-    lines = [f"{MODEL_MAGIC} v{MODEL_VERSION} max_candidates={model.gen_cfg.max_candidates}"]
-    for key in sorted(model.weights):
-        lines.append(f"{key}\t{model.weights[key]!r}")
-    head, tail = os.path.split(os.fspath(path))
+def write_replacing(path, text: str, errors: str = "strict") -> None:
+    """Write ``text`` to ``path`` in UTF-8, with ``errors`` as :func:`open` takes
+    it, through a temporary file beside it that then replaces it: a failed
+    write leaves any earlier file as it was, and a symbolic link stays a link
+    to the new file.  An error names ``path``, not the temporary file."""
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
-        fh = open(tmp, "x", encoding="utf-8")
+        fh = open(tmp, "x", encoding="utf-8", errors=errors)
         try:
             with fh:
-                fh.write("\n".join(lines) + "\n")
-            os.replace(tmp, path)
+                fh.write(text)
+            os.replace(tmp, target)
         except BaseException:
             os.remove(tmp)
             raise
     except OSError as exc:
-        if exc.filename == tmp:  # name the model file, not the temporary one
+        if exc.filename == tmp:
             exc.filename = os.fspath(path)
             del exc.filename2
         raise
+
+
+def save_model(model: Model, path) -> None:
+    """Write the versioned text format, keys sorted ascending (:func:`write_replacing`).
+
+    The header is ``tensorparse-model v2 max_candidates=<training's cap>``.
+    Weights print via ``repr`` so they parse back to the identical float.
+    """
+    lines = [f"{MODEL_MAGIC} v{MODEL_VERSION} max_candidates={model.gen_cfg.max_candidates}"]
+    for key in sorted(model.weights):
+        lines.append(f"{key}\t{model.weights[key]!r}")
+    write_replacing(path, "\n".join(lines) + "\n")
 
 
 def _ascii_int(text: str) -> Optional[int]:

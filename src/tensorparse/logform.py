@@ -128,25 +128,24 @@ def serialize(lf: LogicalForm) -> str:
 ID_FORBIDDEN = frozenset("(),") | frozenset(filter(str.isspace, map(chr, range(0x3001))))
 
 
-def _linked_entities(query_tokens, kg: KnowledgeGraph):
-    """Entities named by a span of the query, ascending by id.
+def _linked_entities(query_tokens, kg: KnowledgeGraph) -> list[str]:
+    """Ids of the entities named by a span of the query, ascending.
 
     From each start token the span is looked up, then grown by the next
     token while it is a proper prefix of some alias key
     (``kg.alias_prefixes``): a span that no alias begins with cannot grow
     into one, so no longer span from that start is looked up.
     """
-    linked = {}
+    linked: set = set()
     n = len(query_tokens)
     for start in range(n):
         key = query_tokens[start]
         for end in range(start + 1, n + 1):
-            for ent in kg.entities_by_alias(key):
-                linked[ent.id] = ent
+            linked.update(kg.entities_by_alias(key))
             if end == n or key not in kg.alias_prefixes:
                 break
             key = f"{key} {query_tokens[end]}"
-    return [linked[eid] for eid in sorted(linked)]
+    return sorted(linked)
 
 
 def generate_candidates(
@@ -166,8 +165,8 @@ def generate_candidates(
     """
     if not query_tokens:
         raise ValueError("query_tokens must be non-empty")
-    linked = [(ent.id, EntityLit(ent.id), tuple(kg.names[ent.id].split()))
-              for ent in _linked_entities(list(query_tokens), kg)]
+    linked = [(eid, EntityLit(eid), tuple(kg.names[eid].split()))
+              for eid in _linked_entities(list(query_tokens), kg)]
     phrase = kg.phrase_tokens
     # serialized form -> (form, utterance tokens, denotation); each key is
     # written from the ids it holds and equals serialize(form)

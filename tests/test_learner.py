@@ -323,9 +323,13 @@ def test_model_key_that_no_score_reads_is_rejected(tmp_path, key):
 
 
 def test_failed_save_keeps_the_previous_model(tmp_path, monkeypatch):
+    # and the previous eval report, which is written the same way
     path = tmp_path / "m.model"
     save_model(Model(weights={"p:a|b": 1.5}), path)
-    before = path.read_bytes()
+    report_path = tmp_path / "report.txt"
+    row = evaluator.PerQueryResult(0, "q0", None, 0.0, 0.0, 0)
+    evaluator.write_report(evaluator.EvalReport(0.0, 0.0, (row,)), report_path)
+    before = {path: path.read_bytes(), report_path: report_path.read_bytes()}
 
     class HalfWriter:
         """Writes the first half of the text, then fails."""
@@ -344,13 +348,33 @@ def test_failed_save_keeps_the_previous_model(tmp_path, monkeypatch):
             raise OSError("no space left on device")
 
     real_open = open
-    monkeypatch.setattr(learner, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
-                        raising=False)
+    for module in (learner, evaluator):
+        monkeypatch.setattr(module, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
+                            raising=False)
     weights = {f"p:q{i}|u{i}": float(i) for i in range(100)}
     with pytest.raises(OSError, match="no space"):
         save_model(Model(weights=weights), path)
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["m.model"]
+    rows = tuple(evaluator.PerQueryResult(i, f"q{i}", None, 1.0, 1.0, 1) for i in range(100))
+    with pytest.raises(OSError, match="no space"):
+        evaluator.write_report(evaluator.EvalReport(1.0, 1.0, rows), report_path)
+    assert {p: p.read_bytes() for p in before} == before
+    assert sorted(os.listdir(tmp_path)) == ["m.model", "report.txt"]
+
+
+def test_writes_through_a_symbolic_link_keep_the_link(tmp_path):
+    # the model and the report go to the file each link names, as writing
+    # into the link would
+    for name, write in (("m.model", lambda p: save_model(zero_model(), p)),
+                        ("report.txt", lambda p: evaluator.write_report(
+                            evaluator.EvalReport(0.0, 0.0, ()), p))):
+        (tmp_path / name).write_text("old\n")
+        link = tmp_path / f"link-{name}"
+        link.symlink_to(name)
+        write(link)
+        assert link.is_symlink() and os.readlink(link) == name
+        assert (tmp_path / name).read_text() != "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["link-m.model", "link-report.txt", "m.model",
+                                            "report.txt"]
 
 
 def test_save_into_missing_directory_names_the_model_file(tmp_path):

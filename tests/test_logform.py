@@ -280,12 +280,13 @@ def canonical_utterance(lf: LogicalForm, kg: kgraph.KnowledgeGraph) -> str:
 
 
 def brute_force_linked(query_tokens, kg):
-    """The entities that any span of the query names, every span length from
-    1 to n, ascending by id; read from the catalog, not the alias index."""
+    """Ids of the entities that any span of the query names, every span
+    length from 1 to n, ascending; read from the catalog, not the alias
+    index."""
     n = len(query_tokens)
     spans = {normalize_phrase(" ".join(query_tokens[i:j]))
              for i in range(n) for j in range(i + 1, n + 1)}
-    return [ent for _, ent in sorted(kg.entities.items())
+    return [eid for eid, ent in sorted(kg.entities.items())
             if not spans.isdisjoint(set(map(normalize_phrase, (ent.name,) + ent.aliases)) - {""})]
 
 
@@ -303,7 +304,7 @@ def test_linking_reaches_the_longest_alias(mini_kg):
     lookup = kg.entities_by_alias
     kg.entities_by_alias = lambda key: looked_up.append(key) or lookup(key)
     tokens = tokenize("what does the grand duchy of fenwick use")
-    assert [e.id for e in logform._linked_entities(tokens, kg)] == ["gd"]
+    assert logform._linked_entities(tokens, kg) == ["gd"]
     # every token, and a longer span only while the span before it is a prefix
     assert sorted(looked_up) == sorted(tokens + ["grand duchy", "grand duchy of",
                                                  "grand duchy of fenwick"])
@@ -311,7 +312,7 @@ def test_linking_reaches_the_longest_alias(mini_kg):
     # a prefix run into a token that does not continue it stops growing there,
     # and the next start links what follows
     tokens = tokenize("grand duchy of a fenwick")
-    assert [e.id for e in logform._linked_entities(tokens, kg)] == ["a"]
+    assert logform._linked_entities(tokens, kg) == ["a"]
     assert sorted(looked_up) == sorted(tokens + ["grand duchy", "grand duchy of",
                                                  "grand duchy of a"])
     assert "join(r, ent(gd))" in {
@@ -382,20 +383,20 @@ def reference_generate_candidates(query_tokens, kg):
     def add(lf):
         forms.setdefault(serialize(lf), lf)
 
-    for ent in linked:
+    for eid in linked:
         for rid in rel_ids:
-            add(Join(rid, EntityLit(ent.id)))
-            add(ReverseJoin(rid, EntityLit(ent.id)))
+            add(Join(rid, EntityLit(eid)))
+            add(ReverseJoin(rid, EntityLit(eid)))
     if len(linked) >= 2:
         for e1 in linked:
             for e2 in linked:
-                if e1.id == e2.id:
+                if e1 == e2:
                     continue
                 for r1 in rel_ids:
                     for r2 in rel_ids:
                         inner = Intersect(
-                            ReverseJoin(r1, EntityLit(e1.id)),
-                            ReverseJoin(r2, EntityLit(e2.id)),
+                            ReverseJoin(r1, EntityLit(e1)),
+                            ReverseJoin(r2, EntityLit(e2)),
                         )
                         if not kgraph.denotation(inner, kg):
                             continue
@@ -498,8 +499,8 @@ def previous_generate_candidates(query_tokens, kg, cfg):
     set of shared subjects changes no output."""
     if not query_tokens:
         raise ValueError("query_tokens must be non-empty")
-    linked = [(ent.id, tuple(kg.names[ent.id].split()))
-              for ent in logform._linked_entities(list(query_tokens), kg)]
+    linked = [(eid, tuple(kg.names[eid].split()))
+              for eid in logform._linked_entities(list(query_tokens), kg)]
     phrase = kg.phrase_tokens
     forms: dict = {}
 
