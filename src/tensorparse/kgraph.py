@@ -12,7 +12,9 @@ id to its phrase's tokens, from which generation assembles utterances;
 ``names`` maps each entity id to its normalized name (``""`` for a name
 with no letter or digit), from which F1 reads answer names and generation
 an entity's name tokens.  Each name is normalized once, when the graph is
-built.
+built.  The alias index is built in the form it keeps: a key that one entity
+names holds that entity's one-id tuple from the start, and only a key that
+several entities name is collected apart and then sorted.
 The constructor checks every triple's ids against the catalogs and hands
 the indexes the catalog's own id strings, and no separate triple set is
 kept; ``len(kg.triples)`` counts the distinct triples.
@@ -39,8 +41,7 @@ safe for concurrent use.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import TensorparseError, logform
 from .features import normalize_phrase, tokenize
@@ -65,15 +66,13 @@ def _shown(ident: str) -> str:
     return ident if ident.isprintable() else repr(ident)
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     id: str
     name: str
     aliases: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     id: str
     phrase: str
 
@@ -131,7 +130,10 @@ class KnowledgeGraph:
     which map each entity read so far to its ``{relation: frozenset}``.  A
     first read is idempotent, so reads are safe for concurrent use.
     ``_alias_index`` maps each normalized name or alias but ``""`` to the
-    ascending tuple of ids of the entities it names.
+    ascending tuple of ids of the entities it names.  The first entity to
+    name a key stores its own one-id tuple there, which stays if no other
+    entity names the key; only keys that a later entity also names gather
+    their ids in a side dict, each then replaced by its sorted tuple.
     ``len(triples)`` counts the distinct triples (:class:`TripleView`); a
     triple whose subject, relation or object is missing from the catalogs
     raises :class:`ReferentialError`.
@@ -172,12 +174,14 @@ class KnowledgeGraph:
             if pairs is None:
                 forward[s] = [r, o]
             else:
-                pairs += r, o
+                pairs.append(r)
+                pairs.append(o)
             pairs = backward.get(o)
             if pairs is None:
                 backward[o] = [r, s]
             else:
-                pairs += r, s
+                pairs.append(r)
+                pairs.append(s)
         # Freed before the alias index is built, when memory peaks.
         del entity_ids, relation_ids
         self._forward = forward
@@ -186,16 +190,25 @@ class KnowledgeGraph:
         self._backward_done: dict = {}
         self.triples = TripleView(forward)
         # key -> the ids of the entities it names, by name or by alias
-        alias_ids: dict = {}
+        alias_index: dict = {}
+        shared: dict = {}  # only the keys that a later entity also names
         names: dict = {}
         for ent in self.entities.values():
-            name = names[ent.id] = normalize_phrase(ent.name)
+            eid = ent.id
+            name = names[eid] = normalize_phrase(ent.name)
             keys = {name, *map(normalize_phrase, ent.aliases)}
             keys.discard("")
+            own = (eid,)
             for key in keys:
-                alias_ids.setdefault(key, []).append(ent.id)
+                ids = alias_index.get(key)
+                if ids is None:
+                    alias_index[key] = own
+                else:
+                    shared.setdefault(key, [*ids]).append(eid)
+        for key, ids in shared.items():
+            alias_index[key] = tuple(sorted(ids))
         self.names = names
-        self._alias_index = {key: tuple(sorted(ids)) for key, ids in alias_ids.items()}
+        self._alias_index = alias_index
         # Linking grows a span only while it is one of these: so it reaches
         # every key of several tokens, and grows no span that no key extends.
         prefixes: set = set()
@@ -319,8 +332,10 @@ def load_graph(
     which skips, splits and checks each line in one loop, so the fields of
     one line at a time are held.  On the ``pipebench`` ``large`` graph
     (seed 1: 100,000 triple lines, no two alike, and 17,508 catalog lines)
-    this retains 11.0 MiB and peaks at 13.3 MiB (``tracemalloc``, Python
-    3.11), no list grouped yet.
+    this retains 10.6 MiB and peaks at 11.0 MiB (``tracemalloc``, Python
+    3.11), no list grouped yet: the alias index and the catalog's
+    :class:`Entity` and :class:`Relation` records (named tuples) are built in
+    the form the graph keeps, so no copy of them is alive beside it.
 
     The cyclic garbage collector is paused while the graph is built and
     then restored to the state it was in: nothing built here holds a

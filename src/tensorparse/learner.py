@@ -46,6 +46,7 @@ import math
 import os
 import random
 import re
+import stat
 from dataclasses import dataclass, field
 from operator import mul
 from types import MappingProxyType
@@ -348,9 +349,21 @@ def top_features(model: Model, k: int) -> list[tuple[str, float]]:
 
 def write_replacing(path, text: str, errors: str = "strict") -> None:
     """Write ``text`` to ``path`` in UTF-8, with ``errors`` as :func:`open` takes
-    it, through a temporary file beside it that then replaces it: a failed
-    write leaves any earlier file as it was, and a symbolic link stays a link
-    to the new file.  An error names ``path``, not the temporary file."""
+    it.  A regular file, or a path with nothing there yet, is written through a
+    temporary file beside it that then replaces it: a failed write leaves any
+    earlier file as it was, and a symbolic link stays a link to the new file.
+    Anything else that exists, such as a FIFO or ``/dev/stdout``, is opened and
+    written in place; it is told apart by ``os.stat`` on ``path`` itself, since
+    the real path of a pipe's ``/dev/stdout`` does not exist.  An error names
+    ``path``, not the temporary file."""
+    try:
+        replace = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        replace = True
+    if not replace:
+        with open(path, "w", encoding="utf-8", errors=errors) as fh:
+            fh.write(text)
+        return
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")

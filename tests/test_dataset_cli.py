@@ -329,6 +329,29 @@ def test_python_m_tensorparse_runs_as_a_process(tmp_path):
     assert not (tmp_path / "m.model").exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_eval_report_to_dev_stdout_streams_into_a_pipe(workspace, tmp_path):
+    # the real path of a pipe's /dev/stdout does not exist, so the report is
+    # written into the pipe itself, followed by the summary line
+    package_root = os.path.dirname(os.path.dirname(tensorparse.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    args = ["eval", "--kg", str(workspace / "triples.tsv"),
+            "--catalog", str(workspace / "catalog.tsv"),
+            "--data", str(workspace / "dataset.jsonl"), "--model", str(workspace / "toy.model")]
+    done = subprocess.run([sys.executable, "-m", "tensorparse", *args, "--report", "/dev/stdout"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+    report = tmp_path / "report.txt"
+    summary = subprocess.run([sys.executable, "-m", "tensorparse", *args, "--report", str(report)],
+                             capture_output=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path})
+    assert summary.returncode == 0, summary.stderr
+    assert done.stdout == report.read_bytes() + summary.stdout
+    assert summary.stdout.startswith(b"averageF1=") and summary.stdout.count(b"\n") == 1
+
+
 @pytest.mark.parametrize("weights", [1, 2000])
 def test_a_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, weights):
     # One line stays in stdout's buffer until the final flush; 2,000 lines

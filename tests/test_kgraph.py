@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -427,6 +428,61 @@ def test_names_are_the_alias_keys_they_give():
     assert all(eid in kg.entities_by_alias(name) for eid, name in kg.names.items() if name)
     assert kg.entities_by_alias("kenya") == ("k1", "k2", "k3")
     assert_matches_oracle(kg, [])
+
+
+def test_a_key_that_several_entities_name_gives_their_ids_ascending():
+    # three entities named "Kenya", listed in descending id order but for the
+    # last, and a fourth with "kenya" as an alias
+    catalog = ("E\tk3\tKenya\t\nE\tk1\tKenya\t\nE\tk2\tKenya\t\n"
+               "E\tk4\tRepublic of Kenya\tkenya\nE\tn\tNairobi\tthe capital\n")
+    kg = graph_from_strings("", catalog)
+    assert kg.entities_by_alias("kenya") == ("k1", "k2", "k3", "k4")
+    # a key that one entity names gives that entity's one-id tuple
+    assert kg.entities_by_alias("republic of kenya") == ("k4",)
+    assert kg.entities_by_alias("nairobi") == kg.entities_by_alias("the capital") == ("n",)
+    assert all(type(ids) is tuple and list(ids) == sorted(set(ids))
+               for ids in kg._alias_index.values())
+    assert_matches_oracle(kg, [])
+
+
+def test_catalog_records_are_named_tuples():
+    for cls, values in ((kgraph.Entity, ("k1", "Kenya", ("Republic of Kenya",))),
+                        (kgraph.Relation, ("cur", "currency"))):
+        by_position = cls(*values)
+        by_keyword = cls(**dict(zip(cls._fields, values)))
+        assert by_position == by_keyword
+        assert tuple(getattr(by_position, f) for f in cls._fields) == values
+        assert repr(by_position) == f"{cls.__name__}(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(cls._fields, values)) + ")"
+        for name in (*cls._fields, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(by_position, name, "x")
+        # as a tuple of its fields, it equals one and iterates as one
+        assert by_position == values and tuple(by_position) == values
+    assert kgraph.Entity._fields == ("id", "name", "aliases")
+    assert kgraph.Relation._fields == ("id", "phrase")
+    kg = graph_from_strings("", "E\tk1\tKenya\tKE|\nR\tcur\tcurrency\tx\ty\n")
+    assert kg.entity("k1") == kgraph.Entity("k1", "Kenya", ("KE",))
+    assert type(kg.entity("k1")) is kgraph.Entity
+    assert kg.relation("cur") == kgraph.Relation("cur", "currency")
+    assert type(kg.relation("cur")) is kgraph.Relation
+
+
+def test_load_peaks_near_what_the_graph_keeps():
+    # The alias index and the records are built in the form the graph keeps,
+    # so nothing the size of the catalog is alive beside them.
+    n = 5000
+    catalog = [f"E\te{i}\tentity {i}\t\n" for i in range(n)] + ["R\tr\tnext to\tx\tx\n"]
+    triples = [f"e{i}\tr\te{(i + 1) % n}\n" for i in range(n)]
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        kg = load_graph(triples, catalog)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kg.triples) == n
+    assert peak <= 1.15 * kept, (peak, kept)
 
 
 def test_unknown_id_that_is_not_printable_is_echoed_as_its_repr():

@@ -3,7 +3,9 @@ import math
 import os
 import random
 import re
+import stat
 import struct
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -375,6 +377,28 @@ def test_writes_through_a_symbolic_link_keep_the_link(tmp_path):
         assert (tmp_path / name).read_text() != "old\n"
     assert sorted(os.listdir(tmp_path)) == ["link-m.model", "link-report.txt", "m.model",
                                             "report.txt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_report_into_a_fifo_reaches_its_reader_and_keeps_the_fifo(tmp_path):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    rows = tuple(evaluator.PerQueryResult(i, f"q{i}", None, 1.0, 1.0, 1) for i in range(100))
+    report = evaluator.EvalReport(1.0, 1.0, rows)
+    evaluator.write_report(report, fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [evaluator.format_report(report).encode()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["report.fifo"]
 
 
 def test_save_into_missing_directory_names_the_model_file(tmp_path):
