@@ -17,12 +17,16 @@ dataset question or scores them.
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import signal
 import statistics
+import threading
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Iterable, NoReturn, Optional
 
-from . import ConfigError, learner, logform
+from . import ConfigError, TensorparseError, learner, logform
 from .dataset import DatasetExample
 from .features import normalize_phrase, tokenize
 from .kgraph import KnowledgeGraph
@@ -218,6 +222,129 @@ class CvSummary:
     mean_oracle_f1: float
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _pin(cpus: list, process: int) -> None:
+    """Keep this process on ``cpus[process mod len(cpus)]``, if ``cpus`` has
+    any; where that CPU cannot be chosen, the scheduler places it."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, {cpus[process % len(cpus)]})
+        except OSError:  # such as a CPU taken offline since
+            pass
+
+
+def _fit_share(fold_rows, first: int, step: int, names, cfg: learner.TrainConfig) -> list:
+    """:func:`learner.fit_rows` of folds ``first``, ``first + step``, ...: a
+    ``(weights, epoch losses)`` pair per fold, up to the first fold that
+    raises, whose exception ends the list."""
+    fits = []
+    for rows in fold_rows[first::step]:
+        try:
+            fits.append(learner.fit_rows(rows, names, cfg))
+        except Exception as exc:  # raised by _fit_folds, in fold order
+            fits.append(exc)
+            break
+    return fits
+
+
+def _fit_share_and_exit(write: int, fold_rows, first: int, step: int, names, cfg,
+                        cpus: list) -> NoReturn:
+    """In a forked process: keep to ``cpus[first]`` (:func:`_pin`), pickle
+    :func:`_fit_share` into the pipe end ``write``, then end the process, so
+    it never returns into its caller."""
+    status = 1
+    try:
+        _pin(cpus, first)
+        with open(write, "wb") as out:
+            pickle.dump(_fit_share(fold_rows, first, step, names, cfg), out,
+                        pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fit_folds(fold_rows, names, cfg: learner.TrainConfig) -> list:
+    """:func:`learner.fit_rows` of each fold's rows, in fold order.
+
+    Fold ``i`` trains in process ``i mod C``, C = min(folds, usable CPUs).
+    Process 0 is this one; the other C - 1 are forked, so they inherit the
+    rows, and each sends back its folds' pairs, or the exception it
+    raised, pickled over a pipe.  Where CPUs can be chosen, process ``j``
+    keeps to usable CPU ``j`` (mod their count) while it trains: a kernel
+    that balances no load between CPUs (a cpuset whose
+    ``sched_load_balance`` is 0) leaves a forked process on its parent's
+    CPU, where the processes would take turns.  Where there is no
+    ``os.fork``, or while another thread runs (a lock it holds would stay
+    held in the child), every fold trains here, and so do the folds of a
+    process that cannot be forked.  A failing fold raises what a serial
+    run raises: the lowest failing fold's exception.  No forked process
+    outlives the call.
+    """
+    folds = len(fold_rows)
+    procs = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        procs = min(folds, _usable_cpus())
+    cpus = []
+    if procs > 1 and hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+    shares = {}  # first fold -> the fits of folds first, first + procs, ...
+    children = []  # (pid, pipe reader, first fold) of each process not yet reaped
+    try:
+        for first in range(1, procs):
+            read, write = os.pipe()
+            reader = open(read, "rb")
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the rest train here
+                reader.close()
+                os.close(write)
+                break
+            if pid == 0:
+                _fit_share_and_exit(write, fold_rows, first, procs, names, cfg, cpus)
+            os.close(write)
+            children.append((pid, reader, first))
+        try:
+            _pin(cpus, 0)
+            for first in [0, *range(len(children) + 1, procs)]:
+                shares[first] = _fit_share(fold_rows, first, procs, names, cfg)
+        finally:
+            if cpus:
+                os.sched_setaffinity(0, cpus)
+        while children:
+            pid, reader, first = children[0]
+            with reader:
+                sent = reader.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code == 0:
+                shares[first] = pickle.loads(sent)
+            else:
+                ended = (f"was killed by signal {-code}" if code < 0
+                         else f"exited with status {code}")
+                shares[first] = [TensorparseError(
+                    f"cross-validation: the process training fold {first} {ended}")]
+    finally:
+        for pid, reader, _ in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    fits = []
+    for i in range(folds):
+        # a share stops at its first failure, which comes before any later fold of it
+        fit = shares[i % procs][i // procs]
+        if isinstance(fit, BaseException):
+            raise fit
+        fits.append(fit)
+    return fits
+
+
 def cross_validate(
     data: list[DatasetExample],
     kg: KnowledgeGraph,
@@ -230,19 +357,22 @@ def cross_validate(
     Each question goes through :func:`prepare` once.  Its training rows
     are built from that, with one key index for the whole run, and each
     fold trains on its questions' rows with the run's ids: the same model
-    as :func:`learner.train` on that fold's data.  Each test fold is
-    reported from the same prepared questions, so nothing is generated or
+    as :func:`learner.train` on that fold's data.  The folds train at
+    once, in up to one process per usable CPU (:func:`_fit_folds`); each
+    fold's model is built and its test fold reported here, in fold order,
+    from the same prepared questions, so nothing is generated or
     F1-scored twice.
     """
     splits = _split_positions(data, spec)
     questions = [prepare(example, kg, gen_cfg) for example in data]
     index: dict = {}
     rows = [learner.question_rows(question, index) for question in questions]
-    names = list(index)
+    fits = _fit_folds([[rows[i] for i in train_pos] for train_pos, _ in splits],
+                      list(index), train_cfg)
     reports = []
-    for train_pos, test_pos in splits:
-        result = learner.train_rows([rows[i] for i in train_pos], names, gen_cfg, train_cfg)
-        reports.append(_report(result.model, [data[i] for i in test_pos],
+    for (_, test_pos), (weights, _) in zip(splits, fits):
+        model = learner.Model(weights=weights, gen_cfg=gen_cfg)
+        reports.append(_report(model, [data[i] for i in test_pos],
                                [questions[i] for i in test_pos]))
     scores = [r.average_f1 for r in reports]
     summary = CvSummary(

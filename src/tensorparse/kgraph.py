@@ -80,6 +80,14 @@ class Relation(NamedTuple):
 _NO_FACTS: dict = {}
 
 
+def _token_prefixes(key: str) -> Iterator[str]:
+    """Each prefix of ``key`` that ends just before one of its inner spaces."""
+    end = key.rfind(" ")
+    while end > 0:
+        yield key[:end]
+        end = key.rfind(" ", 0, end)
+
+
 def _grouped(index: dict, done: dict, entity_id: str) -> dict:
     """The entity's ``{relation: frozenset(members)}`` in ``index``, for its
     first read.
@@ -211,13 +219,8 @@ class KnowledgeGraph:
         self._alias_index = alias_index
         # Linking grows a span only while it is one of these: so it reaches
         # every key of several tokens, and grows no span that no key extends.
-        prefixes: set = set()
-        for key in self._alias_index:
-            end = key.rfind(" ")
-            while end > 0:
-                prefixes.add(key[:end])
-                end = key.rfind(" ", 0, end)
-        self.alias_prefixes = frozenset(prefixes)
+        self.alias_prefixes = frozenset(
+            prefix for key in alias_index if " " in key for prefix in _token_prefixes(key))
         self.phrase_tokens = {rid: tuple(tokenize(r.phrase)) for rid, r in self.relations.items()}
 
     def outgoing(self, entity_id: str) -> Iterator[tuple[str, frozenset]]:

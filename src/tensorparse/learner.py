@@ -3,7 +3,9 @@
 Training is answer-supervised: per query, candidates whose denotation
 reaches the maximum nonzero F1 against the gold answers are positives,
 everything else is negative.  Optimization is AdaGrad with proximal L2
-shrinkage, single-threaded and bit-reproducible for a fixed seed.
+shrinkage; one fit runs in one thread and is bit-reproducible for a
+fixed seed.  Cross-validation runs its folds' fits in up to one process
+per usable CPU (:func:`evaluator.cross_validate`), each the same fit.
 
 One pass per question: :func:`evaluator.prepare` tokenizes it, generates
 its candidates and scores their F1s, and training rows, evaluation and
@@ -14,13 +16,13 @@ prepared question into its rows, ``(feature ids, label)`` for every
 candidate, ids taken from a key index shared by the whole run (every
 assembled feature has value 1.0, so the ids are the vector).  No
 candidate is left out: generation emits only forms that denote
-something, a few per question.  :func:`train_rows` trains on any set of
+something, a few per question.  :func:`fit_rows` trains on any set of
 questions' rows with the run's own ids: columns come from co-occurrence,
 a score adds its features in the instance's own order, and the L2
 penalty and the model go in key order, the model file's, so no float
 depends on an id's number.  So cross-validation prepares each question
-and builds its rows once, and every fold trains the model :func:`train`
-gives on that fold.
+and builds its rows once, and every fold's :func:`fit_rows` gives the
+model :func:`train` gives on that fold.
 
 Columns: ids that occur in exactly the same instances get the same
 gradient at the same steps from the same zero start, so their weights
@@ -47,6 +49,7 @@ import os
 import random
 import re
 import stat
+import sys
 from dataclasses import dataclass, field
 from operator import mul
 from types import MappingProxyType
@@ -314,29 +317,25 @@ def train(
 
     index: dict = {}
     rows = [question_rows(prepare(example, kg, gen_cfg), index) for example in data]
-    return train_rows(rows, list(index), gen_cfg, cfg)
-
-
-def train_rows(rows_per_question, names, gen_cfg: GenConfig, cfg: TrainConfig) -> TrainResult:
-    """:func:`train` on questions already turned into rows by :func:`question_rows`.
-
-    ``names`` is the key list of the index the rows were built with, which
-    may also hold keys of questions left out; the result is what
-    :func:`train` gives on the given questions.
-    """
-    instances = [row for rows in rows_per_question for row in rows]
-    if not any(label for _, label in instances):
-        return TrainResult(
-            model=Model(weights={}, gen_cfg=gen_cfg),
-            epoch_losses=(),
-            all_negative=True,
-        )
-    weights, epoch_losses = _fit(instances, names, cfg)
+    weights, epoch_losses = fit_rows(rows, list(index), cfg)
     return TrainResult(
         model=Model(weights=weights, gen_cfg=gen_cfg),
         epoch_losses=epoch_losses,
-        all_negative=False,
+        all_negative=not epoch_losses,
     )
+
+
+def fit_rows(rows_per_question, names, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:
+    """The weights and epoch losses :func:`train` gives on questions already
+    turned into rows by :func:`question_rows`: ``({}, ())`` if no row is positive.
+
+    ``names`` is the key list of the index the rows were built with, which
+    may also hold keys of questions left out.
+    """
+    instances = [row for rows in rows_per_question for row in rows]
+    if not any(label for _, label in instances):
+        return {}, ()
+    return _fit(instances, names, cfg)
 
 
 def top_features(model: Model, k: int) -> list[tuple[str, float]]:
@@ -347,6 +346,14 @@ def top_features(model: Model, k: int) -> list[tuple[str, float]]:
     return ranked[:k]
 
 
+def _is_stdout(st: os.stat_result) -> bool:
+    """Whether ``st`` is the ``os.stat`` of the file standard output writes to."""
+    try:
+        return os.path.samestat(st, os.fstat(sys.stdout.fileno()))
+    except (AttributeError, ValueError, OSError):  # no stdout, or one with no file
+        return False
+
+
 def write_replacing(path, text: str, errors: str = "strict") -> None:
     """Write ``text`` to ``path`` in UTF-8, with ``errors`` as :func:`open` takes
     it.  A regular file, or a path with nothing there yet, is written through a
@@ -354,13 +361,20 @@ def write_replacing(path, text: str, errors: str = "strict") -> None:
     earlier file as it was, and a symbolic link stays a link to the new file.
     Anything else that exists, such as a FIFO or ``/dev/stdout``, is opened and
     written in place; it is told apart by ``os.stat`` on ``path`` itself, since
-    the real path of a pipe's ``/dev/stdout`` does not exist.  An error names
-    ``path``, not the temporary file."""
+    the real path of a pipe's ``/dev/stdout`` does not exist.  The file that
+    standard output writes to, whatever its kind, is written through
+    ``sys.stdout``, so what the program prints next follows the text there:
+    replacing it would leave stdout writing to the old, unlinked file.  An
+    error names ``path``, not the temporary file."""
     try:
-        replace = stat.S_ISREG(os.stat(path).st_mode)
+        st = os.stat(path)
     except FileNotFoundError:
-        replace = True
-    if not replace:
+        st = None
+    if st is not None and _is_stdout(st):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8", errors))
+        return
+    if st is not None and not stat.S_ISREG(st.st_mode):
         with open(path, "w", encoding="utf-8", errors=errors) as fh:
             fh.write(text)
         return

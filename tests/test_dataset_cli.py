@@ -352,6 +352,38 @@ def test_eval_report_to_dev_stdout_streams_into_a_pipe(workspace, tmp_path):
     assert summary.stdout.startswith(b"averageF1=") and summary.stdout.count(b"\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_report_and_model_to_dev_stdout_keep_the_line_printed_after_them(workspace, tmp_path):
+    # with stdout a regular file, /dev/stdout names that file: replacing it
+    # would send the line printed next to the old, unlinked file
+    package_root = os.path.dirname(os.path.dirname(tensorparse.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    graph = ["--kg", str(workspace / "triples.tsv"), "--catalog", str(workspace / "catalog.tsv"),
+             "--data", str(workspace / "dataset.jsonl")]
+    eval_args = ["eval", *graph, "--model", str(workspace / "toy.model")]
+    train_args = ["train", *graph, "--epochs", "5", "--seed", "42"]
+
+    def run(args, out_path):
+        with open(out_path, "wb") as out:
+            done = subprocess.run([sys.executable, "-m", "tensorparse", *args], stdout=out,
+                                  stderr=subprocess.PIPE, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": path})
+        assert (done.returncode, done.stderr) == (0, b"")
+        return out_path.read_bytes()
+
+    report = tmp_path / "report.txt"
+    summary = run([*eval_args, "--report", str(report)], tmp_path / "summary.txt")
+    assert summary.startswith(b"averageF1=") and summary.count(b"\n") == 1
+    assert run([*eval_args, "--report", "/dev/stdout"], tmp_path / "out.txt") == (
+        report.read_bytes() + summary)
+    model = tmp_path / "m.model"
+    loss = run([*train_args, "--out", str(model)], tmp_path / "loss.txt")
+    assert loss.startswith(b"final training loss = ") and loss.count(b"\n") == 1
+    assert model.read_bytes() == (workspace / "toy.model").read_bytes()
+    assert run([*train_args, "--out", "/dev/stdout"], tmp_path / "m.txt") == (
+        model.read_bytes() + loss)
+
+
 @pytest.mark.parametrize("weights", [1, 2000])
 def test_a_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, weights):
     # One line stays in stdout's buffer until the final flush; 2,000 lines

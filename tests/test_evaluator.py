@@ -1,11 +1,17 @@
 import io
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorparse import evaluator, learner, logform
+import tensorparse
+from tensorparse import TensorparseError, cli, evaluator, learner, logform, toy
 from tensorparse.dataset import DatasetExample
 from tensorparse.evaluator import (
     ConfigError,
@@ -284,6 +290,30 @@ def keyed(rows_per_question, names):
             for rows in rows_per_question for ids, label in rows]
 
 
+def count_forks(monkeypatch):
+    """The pids that ``os.fork`` returns to this process from now on."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@needs_fork
 @pytest.mark.parametrize("max_candidates", [2, 50])
 @pytest.mark.parametrize("mode", ["random", "alphabetical"])
 @pytest.mark.parametrize("toy_seed", range(3))
@@ -293,21 +323,26 @@ def test_cv_fold_models_match_train_on_the_fold(toy_corpora, toy_seed, mode, max
     cfg = learner.TrainConfig(epochs=2)
     gen_cfg = GenConfig(max_candidates=max_candidates)
     spec = SplitSpec(mode=mode, folds=5, seed=toy_seed)
-    fold_args, fold_results = [], []
-    train_rows = learner.train_rows
+    recorded = []
+    fit_folds = evaluator._fit_folds
 
-    def recording_train_rows(*args):
-        fold_args.append(args)
-        fold_results.append(train_rows(*args))
-        return fold_results[-1]
+    def recording_fit_folds(fold_rows, names, train_cfg):
+        # runs in this process; the folds train in the processes it forks
+        recorded.append((fold_rows, names, fit_folds(fold_rows, names, train_cfg)))
+        return recorded[-1][2]
 
-    monkeypatch.setattr(learner, "train_rows", recording_train_rows)
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(evaluator, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(evaluator, "_fit_folds", recording_fit_folds)
     reports, _ = cross_validate(data, kg, gen_cfg, cfg, spec)
-    monkeypatch.undo()  # learner.train below trains through train_rows too
+    monkeypatch.undo()
+    assert len(forks) == 2
+    assert_no_child_left()
+    ((fold_rows, names, fits),) = recorded
     splits = fold_examples(data, spec)
-    assert len(fold_results) == len(reports) == len(splits) == 5
-    for (train_data, test_data), (rows, names, *_), result, report in zip(
-        splits, fold_args, fold_results, reports
+    assert len(fold_rows) == len(fits) == len(reports) == len(splits) == 5
+    for (train_data, test_data), rows, (weights, epoch_losses), report in zip(
+        splits, fold_rows, fits, reports
     ):
         # the fold's rows, keyed, are the rows of the fold indexed alone
         index: dict = {}
@@ -315,11 +350,249 @@ def test_cv_fold_models_match_train_on_the_fold(toy_corpora, toy_seed, mode, max
                       for example in train_data]
         assert keyed(rows, names) == keyed(alone_rows, list(index))
         alone = learner.train(train_data, kg, gen_cfg, cfg)
-        assert result.epoch_losses == alone.epoch_losses
-        learner.save_model(result.model, tmp_path / "cv.model")
+        assert epoch_losses == alone.epoch_losses
+        learner.save_model(learner.Model(weights=weights, gen_cfg=gen_cfg), tmp_path / "cv.model")
         learner.save_model(alone.model, tmp_path / "alone.model")
         assert (tmp_path / "cv.model").read_bytes() == (tmp_path / "alone.model").read_bytes()
         assert report == evaluate(alone.model, test_data, kg, gen_cfg)
+
+
+@needs_fork
+@pytest.mark.parametrize("mode", ["random", "alphabetical"])
+@pytest.mark.parametrize("toy_seed", range(3))
+def test_cv_in_process_and_forked_give_equal_reports(toy_corpora, toy_seed, mode, monkeypatch):
+    data, kg = toy_corpora[toy_seed]
+    cfg = learner.TrainConfig(epochs=2)
+
+    def run(cpus, folds=5):
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(evaluator, "_usable_cpus", lambda: cpus)
+        result = cross_validate(data, kg, GenConfig(), cfg,
+                                SplitSpec(mode=mode, folds=folds, seed=toy_seed))
+        monkeypatch.undo()
+        # one process per usable CPU at most, this one among them
+        assert len(forks) == min(folds, cpus) - 1
+        assert_no_child_left()
+        return result
+
+    in_process = run(1)
+    assert run(2) == in_process
+    assert run(8) == in_process
+    assert run(8, folds=3) == run(1, folds=3)
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="no two CPUs to choose from")
+def test_each_fold_process_keeps_to_a_cpu_of_its_own(toy_kg, toy_data, monkeypatch, tmp_path):
+    # a kernel that balances no load between CPUs would leave a forked
+    # process on its parent's CPU
+    usable = os.sched_getaffinity(0)
+    seen = tmp_path / "cpus.txt"
+    fit = learner._fit
+
+    def recording_fit(*args):
+        with open(seen, "a") as fh:  # one short append per fold, from every process
+            fh.write(f"{os.getpid()} {sorted(os.sched_getaffinity(0))}\n")
+        return fit(*args)
+
+    monkeypatch.setattr(learner, "_fit", recording_fit)
+    monkeypatch.setattr(evaluator, "_usable_cpus", lambda: 2)
+    cross_validate(toy_data[:40], toy_kg, GenConfig(), learner.TrainConfig(epochs=1),
+                   SplitSpec(mode="random", folds=4, seed=0))
+    assert_no_child_left()
+    assert os.sched_getaffinity(0) == usable
+    by_process = dict.fromkeys(seen.read_text().splitlines())
+    assert len(by_process) == 2
+    cpus = {line.split(" ", 1)[1] for line in by_process}
+    assert cpus == {f"[{cpu}]" for cpu in sorted(usable)[:2]}
+
+
+@needs_fork
+def test_cv_trains_the_folds_of_a_process_it_cannot_fork_itself(toy_kg, toy_data, monkeypatch):
+    data = toy_data[:40]
+    spec = SplitSpec(mode="random", folds=5, seed=0)
+    cfg = learner.TrainConfig(epochs=2)
+    monkeypatch.setattr(evaluator, "_usable_cpus", lambda: 1)
+    serial = cross_validate(data, toy_kg, GenConfig(), cfg, spec)
+    fork, forks = os.fork, []
+
+    def second_fork_fails():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(fork())
+        return forks[-1]
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    monkeypatch.setattr(evaluator, "_usable_cpus", lambda: 4)
+    assert cross_validate(data, toy_kg, GenConfig(), cfg, spec) == serial
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@needs_fork
+def test_cv_trains_in_process_while_another_thread_runs(toy_kg, toy_data, monkeypatch):
+    # a fork copies no other thread, but would copy a lock that thread holds
+    data = toy_data[:40]
+    spec = SplitSpec(mode="random", folds=4, seed=0)
+    cfg = learner.TrainConfig(epochs=2)
+    monkeypatch.setattr(evaluator, "_usable_cpus", lambda: 4)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        forks = count_forks(monkeypatch)
+        during = cross_validate(data, toy_kg, GenConfig(), cfg, spec)
+        assert forks == []
+    finally:
+        release.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
+    forks = count_forks(monkeypatch)
+    assert cross_validate(data, toy_kg, GenConfig(), cfg, spec) == during
+    assert len(forks) == 3
+    assert_no_child_left()
+
+
+def cv_args(toy_dir, *flags):
+    return ["cv", "--kg", str(toy_dir / toy.TRIPLES_FILE),
+            "--catalog", str(toy_dir / toy.CATALOG_FILE),
+            "--data", str(toy_dir / toy.DATASET_FILE), *flags]
+
+
+@needs_fork
+def test_a_fold_process_killed_mid_fold_is_a_one_line_error(toy_dir, toy_kg, toy_data,
+                                                            monkeypatch, capsys):
+    parent = os.getpid()
+    fit = learner._fit
+
+    def killed_in_a_child(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit(*args)
+
+    monkeypatch.setattr(learner, "_fit", killed_in_a_child)
+    monkeypatch.setattr(evaluator, "_usable_cpus", lambda: 2)
+    message = (f"cross-validation: the process training fold 1"
+               f" was killed by signal {int(signal.SIGKILL)}")
+    with pytest.raises(TensorparseError) as exc:
+        cross_validate(toy_data[:40], toy_kg, GenConfig(), learner.TrainConfig(epochs=1),
+                       SplitSpec(mode="random", folds=4, seed=0))
+    assert str(exc.value) == message
+    assert_no_child_left()
+    assert cli.main(cv_args(toy_dir, "--epochs", "1")) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert_no_child_left()
+
+
+@needs_fork
+def test_an_interrupted_cv_leaves_no_fold_process(toy_kg, toy_data, monkeypatch):
+    # this process is interrupted in its own first fold while the forked
+    # ones still train theirs
+    parent = os.getpid()
+    fit = learner._fit
+
+    def interrupted_here(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return fit(*args)
+
+    monkeypatch.setattr(learner, "_fit", interrupted_here)
+    monkeypatch.setattr(evaluator, "_usable_cpus", lambda: 3)
+    forks = count_forks(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        cross_validate(toy_data, toy_kg, GenConfig(), learner.TrainConfig(),
+                       SplitSpec(mode="random", folds=5, seed=0))
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_a_diverging_cv_gives_one_error_at_any_cpu_count(toy_dir, toy_kg, toy_data,
+                                                         monkeypatch, capsys):
+    (train_data, _), *_ = fold_examples(toy_data, SplitSpec(mode="random", folds=5, seed=42))
+    with pytest.raises(ConfigError) as exc:
+        learner.train(train_data, toy_kg, GenConfig(), learner.TrainConfig(learning_rate=1e308))
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(evaluator, "_usable_cpus", lambda: cpus)
+        assert cli.main(cv_args(toy_dir, "--lr", "1e308")) == 1
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_cv_raises_the_lowest_failing_folds_error(toy_kg, toy_data, monkeypatch, cpus):
+    # every fold but the first fails, each with its own message; with two
+    # processes a forked one fails fold 1 while this one trains fold 0 and
+    # then fails fold 2
+    data = toy_data[:60]
+    spec = SplitSpec(mode="random", folds=5, seed=0)
+    built, question_rows, fit = [], learner.question_rows, learner._fit
+
+    def recording_question_rows(*args):
+        built.append(question_rows(*args))
+        return built[-1]
+
+    def failing_fit(instances, names, cfg):
+        # a fold is told by the one test question whose rows it leaves out,
+        # each row the same object in a forked process
+        held = set(map(id, instances))
+        (fold,) = [i for i, (_, test) in enumerate(evaluator._split_positions(data, spec))
+                   if id(built[test[0]][0]) not in held]
+        if fold:
+            raise ConfigError(f"fold {fold} failed")
+        return fit(instances, names, cfg)
+
+    monkeypatch.setattr(learner, "question_rows", recording_question_rows)
+    monkeypatch.setattr(learner, "_fit", failing_fit)
+    monkeypatch.setattr(evaluator, "_usable_cpus", lambda: cpus)
+    with pytest.raises(ConfigError, match="^fold 1 failed$"):
+        cross_validate(data, toy_kg, GenConfig(), learner.TrainConfig(epochs=1), spec)
+    assert_no_child_left()
+
+
+INTERRUPTED_CHILD = """
+import os, sys
+from tensorparse import TensorparseError, evaluator, kgraph, learner, logform
+from tensorparse.dataset import load_dataset
+
+triples, catalog, dataset = sys.argv[1:]
+with open(triples) as t, open(catalog) as c:
+    kg = kgraph.load_graph(t, c)
+with open(dataset) as fh:
+    data = load_dataset(fh)[:40]
+parent = os.getpid()
+fit = learner._fit
+
+
+def interrupted_in_a_child(*args):
+    if os.getpid() != parent:
+        raise KeyboardInterrupt
+    return fit(*args)
+
+
+learner._fit = interrupted_in_a_child
+evaluator._usable_cpus = lambda: 3
+try:
+    evaluator.cross_validate(data, kg, logform.GenConfig(), learner.TrainConfig(epochs=1),
+                             evaluator.SplitSpec(mode="random", folds=3, seed=0))
+except TensorparseError as exc:
+    print(exc)
+finally:
+    print("caller's code ran in", "the parent" if os.getpid() == parent else "a child")
+"""
+
+
+@needs_fork
+def test_an_interrupted_fold_process_never_runs_the_callers_code(toy_dir):
+    package_root = os.path.dirname(os.path.dirname(tensorparse.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", INTERRUPTED_CHILD, str(toy_dir / toy.TRIPLES_FILE),
+         str(toy_dir / toy.CATALOG_FILE), str(toy_dir / toy.DATASET_FILE)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("cross-validation: the process training fold 1 exited with status 1\n"
+                           "caller's code ran in the parent\n")
 
 
 def test_cv_prepares_each_question_once(toy_kg, toy_data, monkeypatch):
