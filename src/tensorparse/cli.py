@@ -139,7 +139,7 @@ def _cmd_predict(args) -> int:
         raise TensorparseError("no candidate logical forms for this question")
     print(logform.serialize(best.logical_form))
     print(" ".join(best.utterance_tokens))
-    for name in sorted(kg.entity(eid).name for eid in best.denotation):
+    for name in sorted(kg.display_names[eid] for eid in best.denotation):
         print(name)
     return 0
 

@@ -11,10 +11,13 @@ while some alias begins with it; ``phrase_tokens`` maps each relation
 id to its phrase's tokens, from which generation assembles utterances;
 ``names`` maps each entity id to its normalized name (``""`` for a name
 with no letter or digit), from which F1 reads answer names and generation
-an entity's name tokens.  Each name is normalized once, when the graph is
-built.  The alias index is built in the form it keeps: a key that one entity
-names holds that entity's one-id tuple from the start, and only a key that
-several entities name is collected apart and then sorted.
+an entity's name tokens, and ``display_names`` to its name as the catalog
+gives it, from which ``predict`` prints answers.  Each name is normalized
+once, when the graph is built.  Of the catalog the graph keeps only these
+maps, the alias index and ``phrase_tokens``.  The alias index is built in
+the form it keeps: a key that one entity names holds that entity's one-id
+tuple from the start, and only a key that several entities name is
+collected apart and then sorted.
 The constructor checks every triple's ids against the catalogs and hands
 the indexes the catalog's own id strings, and no separate triple set is
 kept; ``len(kg.triples)`` counts the distinct triples.
@@ -41,7 +44,7 @@ safe for concurrent use.
 from __future__ import annotations
 
 import gc
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from . import TensorparseError, logform
 from .features import normalize_phrase, tokenize
@@ -64,17 +67,6 @@ def _shown(ident: str) -> str:
     else its ``repr``, so none can break the message's line or reach a terminal
     as a control sequence."""
     return ident if ident.isprintable() else repr(ident)
-
-
-class Entity(NamedTuple):
-    id: str
-    name: str
-    aliases: tuple[str, ...]
-
-
-class Relation(NamedTuple):
-    id: str
-    phrase: str
 
 
 _NO_FACTS: dict = {}
@@ -137,6 +129,10 @@ class KnowledgeGraph:
     list (see :func:`_grouped`) into ``_forward_done`` or ``_backward_done``,
     which map each entity read so far to its ``{relation: frozenset}``.  A
     first read is idempotent, so reads are safe for concurrent use.
+    The constructor takes the catalog as three maps: ``display_names``,
+    each entity id to its name, which the graph keeps as given;
+    ``aliases``, an entity id to its aliases, for any entity that has
+    some; and ``phrases``, each relation id to its phrase.
     ``_alias_index`` maps each normalized name or alias but ``""`` to the
     ascending tuple of ids of the entities it names.  The first entity to
     name a key stores its own one-id tuple there, which stays if no other
@@ -149,17 +145,17 @@ class KnowledgeGraph:
 
     def __init__(
         self,
-        entities: dict,
-        relations: dict,
+        display_names: dict,
+        aliases: dict,
+        phrases: dict,
         triples: Iterable[tuple[str, str, str]],
     ):
-        self.entities: dict = dict(entities)
-        self.relations: dict = dict(relations)
+        self.display_names = display_names
         # One lookup both checks that an id is in the catalog and finds the
         # catalog's copy, so the indexes hold one string per id, not one per
         # triple.
-        entity_ids = {eid: eid for eid in self.entities}
-        relation_ids = {rid: rid for rid in self.relations}
+        entity_ids = {eid: eid for eid in display_names}
+        relation_ids = {rid: rid for rid in phrases}
         forward: dict = {}
         backward: dict = {}
         for subject, relation, obj in triples:
@@ -201,10 +197,9 @@ class KnowledgeGraph:
         alias_index: dict = {}
         shared: dict = {}  # only the keys that a later entity also names
         names: dict = {}
-        for ent in self.entities.values():
-            eid = ent.id
-            name = names[eid] = normalize_phrase(ent.name)
-            keys = {name, *map(normalize_phrase, ent.aliases)}
+        for eid, display in display_names.items():
+            name = names[eid] = normalize_phrase(display)
+            keys = {name, *map(normalize_phrase, aliases.get(eid, ()))}
             keys.discard("")
             own = (eid,)
             for key in keys:
@@ -221,7 +216,7 @@ class KnowledgeGraph:
         # every key of several tokens, and grows no span that no key extends.
         self.alias_prefixes = frozenset(
             prefix for key in alias_index if " " in key for prefix in _token_prefixes(key))
-        self.phrase_tokens = {rid: tuple(tokenize(r.phrase)) for rid, r in self.relations.items()}
+        self.phrase_tokens = {rid: tuple(tokenize(phrase)) for rid, phrase in phrases.items()}
 
     def outgoing(self, entity_id: str) -> Iterator[tuple[str, frozenset]]:
         """``(relation id, frozenset(objects))`` for each relation out of the entity."""
@@ -247,18 +242,6 @@ class KnowledgeGraph:
         """
         return self._alias_index.get(key, ())
 
-    def entity(self, entity_id: str) -> Entity:
-        try:
-            return self.entities[entity_id]
-        except KeyError:
-            raise ReferentialError(f"unknown entity id: {_shown(entity_id)}") from None
-
-    def relation(self, relation_id: str) -> Relation:
-        try:
-            return self.relations[relation_id]
-        except KeyError:
-            raise ReferentialError(f"unknown relation id: {_shown(relation_id)}") from None
-
 
 def _check_id(kind: str, ident: str, lineno: int) -> None:
     """Reject an id that a serialized logical form or a triple line could not hold.
@@ -273,9 +256,12 @@ def _check_id(kind: str, ident: str, lineno: int) -> None:
         )
 
 
-def _parse_catalog(catalog_source: Iterable[str]):
-    entities: dict = {}
-    relations: dict = {}
+def _parse_catalog(catalog_source: Iterable[str]) -> tuple[dict, dict, dict]:
+    """``({entity id: name}, {entity id: aliases}, {relation id: phrase})``;
+    the alias map holds only the entities whose line lists an alias."""
+    names: dict = {}
+    aliases: dict = {}
+    phrases: dict = {}
     for lineno, line in enumerate(catalog_source, start=1):
         head = line.lstrip()
         if not head or head[0] == "#":
@@ -292,10 +278,12 @@ def _parse_catalog(catalog_source: Iterable[str]):
             _check_id("entity", eid, lineno)
             if not name:
                 raise GraphParseError("entity name must be non-empty", lineno)
-            if eid in entities:
+            if eid in names:
                 raise GraphParseError(f"duplicate entity id {eid!r}", lineno)
-            aliases = tuple(filter(None, alias_field.split("|"))) if alias_field else ()
-            entities[eid] = Entity(eid, name, aliases)
+            names[eid] = name
+            listed = tuple(filter(None, alias_field.split("|")))
+            if listed:
+                aliases[eid] = listed
         elif kind == "R":
             if len(fields) != 5:
                 raise GraphParseError(
@@ -306,12 +294,12 @@ def _parse_catalog(catalog_source: Iterable[str]):
             _check_id("relation", rid, lineno)
             if not phrase:
                 raise GraphParseError("relation phrase must be non-empty", lineno)
-            if rid in relations:
+            if rid in phrases:
                 raise GraphParseError(f"duplicate relation id {rid!r}", lineno)
-            relations[rid] = Relation(rid, phrase)
+            phrases[rid] = phrase
         else:
             raise GraphParseError(f"unknown record kind {kind!r}", lineno)
-    return entities, relations
+    return names, aliases, phrases
 
 
 def load_graph(
@@ -335,10 +323,10 @@ def load_graph(
     which skips, splits and checks each line in one loop, so the fields of
     one line at a time are held.  On the ``pipebench`` ``large`` graph
     (seed 1: 100,000 triple lines, no two alike, and 17,508 catalog lines)
-    this retains 10.6 MiB and peaks at 11.0 MiB (``tracemalloc``, Python
-    3.11), no list grouped yet: the alias index and the catalog's
-    :class:`Entity` and :class:`Relation` records (named tuples) are built in
-    the form the graph keeps, so no copy of them is alive beside it.
+    this retains 9.38 MiB and peaks at 9.40 MiB (``tracemalloc``, Python
+    3.11), no list grouped yet: the graph keeps the display-name map that
+    the catalog parse built, and builds the alias index in the form it
+    keeps, so no copy of either is alive beside it.
 
     The cyclic garbage collector is paused while the graph is built and
     then restored to the state it was in: nothing built here holds a
@@ -370,9 +358,8 @@ def load_graph(
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        entities, relations = _parse_catalog(catalog_source)
         try:
-            kg = KnowledgeGraph(entities, relations, triples())
+            kg = KnowledgeGraph(*_parse_catalog(catalog_source), triples())
         except ReferentialError as exc:
             # the constructor stopped at the triple last read, on line lineno
             raise ReferentialError(f"line {lineno}: {exc}") from None
@@ -396,10 +383,12 @@ def denotation(lf, kg: KnowledgeGraph) -> frozenset:
     one off the indexes without calling it, and is tested against it.
     """
     if isinstance(lf, logform.EntityLit):
-        kg.entity(lf.entity_id)
+        if lf.entity_id not in kg.names:
+            raise ReferentialError(f"unknown entity id: {_shown(lf.entity_id)}")
         return frozenset((lf.entity_id,))
     if isinstance(lf, (logform.Join, logform.ReverseJoin)):
-        kg.relation(lf.relation_id)
+        if lf.relation_id not in kg.phrase_tokens:
+            raise ReferentialError(f"unknown relation id: {_shown(lf.relation_id)}")
         step = kg.outgoing if isinstance(lf, logform.Join) else kg.incoming
         out: set = set()
         for e in denotation(lf.sub, kg):

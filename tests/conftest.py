@@ -46,6 +46,12 @@ def mini_kg():
 
 
 @pytest.fixture(scope="session")
+def mini_catalog():
+    """``(names, aliases, phrases)`` of the mini catalog, as the graph was given them."""
+    return kgraph._parse_catalog(io.StringIO(MINI_CATALOG))
+
+
+@pytest.fixture(scope="session")
 def toy_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("toy")
     toy.gen_toy(out, seed=0)
@@ -58,6 +64,13 @@ def toy_kg(toy_dir):
         toy_dir / toy.CATALOG_FILE
     ) as catalog:
         return kgraph.load_graph(triples, catalog)
+
+
+@pytest.fixture(scope="session")
+def toy_catalog(toy_dir):
+    """``(names, aliases, phrases)`` of the toy catalog, as the graph was given them."""
+    with open(toy_dir / toy.CATALOG_FILE, encoding="utf-8") as catalog:
+        return kgraph._parse_catalog(catalog)
 
 
 @pytest.fixture(scope="session")

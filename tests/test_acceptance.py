@@ -146,10 +146,10 @@ def test_criterion_6_oracle_dominance(end_to_end, cv_reports):
     report_pass(6, f"averageF1 <= oracleF1 per query and aggregate across {len(reports)} reports")
 
 
-def test_criterion_7_lexical_bridge_in_top_features(toy_kg, toy_data):
+def test_criterion_7_lexical_bridge_in_top_features(toy_kg, toy_catalog, toy_data):
     result = learner.train(toy_data, toy_kg, GenConfig(), learner.TrainConfig())
     top = learner.top_features(result.model, 10)
-    phrases = {r.phrase for r in toy_kg.relations.values()}
+    phrases = set(toy_catalog[2].values())
     bridges = [
         key
         for key, _ in top

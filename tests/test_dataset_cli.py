@@ -154,6 +154,25 @@ def test_cli_predict_links_a_four_token_alias(workspace, tmp_path, capsys):
         "join(currency, ent(fenwick))", "the currency of grand duchy of fenwick", "Fenwick pound"]
 
 
+def test_cli_predict_prints_display_names_in_display_text_order(workspace, tmp_path, capsys):
+    # by id m1, m2 would print alpha first, and so would the normalized names
+    # alpha, zeta; by display text "Zeta" sorts before "alpha"
+    catalog = tmp_path / "catalog.tsv"
+    catalog.write_text("E\tm1\talpha\t\nE\tm2\tZeta\t\nE\thub\tHub\t\nR\tpart\tpart\tx\tx\n")
+    triples = tmp_path / "triples.tsv"
+    triples.write_text("m1\tpart\thub\nm2\tpart\thub\n")
+    rc = cli.main([
+        "predict",
+        "--kg", str(triples),
+        "--catalog", str(catalog),
+        "--model", str(workspace / "toy.model"),
+        "--question", "what is part of the hub?",
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "rev(part, ent(hub))", "the things whose part is hub", "Zeta", "alpha"]
+
+
 def test_cli_eval_generates_under_the_models_cap(workspace, tmp_path):
     kg = ["--kg", str(workspace / "triples.tsv"), "--catalog", str(workspace / "catalog.tsv")]
     data = ["--data", str(workspace / "dataset.jsonl")]

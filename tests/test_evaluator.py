@@ -110,7 +110,7 @@ def answer_cases(draw):
     entity_names = ["Kenya", "KENYA!", "東京"] + draw(st.lists(answer_names, max_size=6))
     catalog = "".join(f"E\te{i}\t{name}\t\n" for i, name in enumerate(entity_names))
     kg = load_graph(io.StringIO(""), io.StringIO(catalog))
-    members = st.sampled_from(sorted(kg.entities))
+    members = st.sampled_from(sorted(kg.display_names))
     denotations = [frozenset({"e0", "e1"})] + draw(
         st.lists(st.frozensets(members, min_size=1), max_size=6))
     candidates = [logform.Candidate(logform.EntityLit(min(d)), (), d) for d in denotations]
@@ -125,7 +125,7 @@ def test_candidate_f1s_are_the_f1_of_raw_names(case):
     # gold answers, both normalized into sets
     kg, candidates, gold = case
     assert candidate_f1s(candidates, gold, kg) == [
-        answer_f1([kg.entities[e].name for e in c.denotation], gold) for c in candidates]
+        answer_f1([kg.display_names[e] for e in c.denotation], gold) for c in candidates]
 
 
 def test_evaluate_no_candidates(mini_kg):
@@ -166,7 +166,7 @@ def test_candidate_f1s_feed_label_and_evaluate(mini_kg):
     assert candidates == logform.generate_candidates(tokens, mini_kg, GenConfig())
     assert scores == candidate_f1s(candidates, gold, mini_kg)
     assert scores == [
-        brute_force_f1({mini_kg.entity(e).name for e in c.denotation}, gold)
+        brute_force_f1({mini_kg.display_names[e] for e in c.denotation}, gold)
         for c in candidates
     ]
     assert max(scores) == 1.0

@@ -36,8 +36,8 @@ def test_duplicate_triples_deduplicate():
 def test_empty_triple_source():
     kg = graph_from_strings("", MINI_CATALOG)
     assert len(kg.triples) == 0
-    assert "brazil" in kg.entities
-    assert "currency" in kg.relations
+    assert "brazil" in kg.display_names
+    assert "currency" in kg.phrase_tokens
 
 
 def test_wrong_field_count_reports_line():
@@ -58,15 +58,14 @@ def test_unknown_triple_id_named():
         with pytest.raises(ReferentialError, match=f"^{message}$"):
             graph_from_strings(triples, MINI_CATALOG)
     # The constructor checks the ids itself, not only load_graph.
-    ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "b", "s")}
-    rels = {"r": kgraph.Relation("r", "r")}
+    names = {e: e for e in ("a", "b", "s")}
     for triples, message in [
         ([("s", "r", "a"), ("x", "r", "b")], "unknown subject entity id: x"),
         ([("s", "r", "a"), ("s", "q", "b")], "unknown relation id: q"),
         ([("s", "r", "a"), ("s", "r", "y")], "unknown object entity id: y"),
     ]:
         with pytest.raises(ReferentialError, match=f"^{message}$"):
-            KnowledgeGraph(ents, rels, triples)
+            KnowledgeGraph(names, {}, {"r": "r"}, triples)
 
 
 def test_comments_and_blank_lines_ignored(mini_kg):
@@ -118,26 +117,29 @@ def oracle_indexes(triples):
             {k: frozenset(v) for k, v in backward.items()})
 
 
-def oracle_alias_index(entities):
+def oracle_alias_index(names, aliases):
     alias_index: dict = {}
-    for ent in entities.values():
-        keys = {normalize_phrase(a) for a in ent.aliases}
-        keys.add(normalize_phrase(ent.name))
+    for eid, name in names.items():
+        keys = {normalize_phrase(a) for a in aliases.get(eid, ())}
+        keys.add(normalize_phrase(name))
         keys.discard("")
         for key in keys:
-            alias_index.setdefault(key, set()).add(ent.id)
+            alias_index.setdefault(key, set()).add(eid)
     return {k: tuple(sorted(v)) for k, v in alias_index.items()}
 
 
 def read_entries(kg):
     """``(relation, members)`` for every entry the graph's reads return, once
     every entity has been read both ways."""
-    return [entry for e in kg.entities for read in (kg.outgoing, kg.incoming) for entry in read(e)]
+    return [entry for e in kg.names for read in (kg.outgoing, kg.incoming) for entry in read(e)]
 
 
-def assert_matches_oracle(kg, triples):
-    """Every lookup of ``kg``, over every entity and relation, against the oracle.
+def assert_matches_oracle(kg, triples, catalog):
+    """Every lookup of ``kg``, over every entity and relation, against the
+    oracle, for a graph built from ``catalog``, the ``(names, aliases,
+    phrases)`` maps it was given.
 
+    ``display_names`` holds each entity's name as the catalog gives it.
     ``outgoing(e)`` must list each relation out of ``e`` once, with the same
     objects as the oracle's forward index, and ``incoming(e)`` each relation
     into ``e`` with the subjects of its backward index; both list nothing
@@ -152,35 +154,37 @@ def assert_matches_oracle(kg, triples):
     ``outgoing`` flattened over every entity gives the oracle's triple set,
     and ``len(kg.triples)`` its size.
     """
+    names, aliases, phrases = catalog
+    assert kg.display_names == names
     expected, forward, backward = oracle_indexes(triples)
-    for e in kg.entities:
+    for e in names:
         for listed, index in ((list(kg.outgoing(e)), forward), (list(kg.incoming(e)), backward)):
             assert dict(listed) == {r: members for (x, r), members in index.items() if x == e}
             assert len(listed) == len(dict(listed))
             assert all(type(members) is frozenset for _, members in listed)
-        for r in kg.relations:
+        for r in phrases:
             assert denotation(Join(r, EntityLit(e)), kg) == forward.get((e, r), frozenset())
             assert denotation(ReverseJoin(r, EntityLit(e)), kg) == backward.get((e, r), frozenset())
-    assert {(e, r, o) for e in kg.entities for r, objs in kg.outgoing(e) for o in objs} == expected
+    assert {(e, r, o) for e in names for r, objs in kg.outgoing(e) for o in objs} == expected
     assert len(kg.triples) == len(expected)
-    aliases = oracle_alias_index(kg.entities)
-    assert kg._alias_index.keys() == aliases.keys()
-    for key, ids in aliases.items():
+    keys = oracle_alias_index(names, aliases)
+    assert kg._alias_index.keys() == keys.keys()
+    for key, ids in keys.items():
         found = kg.entities_by_alias(key)
         assert found is kg._alias_index[key] and type(found) is tuple
         assert found == ids
     assert kg.alias_prefixes == {" ".join(key.split()[:i])
-                                 for key in aliases for i in range(1, len(key.split()))}
+                                 for key in keys for i in range(1, len(key.split()))}
     assert type(kg.alias_prefixes) is frozenset
-    assert kg.names == {eid: normalize_phrase(e.name) for eid, e in kg.entities.items()}
-    assert all(tuple(kg.names[eid].split()) == tuple(tokenize(e.name))
-               for eid, e in kg.entities.items())
-    assert kg.phrase_tokens == {rid: tuple(tokenize(r.phrase)) for rid, r in kg.relations.items()}
+    assert kg.names == {eid: normalize_phrase(name) for eid, name in names.items()}
+    assert all(tuple(kg.names[eid].split()) == tuple(tokenize(name))
+               for eid, name in names.items())
+    assert kg.phrase_tokens == {rid: tuple(tokenize(phrase)) for rid, phrase in phrases.items()}
 
 
-def test_index_inversion_exhaustive(mini_kg, toy_kg, toy_dir):
+def test_index_inversion_exhaustive(mini_kg, mini_catalog, toy_kg, toy_catalog, toy_dir):
     mini = [tuple(line.split("\t")) for line in MINI_TRIPLES.splitlines()]
-    assert_matches_oracle(mini_kg, mini)
+    assert_matches_oracle(mini_kg, mini, mini_catalog)
     assert list(mini_kg.incoming("p1")) == []  # p1 is never an object
     assert list(mini_kg.outgoing("achilles")) == []  # nor achilles a subject
     assert dict(mini_kg.outgoing("p1")) == {
@@ -188,21 +192,21 @@ def test_index_inversion_exhaustive(mini_kg, toy_kg, toy_dir):
     lines = (toy_dir / toy.TRIPLES_FILE).read_text(encoding="utf-8").splitlines()
     toy_triples = [tuple(line.split("\t")) for line in lines if line and line[0] != "#"]
     assert len(toy_triples) == 96
-    assert_matches_oracle(toy_kg, toy_triples)
+    assert_matches_oracle(toy_kg, toy_triples, toy_catalog)
 
 
 def test_an_entry_grown_from_one_member_holds_every_member():
     # b's entry, reached twice, holds x once; a's holds x and then y; the
     # mirror triples do the same in the backward index.
-    ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "b", "x", "y")}
-    rels = {r: kgraph.Relation(r, r) for r in ("r", "s")}
+    catalog = ({e: e for e in ("a", "b", "x", "y")}, {e: (e,) for e in ("a", "b", "x", "y")},
+               {r: r for r in ("r", "s")})
     triples = [tuple(t.split()) for t in (
         "a r x", "b r x", "b r x", "a r y",
         "x s a", "x s b", "x s b", "y s a",
     )]
-    kg = KnowledgeGraph(ents, rels, triples)
-    out = {e: dict(kg.outgoing(e)) for e in ents}
-    into = {e: dict(kg.incoming(e)) for e in ents}
+    kg = KnowledgeGraph(*catalog, triples)
+    out = {e: dict(kg.outgoing(e)) for e in kg.names}
+    into = {e: dict(kg.incoming(e)) for e in kg.names}
     assert out["b"]["r"] == {"x"}
     assert out["a"]["r"] == {"x", "y"}
     assert into["x"]["r"] == {"a", "b"}
@@ -210,30 +214,30 @@ def test_an_entry_grown_from_one_member_holds_every_member():
     assert into["a"]["s"] == {"x", "y"}
     holding_x = [members for _, members in read_entries(kg) if members == {"x"}]
     assert len(holding_x) == 2
-    assert_matches_oracle(kg, triples)
+    assert_matches_oracle(kg, triples, catalog)
 
 
 def test_repeated_triples_read_once():
     # "a r x" and "b r y" arrive twice, so a's and b's lists and x's and y's
     # each hold a pair twice; each read gives the member once, as it does for
     # an entry that holds the member once.
-    ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "b", "c", "x", "y")}
-    rels = {"r": kgraph.Relation("r", "r")}
+    catalog = ({e: e for e in ("a", "b", "c", "x", "y")},
+               {e: (e,) for e in ("a", "b", "c", "x", "y")}, {"r": "r"})
     triples = [tuple(t.split()) for t in (
         "a r x", "b r y", "a r x", "c r x", "b r y", "y r b",
     )]
-    kg = KnowledgeGraph(ents, rels, triples)
+    kg = KnowledgeGraph(*catalog, triples)
     # len counts distinct triples and readies no entity
     assert len(kg.triples) == 4
     assert kg._forward_done == {} and kg._backward_done == {}
-    out = {e: dict(kg.outgoing(e)) for e in ents}
-    into = {e: dict(kg.incoming(e)) for e in ents}
+    out = {e: dict(kg.outgoing(e)) for e in kg.names}
+    into = {e: dict(kg.incoming(e)) for e in kg.names}
     assert out["a"]["r"] == out["c"]["r"] == {"x"}  # twice, once
     assert into["y"]["r"] == out["y"]["r"] == {"b"}  # twice, once
     assert out["b"]["r"] == into["b"]["r"] == {"y"}  # twice, once
     assert into["x"]["r"] == {"a", "c"}
     assert len(kg.triples) == 4
-    assert_matches_oracle(kg, triples)
+    assert_matches_oracle(kg, triples, catalog)
 
 
 def test_index_holds_the_catalogs_id_strings(toy_dir):
@@ -243,9 +247,9 @@ def test_index_holds_the_catalogs_id_strings(toy_dir):
         toy_dir / toy.CATALOG_FILE, encoding="utf-8"
     ) as c:
         kg = load_graph(t, c)
-    entity_ids = {e: e for e in kg.entities}
-    relation_ids = {r: r for r in kg.relations}
-    assert all(entity_ids[e] is e is kg.entities[e].id for e in kg.entities)
+    entity_ids = {e: e for e in kg.display_names}
+    relation_ids = {r: r for r in kg.phrase_tokens}
+    assert all(entity_ids[e] is e for e in kg.names)
     for index in (kg._forward, kg._backward):
         assert index and all(entity_ids[e] is e for e in index)
     entries = read_entries(kg)
@@ -357,7 +361,7 @@ def test_concurrent_first_reads_agree_with_the_oracle(toy_dir):
     try:
         for graph in range(100):
             kg = load_files(toy_dir, toy.TRIPLES_FILE)
-            reads = [(e, direction) for e in kg.entities for direction in oracle]
+            reads = [(e, direction) for e in kg.names for direction in oracle]
             got = [None] * threads
             start = threading.Barrier(threads, timeout=60)
 
@@ -396,38 +400,39 @@ def test_entities_by_alias(mini_kg):
 
 
 def test_alias_index_covers_a_name_missing_from_the_aliases():
-    # Neither a catalog line nor a directly built Entity need list the name
-    # among the aliases; the constructor keys it all the same.
-    ents = {"nyc": kgraph.Entity("nyc", "New York City", ("the big apple", "NYC")),
-            "ny": kgraph.Entity("ny", "New York", ("New York",))}
-    kg = KnowledgeGraph(ents, {}, [])
-    assert_matches_oracle(kg, [])
+    # Neither a catalog line nor a directly built graph's aliases need list
+    # the name; the constructor keys it all the same.
+    catalog = ({"nyc": "New York City", "ny": "New York"},
+               {"nyc": ("the big apple", "NYC"), "ny": ("New York",)}, {})
+    kg = KnowledgeGraph(*catalog, [])
+    assert_matches_oracle(kg, [], catalog)
     assert kg.entities_by_alias("new york city") == ("nyc",)
     assert kg.entities_by_alias("Big Apple") == ()
     assert kg.entities_by_alias("the big apple") == ("nyc",)
     assert kg.entities_by_alias("new york") == ("ny",)
     assert kg.alias_prefixes == {"new", "new york", "the", "the big"}
-    # load_graph keeps a line's aliases as listed, without the name; an alias
-    # with no letter or digit keys nothing
-    kg = graph_from_strings("", "E\tx\tNew York\tBig Apple\nE\ty\tWhy\t!!|?\n")
-    assert kg.entities["x"].aliases == ("Big Apple",)
+    # the catalog parse keeps a line's aliases as listed, without the name,
+    # and only for a line that lists one; an alias with no letter or digit
+    # keys nothing
+    catalog = "E\tx\tNew York\tBig Apple\nE\ty\tWhy\t!!|?\nE\tz\tZed\t|\nE\tw\tWho\t\n"
+    assert kgraph._parse_catalog(io.StringIO(catalog)) == (
+        {"x": "New York", "y": "Why", "z": "Zed", "w": "Who"},
+        {"x": ("Big Apple",), "y": ("!!", "?")}, {})
+    kg = graph_from_strings("", catalog)
     assert kg.entities_by_alias("new york") == kg.entities_by_alias("big apple") == ("x",)
-    assert kg.entities["y"].aliases == ("!!", "?")
-    assert kg._alias_index.keys() == {"new york", "big apple", "why"}
+    assert kg._alias_index.keys() == {"new york", "big apple", "why", "zed", "who"}
 
 
 def test_names_are_the_alias_keys_they_give():
     # "kenya" is first an alias of k1, then the name of k2 and k3; "!!!" names
     # nothing
-    ents = {"k1": kgraph.Entity("k1", "Republic of Kenya", ("Kenya!",)),
-            "k2": kgraph.Entity("k2", "KENYA", ("KENYA",)),
-            "k3": kgraph.Entity("k3", "kenya", ()),
-            "x": kgraph.Entity("x", "!!!", ("!!!",))}
-    kg = KnowledgeGraph(ents, {}, [])
+    catalog = ({"k1": "Republic of Kenya", "k2": "KENYA", "k3": "kenya", "x": "!!!"},
+               {"k1": ("Kenya!",), "k2": ("KENYA",), "k3": (), "x": ("!!!",)}, {})
+    kg = KnowledgeGraph(*catalog, [])
     assert kg.names == {"k1": "republic of kenya", "k2": "kenya", "k3": "kenya", "x": ""}
     assert all(eid in kg.entities_by_alias(name) for eid, name in kg.names.items() if name)
     assert kg.entities_by_alias("kenya") == ("k1", "k2", "k3")
-    assert_matches_oracle(kg, [])
+    assert_matches_oracle(kg, [], catalog)
 
 
 def test_a_key_that_several_entities_name_gives_their_ids_ascending():
@@ -442,36 +447,25 @@ def test_a_key_that_several_entities_name_gives_their_ids_ascending():
     assert kg.entities_by_alias("nairobi") == kg.entities_by_alias("the capital") == ("n",)
     assert all(type(ids) is tuple and list(ids) == sorted(set(ids))
                for ids in kg._alias_index.values())
-    assert_matches_oracle(kg, [])
+    assert_matches_oracle(kg, [], kgraph._parse_catalog(io.StringIO(catalog)))
 
 
-def test_catalog_records_are_named_tuples():
-    for cls, values in ((kgraph.Entity, ("k1", "Kenya", ("Republic of Kenya",))),
-                        (kgraph.Relation, ("cur", "currency"))):
-        by_position = cls(*values)
-        by_keyword = cls(**dict(zip(cls._fields, values)))
-        assert by_position == by_keyword
-        assert tuple(getattr(by_position, f) for f in cls._fields) == values
-        assert repr(by_position) == f"{cls.__name__}(" + ", ".join(
-            f"{f}={v!r}" for f, v in zip(cls._fields, values)) + ")"
-        for name in (*cls._fields, "unknown"):
-            with pytest.raises(AttributeError):
-                setattr(by_position, name, "x")
-        # as a tuple of its fields, it equals one and iterates as one
-        assert by_position == values and tuple(by_position) == values
-    assert kgraph.Entity._fields == ("id", "name", "aliases")
-    assert kgraph.Relation._fields == ("id", "phrase")
-    kg = graph_from_strings("", "E\tk1\tKenya\tKE|\nR\tcur\tcurrency\tx\ty\n")
-    assert kg.entity("k1") == kgraph.Entity("k1", "Kenya", ("KE",))
-    assert type(kg.entity("k1")) is kgraph.Entity
-    assert kg.relation("cur") == kgraph.Relation("cur", "currency")
-    assert type(kg.relation("cur")) is kgraph.Relation
+def test_the_graph_keeps_the_display_names_it_is_given():
+    # the display-name map itself, not a copy, and neither of the other maps
+    names, aliases, phrases = {"k1": "Kenya", "n": "Nairobi"}, {"k1": ("KE",)}, {"cur": "Currency"}
+    kg = KnowledgeGraph(names, aliases, phrases, [("n", "cur", "k1")])
+    assert kg.display_names is names
+    assert not any(kept is aliases or kept is phrases for kept in vars(kg).values())
+    assert kg.names == {"k1": "kenya", "n": "nairobi"}
+    assert kg.phrase_tokens == {"cur": ("currency",)}
+    assert kg.entities_by_alias("ke") == ("k1",)
 
 
 def test_load_peaks_near_what_the_graph_keeps():
-    # The alias index, the alias prefixes and the records are built in the
-    # form the graph keeps, so nothing the size of the catalog is alive beside
-    # them: three-token names give one prefix set as large as the catalog.
+    # The graph keeps the display-name map the catalog parse built, and the
+    # alias index and the alias prefixes are built in the form the graph
+    # keeps, so nothing the size of the catalog is alive beside them:
+    # three-token names give one prefix set as large as the catalog.
     n = 5000
     triples = [f"e{i}\tr\te{(i + 1) % n}\n" for i in range(n)]
     for name in ("entity {i}", "Place {i} north"):
@@ -485,38 +479,37 @@ def test_load_peaks_near_what_the_graph_keeps():
         finally:
             tracemalloc.stop()
         assert len(kg.triples) == n
-        assert peak <= 1.15 * kept, (name, peak, kept)
+        assert peak <= 1.06 * kept, (name, peak, kept)
         del kg
 
 
 def test_unknown_id_that_is_not_printable_is_echoed_as_its_repr():
-    ents = {e: kgraph.Entity(e, e, (e,)) for e in ("a", "s")}
-    rels = {"r": kgraph.Relation("r", "r")}
-    kg = KnowledgeGraph(ents, rels, [])
+    catalog = ({e: e for e in ("a", "s")}, {}, {"r": "r"})
+    kg = KnowledgeGraph(*catalog, [])
     for bad in ("x\u2028y", "x\x85y", "x\x0by", "x\x1cy", "x\x1b[31my", "x\ty"):
         for triple, message in [((bad, "r", "a"), "unknown subject entity id"),
                                 (("s", bad, "a"), "unknown relation id"),
                                 (("s", "r", bad), "unknown object entity id")]:
             with pytest.raises(ReferentialError) as exc:
-                KnowledgeGraph(ents, rels, [triple])
+                KnowledgeGraph(*catalog, [triple])
             assert str(exc.value) == f"{message}: {bad!r}"
-        for lookup, message in [(kg.entity, "unknown entity id"),
-                                (kg.relation, "unknown relation id")]:
+        for lf, message in [(EntityLit(bad), "unknown entity id"),
+                            (Join(bad, EntityLit("s")), "unknown relation id")]:
             with pytest.raises(ReferentialError) as exc:
-                lookup(bad)
+                denotation(lf, kg)
             assert str(exc.value) == f"{message}: {bad!r}"
     with pytest.raises(ReferentialError, match="^unknown entity id: caf\u00e9 x$"):
-        kg.entity("caf\u00e9 x")  # printable, so echoed as it is
+        denotation(EntityLit("caf\u00e9 x"), kg)  # printable, so echoed as it is
+    with pytest.raises(ReferentialError, match="^unknown relation id: caf\u00e9 x$"):
+        denotation(Join("caf\u00e9 x", EntityLit("s")), kg)
 
 
 def test_directly_built_graph_holds_its_phrase_tokens():
-    rels = {"cur": kgraph.Relation("cur", "Currency (ISO-4217)"),
-            "pop": kgraph.Relation("pop", "  population  "),
-            "sym": kgraph.Relation("sym", "--")}
-    kg = KnowledgeGraph({}, rels, [])
+    catalog = ({}, {}, {"cur": "Currency (ISO-4217)", "pop": "  population  ", "sym": "--"})
+    kg = KnowledgeGraph(*catalog, [])
     assert kg.phrase_tokens == {"cur": ("currency", "iso", "4217"), "pop": ("population",),
                                 "sym": ()}
-    assert_matches_oracle(kg, [])
+    assert_matches_oracle(kg, [], catalog)
 
 
 def test_denotation_forward_join(mini_kg):
@@ -555,13 +548,12 @@ def test_denotation_repeatable(mini_kg):
 
 def random_graph(rng):
     n_ents = rng.randint(3, 8)
-    ents = {f"e{i}": kgraph.Entity(f"e{i}", f"e{i}", (f"e{i}",)) for i in range(n_ents)}
-    rels = {r: kgraph.Relation(r, r) for r in ("r0", "r1")}
+    names = {f"e{i}": f"e{i}" for i in range(n_ents)}
     triples = {
         (f"e{rng.randrange(n_ents)}", rng.choice(("r0", "r1")), f"e{rng.randrange(n_ents)}")
         for _ in range(rng.randint(0, 15))
     }
-    return KnowledgeGraph(ents, rels, triples)
+    return KnowledgeGraph(names, {e: (e,) for e in names}, {"r0": "r0", "r1": "r1"}, triples)
 
 
 def random_form(rng, depth=0):
@@ -603,10 +595,9 @@ def test_denotation_after_either_import_order(first):
     # either module may be imported first.
     code = (
         f"import tensorparse.{first}\n"
-        "from tensorparse.kgraph import Entity, KnowledgeGraph, Relation, denotation\n"
+        "from tensorparse.kgraph import KnowledgeGraph, denotation\n"
         "from tensorparse.logform import EntityLit, Join\n"
-        "kg = KnowledgeGraph({e: Entity(e, e, (e,)) for e in 'ab'}, {'r': Relation('r', 'r')},"
-        " [('a', 'r', 'b')])\n"
+        "kg = KnowledgeGraph({'a': 'a', 'b': 'b'}, {}, {'r': 'r'}, [('a', 'r', 'b')])\n"
         "print(sorted(denotation(Join('r', EntityLit('a')), kg)))\n"
     )
     assert _run_fresh(code) == "['b']\n"
@@ -625,43 +616,42 @@ ids = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_.", min_size=1, max
 
 @st.composite
 def catalogs(draw):
-    """``(entities, relations, triples)`` in the shape ``load_graph`` returns."""
-    entities = {}
+    """``(names, aliases, phrases, triples)``: the catalog maps in the shape
+    the catalog parse returns, each entity listing its name among its
+    aliases, and triples over their ids."""
+    names = {}
+    aliases = {}
     for eid in draw(st.lists(ids, min_size=1, max_size=6, unique=True)):
-        name = draw(field_text.filter(bool))
-        others = draw(st.lists(field_text.filter(bool), max_size=3))
-        aliases = list(others)
-        aliases.insert(draw(st.integers(0, len(others))), name)
-        entities[eid] = kgraph.Entity(eid, name, tuple(aliases))
-    relations = {
-        rid: kgraph.Relation(rid, draw(field_text.filter(bool)))
-        for rid in draw(st.lists(ids, min_size=1, max_size=4, unique=True))
-    }
-    triples = draw(st.lists(st.tuples(st.sampled_from(sorted(entities)),
-                                      st.sampled_from(sorted(relations)),
-                                      st.sampled_from(sorted(entities))), max_size=12))
-    return entities, relations, triples
+        name = names[eid] = draw(field_text.filter(bool))
+        listed = draw(st.lists(field_text.filter(bool), max_size=3))
+        listed.insert(draw(st.integers(0, len(listed))), name)
+        aliases[eid] = tuple(listed)
+    phrases = {rid: draw(field_text.filter(bool))
+               for rid in draw(st.lists(ids, min_size=1, max_size=4, unique=True))}
+    triples = draw(st.lists(st.tuples(st.sampled_from(sorted(names)),
+                                      st.sampled_from(sorted(phrases)),
+                                      st.sampled_from(sorted(names))), max_size=12))
+    return names, aliases, phrases, triples
 
 
 @settings(max_examples=200, deadline=None)
 @given(catalogs(), st.data())
 def test_indexes_match_oracle_on_random_graphs(catalog, data):
-    entities, relations, triples = catalog
+    names, aliases, phrases, triples = catalog
     # Repeat some triples, and let some entities' aliases omit their name, as
-    # a directly built Entity may.
+    # a directly built graph's may.
     if triples:
         triples = triples + data.draw(st.lists(st.sampled_from(triples), max_size=6))
         triples = data.draw(st.permutations(triples))
-    entities = {
-        eid: kgraph.Entity(eid, e.name, tuple(a for a in e.aliases if a != e.name))
-        if data.draw(st.booleans()) else e
-        for eid, e in entities.items()
+    aliases = {
+        eid: tuple(a for a in listed if a != names[eid]) if data.draw(st.booleans()) else listed
+        for eid, listed in aliases.items()
     }
-    kg = KnowledgeGraph(entities, relations, iter(triples))
+    kg = KnowledgeGraph(names, aliases, phrases, iter(triples))
     # len counts the distinct triples and readies no entity
     assert len(kg.triples) == len(oracle_indexes(triples)[0])
     assert kg._forward_done == {} and kg._backward_done == {}
-    assert_matches_oracle(kg, triples)
+    assert_matches_oracle(kg, triples, (names, aliases, phrases))
     # each subject's flat list holds the (r, o) pair of every triple out of
     # it, and each object's the (r, s) pair of every triple into it, in the
     # order the triples arrived, repeats included, and reads leave them so;
@@ -709,10 +699,10 @@ def forms_over(entities, relations):
 @settings(max_examples=200, deadline=None)
 @given(catalogs(), st.data())
 def test_denotation_matches_oracle_on_random_graphs(catalog, data):
-    entities, relations, triples = catalog
-    kg = KnowledgeGraph(entities, relations, triples)
+    names, aliases, phrases, triples = catalog
+    kg = KnowledgeGraph(names, aliases, phrases, triples)
     _, forward, backward = oracle_indexes(triples)
-    for lf in data.draw(st.lists(forms_over(entities, relations), min_size=1, max_size=5)):
+    for lf in data.draw(st.lists(forms_over(names, phrases), min_size=1, max_size=5)):
         got = denotation(lf, kg)
         assert type(got) is frozenset
         assert got == oracle_denotation(lf, forward, backward)
@@ -752,19 +742,20 @@ def load_files(root, triples_file, newline=None):
 @settings(max_examples=100, deadline=None)
 @given(catalogs(), st.data())
 def test_load_graph_round_trip(tmp_path_factory, catalog, data):
-    entities, relations, triples = catalog
+    names, aliases, phrases, triples = catalog
+    maps = (names, aliases, phrases)
     root = tmp_path_factory.mktemp("graph")
-    catalog_lines = [f"E\t{e.id}\t{e.name}\t{'|'.join(e.aliases)}" for e in entities.values()]
+    catalog_lines = [f"E\t{eid}\t{name}\t{'|'.join(aliases[eid])}" for eid, name in names.items()]
     # the domain and range type fields are read past, whatever they hold
-    catalog_lines += [f"R\t{r.id}\t{r.phrase}\t{data.draw(field_text)}\t{data.draw(field_text)}"
-                      for r in relations.values()]
+    catalog_lines += [f"R\t{rid}\t{phrase}\t{data.draw(field_text)}\t{data.draw(field_text)}"
+                      for rid, phrase in phrases.items()]
     triple_lines = [f"{s}\t{r}\t{o}" for s, r, o in triples]
     write_lines(root / "catalog.tsv", [line + "\n" for line in catalog_lines])
     write_lines(root / "triples.tsv", [line + "\n" for line in triple_lines])
+    with open(root / "catalog.tsv", encoding="utf-8") as fh:
+        assert kgraph._parse_catalog(fh) == maps
     kg = load_files(root, "triples.tsv")
-    assert kg.entities == entities
-    assert kg.relations == relations
-    assert_matches_oracle(kg, triples)
+    assert_matches_oracle(kg, triples, maps)
 
     # The same graph from files with skipped lines and CRLF endings scattered
     # through both, whether the reader keeps a line's CR (newline="") or not.
@@ -772,16 +763,16 @@ def test_load_graph_round_trip(tmp_path_factory, catalog, data):
     write_lines(root / "catalog.tsv", scattered(data.draw, catalog_lines))
     dirty = scattered(data.draw, triple_lines)
     write_lines(root / "dirty.tsv", dirty)
+    with open(root / "catalog.tsv", encoding="utf-8", newline=newline) as fh:
+        assert kgraph._parse_catalog(fh) == maps
     dirty_kg = load_files(root, "dirty.tsv", newline)
-    assert dirty_kg.entities == entities
-    assert dirty_kg.relations == relations
-    assert ({e: (dict(dirty_kg.outgoing(e)), dict(dirty_kg.incoming(e))) for e in entities}
-            == {e: (dict(kg.outgoing(e)), dict(kg.incoming(e))) for e in entities})
+    assert ({e: (dict(dirty_kg.outgoing(e)), dict(dirty_kg.incoming(e))) for e in names}
+            == {e: (dict(kg.outgoing(e)), dict(kg.incoming(e))) for e in names})
     assert dirty_kg.names == kg.names and dirty_kg._alias_index == kg._alias_index
-    assert_matches_oracle(dirty_kg, triples)
+    assert_matches_oracle(dirty_kg, triples, maps)
 
     # One bad line among them: its error names its own line of the file.
-    s, r, o = next(iter(triples), (next(iter(entities)), next(iter(relations)), next(iter(entities))))
+    s, r, o = next(iter(triples), (next(iter(names)), next(iter(phrases)), next(iter(names))))
     line, error = data.draw(st.sampled_from([
         (f"{s}\t{r}", GraphParseError),
         (f"{s}\t{r}\t{o}\t{o}", GraphParseError),

@@ -581,7 +581,7 @@ def reference_build_instances(data, kg, gen_cfg):
         if not tokens:
             continue
         candidates = logform.generate_candidates(tokens, kg, gen_cfg)
-        scores = [reference_f1({kg.entity(e).name for e in c.denotation}, example.answers)
+        scores = [reference_f1({kg.display_names[e] for e in c.denotation}, example.answers)
                   for c in candidates]
         best = max(scores, default=0.0)
         for candidate, s in zip(candidates, scores):

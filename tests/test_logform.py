@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tensorparse import kgraph, logform
 from tensorparse.features import normalize_phrase, tokenize
-from tensorparse.kgraph import Entity, KnowledgeGraph, Relation
+from tensorparse.kgraph import KnowledgeGraph
 from tensorparse.logform import (
     Candidate,
     EntityLit,
@@ -254,49 +254,45 @@ def _two_constraint_parts(lf: Join):
     )
 
 
-def canonical_utterance(lf: LogicalForm, kg: kgraph.KnowledgeGraph) -> str:
-    """Rule-based natural-language rendering of a template-shaped form."""
+def canonical_utterance(lf: LogicalForm, catalog) -> str:
+    """Rule-based natural-language rendering of a template-shaped form, from
+    the catalog's ``(names, aliases, phrases)`` maps."""
+    names, _, phrases = catalog
     if isinstance(lf, Join):
-        r = kg.relation(lf.relation_id)
+        phrase = phrases[lf.relation_id]
         if isinstance(lf.sub, EntityLit):
-            e = kg.entity(lf.sub.entity_id)
-            return f"the {r.phrase} of {e.name}"
+            return f"the {phrase} of {names[lf.sub.entity_id]}"
         parts = _two_constraint_parts(lf)
         if parts is not None:
-            _, r1_id, e1_id, r2_id, e2_id = parts
-            r1 = kg.relation(r1_id)
-            r2 = kg.relation(r2_id)
-            e1 = kg.entity(e1_id)
-            e2 = kg.entity(e2_id)
+            _, r1, e1, r2, e2 = parts
             return (
-                f"the {r.phrase} of the thing whose {r1.phrase} is {e1.name}"
-                f" and whose {r2.phrase} is {e2.name}"
+                f"the {phrase} of the thing whose {phrases[r1]} is {names[e1]}"
+                f" and whose {phrases[r2]} is {names[e2]}"
             )
     elif isinstance(lf, ReverseJoin) and isinstance(lf.sub, EntityLit):
-        r = kg.relation(lf.relation_id)
-        e = kg.entity(lf.sub.entity_id)
-        return f"the things whose {r.phrase} is {e.name}"
+        return f"the things whose {phrases[lf.relation_id]} is {names[lf.sub.entity_id]}"
     raise UnsupportedShapeError(f"no utterance template for {serialize(lf)}")
 
 
-def brute_force_linked(query_tokens, kg):
+def brute_force_linked(query_tokens, catalog):
     """Ids of the entities that any span of the query names, every span
-    length from 1 to n, ascending; read from the catalog, not the alias
-    index."""
+    length from 1 to n, ascending; read from the catalog's ``(names,
+    aliases, phrases)`` maps, not the alias index."""
+    names, aliases, _ = catalog
     n = len(query_tokens)
     spans = {normalize_phrase(" ".join(query_tokens[i:j]))
              for i in range(n) for j in range(i + 1, n + 1)}
-    return [eid for eid, ent in sorted(kg.entities.items())
-            if not spans.isdisjoint(set(map(normalize_phrase, (ent.name,) + ent.aliases)) - {""})]
+    return [eid for eid, name in sorted(names.items())
+            if not spans.isdisjoint(
+                set(map(normalize_phrase, (name, *aliases.get(eid, ())))) - {""})]
 
 
 def test_linking_reaches_the_longest_alias(mini_kg):
     # "the dominican republic" is an alias, so its proper prefixes grow spans
     assert mini_kg.alias_prefixes == {"the", "the dominican", "dominican", "brazilian", "brad",
                                       "performance"}
-    kg = KnowledgeGraph({"a": Entity("a", "A", ("a",)),
-                         "gd": Entity("gd", "Grand Duchy of Fenwick", ())},
-                        {"r": Relation("r", "r")}, [("gd", "r", "a")])
+    kg = KnowledgeGraph({"a": "A", "gd": "Grand Duchy of Fenwick"}, {"a": ("a",)}, {"r": "r"},
+                        [("gd", "r", "a")])
     # none of "grand", "grand duchy" and "grand duchy of" names an entity, yet
     # each grows the span to the next token
     assert kg.alias_prefixes == {"grand", "grand duchy", "grand duchy of"}
@@ -354,16 +350,17 @@ def aliased_queries(draw):
 @given(aliased_queries())
 def test_linked_entities_match_brute_force(named_and_query):
     named, query = named_and_query
-    entities = {f"e{i}": Entity(f"e{i}", name, tuple(aliases))
-                for i, (name, aliases) in enumerate(named)}
-    kg = KnowledgeGraph(entities, {"r": Relation("r", "r")}, [])
-    assert logform._linked_entities(query, kg) == brute_force_linked(query, kg)
+    catalog = ({f"e{i}": name for i, (name, _) in enumerate(named)},
+               {f"e{i}": tuple(others) for i, (_, others) in enumerate(named)}, {"r": "r"})
+    kg = KnowledgeGraph(*catalog, [])
+    assert logform._linked_entities(query, kg) == brute_force_linked(query, catalog)
 
 
-def reference_generate_candidates(query_tokens, kg):
+def reference_generate_candidates(query_tokens, kg, catalog):
     """``generate_candidates`` as it was before it read the graph's indexes
     and before each template rendered its own utterance, linking through
-    every span of the query, with no cap.
+    every span of the query, with no cap, over the graph ``kg`` built from
+    ``catalog``, its ``(names, aliases, phrases)`` maps.
 
     It emits T1 and T2 forms for every relation of the catalog.  For every
     ordered pair of linked entities it tries every (r1, r2) relation pair
@@ -376,8 +373,8 @@ def reference_generate_candidates(query_tokens, kg):
     """
     if not query_tokens:
         raise ValueError("query_tokens must be non-empty")
-    linked = brute_force_linked(list(query_tokens), kg)
-    rel_ids = sorted(kg.relations)
+    linked = brute_force_linked(list(query_tokens), catalog)
+    rel_ids = sorted(catalog[2])
     forms: dict = {}
 
     def add(lf):
@@ -405,7 +402,7 @@ def reference_generate_candidates(query_tokens, kg):
 
     out = []
     for _, lf in sorted(forms.items()):
-        utterance = canonical_utterance(lf, kg)
+        utterance = canonical_utterance(lf, catalog)
         out.append(
             Candidate(
                 logical_form=lf,
@@ -416,17 +413,18 @@ def reference_generate_candidates(query_tokens, kg):
     return out
 
 
-def filtered_reference(query_tokens, kg, cap):
+def filtered_reference(query_tokens, kg, catalog, cap):
     """The reference's forms that denote something, cap lifted, then the
     first ``cap`` of them."""
-    return [c for c in reference_generate_candidates(query_tokens, kg) if c.denotation][:cap]
+    return [c for c in reference_generate_candidates(query_tokens, kg, catalog)
+            if c.denotation][:cap]
 
 
-def assert_matches_reference(query_tokens, kg, cap):
+def assert_matches_reference(query_tokens, kg, catalog, cap):
     """``generate_candidates`` is the filtered reference, and each denotation
     is non-empty and what ``kgraph.denotation`` gives its form."""
     got = generate_candidates(query_tokens, kg, GenConfig(max_candidates=cap))
-    assert got == filtered_reference(query_tokens, kg, cap), query_tokens
+    assert got == filtered_reference(query_tokens, kg, catalog, cap), query_tokens
     for c in got:
         assert c.denotation and c.denotation == kgraph.denotation(c.logical_form, kg)
 
@@ -446,51 +444,53 @@ MINI_QUERIES = [
 
 @pytest.mark.parametrize("cap", CAPS)
 @pytest.mark.parametrize("query", MINI_QUERIES)
-def test_generate_matches_reference_on_mini(mini_kg, query, cap):
-    assert_matches_reference(tokenize(query), mini_kg, cap)
+def test_generate_matches_reference_on_mini(mini_kg, mini_catalog, query, cap):
+    assert_matches_reference(tokenize(query), mini_kg, mini_catalog, cap)
 
 
-def test_generate_matches_reference_on_toy(toy_kg, toy_data):
+def test_generate_matches_reference_on_toy(toy_kg, toy_catalog, toy_data):
     for cap in CAPS:
         for example in toy_data:
-            assert_matches_reference(tokenize(example.question), toy_kg, cap)
+            assert_matches_reference(tokenize(example.question), toy_kg, toy_catalog, cap)
 
 
 @st.composite
 def graphs_and_queries(draw):
-    """A graph read by ``load_graph`` and a query naming 2-3 of its entities.
+    """``(graph, catalog, query)``: a graph read by ``load_graph``, the
+    ``(names, aliases, phrases)`` maps of its catalog, and a query naming 2-3
+    of its entities.
 
     Each entity's id is one of its aliases, so a query can link it whatever
     text its other aliases hold.  Half the graphs gain a subject that points
     into the first two named entities, so that T3 forms exist.
     """
-    entities, relations, triples = draw(catalogs())
-    assume(len(entities) >= 2)
-    named = draw(st.lists(st.sampled_from(sorted(entities)), min_size=2, max_size=3,
-                          unique=True))
+    names, aliases, phrases, triples = draw(catalogs())
+    assume(len(names) >= 2)
+    aliases = {eid: (*listed, eid) for eid, listed in aliases.items()}
+    named = draw(st.lists(st.sampled_from(sorted(names)), min_size=2, max_size=3, unique=True))
     if draw(st.booleans()):
-        subject = draw(st.sampled_from(sorted(entities)))
-        rel = st.sampled_from(sorted(relations))
+        subject = draw(st.sampled_from(sorted(names)))
+        rel = st.sampled_from(sorted(phrases))
         triples = triples + [(subject, draw(rel), named[0]),
                              (subject, draw(rel), named[1])]
     catalog = "".join(
-        f"E\t{e.id}\t{e.name}\t{'|'.join(e.aliases + (e.id,))}\n" for e in entities.values()
+        f"E\t{eid}\t{name}\t{'|'.join(aliases[eid])}\n" for eid, name in names.items()
     ) + "".join(
-        f"R\t{r.id}\t{r.phrase}\tthing\tthing\n" for r in relations.values()
+        f"R\t{rid}\t{phrase}\tthing\tthing\n" for rid, phrase in phrases.items()
     )
     kg = kgraph.load_graph(io.StringIO("".join(f"{s}\t{r}\t{o}\n" for s, r, o in triples)),
                            io.StringIO(catalog))
     query = ["which"]
     for eid in named:
-        query += tokenize(draw(st.sampled_from(kg.entities[eid].aliases)))
-    return kg, query
+        query += tokenize(draw(st.sampled_from(aliases[eid])))
+    return kg, (names, aliases, phrases), query
 
 
 @settings(max_examples=200, deadline=None)
 @given(graphs_and_queries(), st.sampled_from(CAPS))
 def test_generate_matches_reference_on_random_graphs(graph_and_query, cap):
-    kg, query = graph_and_query
-    assert_matches_reference(query, kg, cap)
+    kg, catalog, query = graph_and_query
+    assert_matches_reference(query, kg, catalog, cap)
 
 
 def previous_generate_candidates(query_tokens, kg, cfg):
@@ -541,8 +541,8 @@ def hub_graph(triples, relations):
     """Subjects ``s0``, ``s1``, ... with facts into ``alpha``, ``beta`` and
     ``gamma``, which only the question names."""
     names = {"alpha", "beta", "gamma", *(s for s, _, _ in triples)}
-    return KnowledgeGraph({e: Entity(e, e, (e,)) for e in names},
-                          {r: Relation(r, r) for r in relations}, triples)
+    return KnowledgeGraph({e: e for e in names}, {e: (e,) for e in names},
+                          {r: r for r in relations}, triples)
 
 
 @st.composite
@@ -558,10 +558,10 @@ def hubs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(graphs_and_queries(), hubs().map(lambda kg: (kg, HUB_QUERY))),
+@given(st.one_of(graphs_and_queries(), hubs().map(lambda kg: (kg, None, HUB_QUERY))),
        st.sampled_from(CAPS))
 def test_generate_matches_the_previous_generator(graph_and_query, cap):
-    kg, query = graph_and_query
+    kg, _, query = graph_and_query
     cfg = GenConfig(max_candidates=cap)
     assert generate_candidates(query, kg, cfg) == previous_generate_candidates(query, kg, cfg)
 

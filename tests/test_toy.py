@@ -25,12 +25,12 @@ def test_different_seed_changes_dataset(tmp_path):
 def test_dataset_parses_and_is_big_enough(toy_dir, toy_data, toy_kg):
     assert len(toy_data) >= 200
     countries = [
-        e for e in toy_kg.entities.values()
-        if dict(toy_kg.outgoing(e.id)).get("currency")
+        e for e in toy_kg.display_names
+        if dict(toy_kg.outgoing(e)).get("currency")
     ]
     assert len(countries) >= 20
     for rel in ("currency", "capital", "adjoins"):
-        assert rel in toy_kg.relations
+        assert rel in toy_kg.phrase_tokens
 
 
 def test_dataset_lines_are_valid_json(toy_dir):
