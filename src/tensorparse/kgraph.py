@@ -331,13 +331,12 @@ def load_graph(
     The cyclic garbage collector is paused while the graph is built and
     then restored to the state it was in: nothing built here holds a
     cycle, and each collection pass would rescan every list and set built
-    so far.  On success, unless some objects are frozen
-    (``gc.get_freeze_count()`` is not 0), ``gc.freeze()`` then
-    ``gc.unfreeze()`` moves every object the process tracks, the new
-    graph's among them, to the oldest generation without scanning it, so
-    the first young collection after the load does not walk the whole
-    graph.  The graph it returns is readied by its first reads,
-    idempotently, and is safe for concurrent use.
+    so far.  On success the new graph goes to the oldest generation, which
+    no young collection walks: ``gc.freeze()`` then ``gc.unfreeze()``
+    moves every tracked object there unscanned or, if some are frozen
+    already (as at the start of CPython 3.12.1), ``gc.collect(1)`` moves
+    the young ones there with one scan.  The graph it returns is readied
+    by its first reads, idempotently, and is safe for concurrent use.
     """
     lineno = 0
 
@@ -363,9 +362,10 @@ def load_graph(
         except ReferentialError as exc:
             # the constructor stopped at the triple last read, on line lineno
             raise ReferentialError(f"line {lineno}: {exc}") from None
-        if gc.get_freeze_count() == 0:
-            # to the oldest generation, unscanned; unfreeze would also thaw
-            # what a caller froze, hence the check
+        if gc.get_freeze_count():
+            gc.collect(1)  # unfreeze would also thaw what a caller froze
+        else:
+            # to the oldest generation, unscanned
             gc.freeze()
             gc.unfreeze()
         return kg

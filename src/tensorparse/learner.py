@@ -39,7 +39,7 @@ a denotation-size weight: a :class:`Model` also holds W as one row
 ``lf:denot.size…`` feature in a table indexed by size, both built when
 the model is, so :func:`predict` builds no key and adds each candidate's
 weights in the order :func:`score` over :func:`features.assemble` adds
-them, to the same float.
+them, to the same float, and gives a tie to the earliest candidate.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from . import ConfigError, TensorparseError, features, logform
+from . import ConfigError, TensorparseError, features
 from .dataset import DatasetExample
 from .kernel import dot
 from .kgraph import KnowledgeGraph, _shown
@@ -188,20 +188,17 @@ def _scores(model: Model, query_tokens, candidates) -> list[float]:
 def predict(
     model: Model, query_tokens, candidates: list[Candidate]
 ) -> Optional[Candidate]:
-    """Highest-scoring candidate; ties broken by ascending serialized form.
+    """Highest-scoring candidate; a tie goes to the earliest of the best.
 
     Scores are :func:`score` of each candidate's assembled vector, computed
-    through the model's rows with no pair key built.  Only the candidates
-    tied at the best score are serialized.
+    through the model's rows with no pair key built.  The lists of
+    :func:`logform.generate_candidates` ascend by the text of their forms,
+    so there the earliest is the smallest form.
     """
     if not candidates:
         return None
     scores = _scores(model, query_tokens, candidates)
-    best = max(scores)
-    tied = [c for c, s in zip(candidates, scores) if s == best]
-    if len(tied) == 1:
-        return tied[0]
-    return min(tied, key=lambda c: logform.serialize(c.logical_form))
+    return candidates[scores.index(max(scores))]
 
 
 def label_candidates(f1s: list[float]) -> list[bool]:

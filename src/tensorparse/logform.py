@@ -19,7 +19,8 @@ into E1 and E2 that share a subject, R read out of the shared subjects
 (once per distinct set of them), so every form denotes the index set it
 was read from.  Each form is keyed by its serialized text, written from
 the ids generation builds it of rather than by :func:`serialize`; output
-is sorted by that text and the first N are kept, N the configured cap.
+is sorted by that text, the order :func:`learner.predict` breaks ties by,
+and the first N are kept, N the configured cap.
 """
 
 from __future__ import annotations
@@ -159,9 +160,9 @@ def generate_candidates(
     utterance tokens join the template's words to ``kg.phrase_tokens``
     and the linked entities' name tokens, read from ``kg.names``, as
     tokenizing the utterance text would: no token spans a space.  The
-    result is sorted by serialized form and the first
-    ``cfg.max_candidates`` kept; a query that links no entity with a fact
-    yields an empty list.
+    result is sorted by serialized form, the order :func:`learner.predict`
+    breaks ties by, and the first ``cfg.max_candidates`` kept; a query
+    that links no entity with a fact yields an empty list.
     """
     if not query_tokens:
         raise ValueError("query_tokens must be non-empty")

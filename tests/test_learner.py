@@ -94,33 +94,42 @@ def test_predict_prefers_weighted(mini_kg):
     assert predict(m, ["q"], [bad, good]) is good
 
 
-def test_predict_tie_breaks_by_serialization():
+def test_predict_tie_goes_to_the_earliest():
     a = make_candidate(Join("adjoins", EntityLit("brazil")), ["same"], {"x"})
     b = make_candidate(Join("currency", EntityLit("brazil")), ["same"], {"x"})
-    chosen = predict(zero_model(), ["q"], [b, a])
-    assert serialize(chosen.logical_form) == "join(adjoins, ent(brazil))"
+    assert serialize(a.logical_form) < serialize(b.logical_form)
+    # in generation's order the earliest is the smallest form; in any other
+    # order it is still the earliest
+    assert predict(zero_model(), ["q"], [a, b]) is a
+    assert predict(zero_model(), ["q"], [b, a]) is b
 
 
 def test_predict_unique_maximum_serializes_nothing(monkeypatch):
-    calls = []
-    monkeypatch.setattr(learner.logform, "serialize", lambda lf: calls.append(lf) or "")
+    def refuse(lf):
+        raise AssertionError(f"serialized {lf!r}")
+
+    monkeypatch.setattr(logform, "serialize", refuse)
     m = Model(weights={"p:q|good": 1.0})
     good = make_candidate(Join("currency", EntityLit("brazil")), ["good"], {"x"})
     bad = make_candidate(Join("adjoins", EntityLit("brazil")), ["bad"], {"x"})
     assert predict(m, ["q"], [bad, good, bad]) is good
-    assert calls == []
+    # nor does a tie
+    assert predict(zero_model(), ["q"], [good, bad]) is good
+    assert predict(zero_model(), ["q"], [bad, good]) is bad
 
 
-def test_predict_three_way_tie_takes_smallest_form():
+def test_predict_three_way_tie_takes_the_earliest():
     m = Model(weights={"p:q|same": 1.0, "p:q|low": -1.0})
-    forms = [Join("film", EntityLit("p1")), Join("actor", EntityLit("p1")),
-             Join("character", EntityLit("p1"))]
+    forms = [Join("actor", EntityLit("p1")), Join("character", EntityLit("p1")),
+             Join("film", EntityLit("p1"))]
     tied = [make_candidate(form, ["same"], {"x"}) for form in forms]
     low = make_candidate(EntityLit("brazil"), ["low"], {"x"})  # smallest form, lower score
-    chosen = predict(m, ["q"], [tied[0], low, tied[1], tied[2]])
-    assert chosen is tied[1]
-    assert serialize(chosen.logical_form) == "join(actor, ent(p1))"
-    assert serialize(low.logical_form) < serialize(chosen.logical_form)
+    texts = [serialize(c.logical_form) for c in (low, *tied)]
+    assert texts == sorted(texts)
+    # generation's order, its reverse and one more order
+    assert predict(m, ["q"], [low, *tied]) is tied[0]
+    assert predict(m, ["q"], [*tied[::-1], low]) is tied[2]
+    assert predict(m, ["q"], [tied[1], low, tied[0], tied[2]]) is tied[1]
 
 
 def test_predict_argmax_scale_invariant():
@@ -488,13 +497,17 @@ def test_predict_scores_are_score_of_assemble(tmp_path_factory, weights, query, 
         model = load_model(path)
     expected = [score(model, features.assemble(query, c)) for c in candidates]
     assert list(map(_pack, learner._scores(model, query, candidates))) == list(map(_pack, expected))
-    winner = predict(model, query, candidates)
     if not candidates:
-        assert winner is None
-    else:
-        by_rule = min(zip(candidates, expected),
-                      key=lambda ce: (-ce[1], serialize(ce[0].logical_form)))[0]
-        assert winner is by_rule
+        assert predict(model, query, candidates) is None
+    # the earliest of the best: a later candidate wins only by scoring more,
+    # in the order drawn and in reverse
+    for ordered, scores in ((candidates, expected), (candidates[::-1], expected[::-1])):
+        if ordered:
+            by_rule, best = ordered[0], scores[0]
+            for candidate, s in zip(ordered, scores):
+                if s > best:
+                    by_rule, best = candidate, s
+            assert predict(model, query, ordered) is by_rule
 
 
 @pytest.mark.parametrize("key, rows", [

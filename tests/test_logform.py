@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tensorparse import kgraph, logform
-from tensorparse.features import normalize_phrase, tokenize
+from tensorparse.features import assemble, normalize_phrase, tokenize
 from tensorparse.kgraph import KnowledgeGraph
+from tensorparse.learner import Model, predict, score
 from tensorparse.logform import (
     Candidate,
     EntityLit,
@@ -585,3 +586,21 @@ def test_t3_reads_each_shared_subject_once_per_set_of_them(monkeypatch):
     assert len(got) == 200  # of 510 forms: 2 * 25 * 10 T3 and 10 T2
     # T1 reads alpha and beta, T3 each subject once
     assert sorted(read) == sorted(["alpha", "beta", *(f"s{i}" for i in range(200))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs_and_queries(), hubs().map(lambda kg: (kg, None, HUB_QUERY))),
+       st.sampled_from(CAPS), st.data())
+def test_predict_on_generated_lists_takes_the_smallest_best_form(graph_and_query, cap, data):
+    kg, _, query = graph_and_query
+    candidates = generate_candidates(query, kg, GenConfig(max_candidates=cap))
+    # weights on keys the candidates assemble, from a few values, so that
+    # some scores tie
+    keys = sorted({key for c in candidates for key in assemble(query, c)}) or ["p:a|a"]
+    weights = data.draw(st.dictionaries(st.sampled_from(keys),
+                                        st.sampled_from([-1.0, 0.5, 1.0, 2.0]), max_size=8))
+    for model in (Model(weights={}), Model(weights=weights)):
+        smallest_best = min(
+            candidates, default=None,
+            key=lambda c: (-score(model, assemble(query, c)), serialize(c.logical_form)))
+        assert predict(model, query, candidates) is smallest_best
