@@ -36,8 +36,8 @@ maps key text to weight, the keys the model file holds, and keeps the
 Prediction scores through the paper's factorization, score = qᵀWu plus
 a denotation-size weight: a :class:`Model` also holds W as one row
 ``{u: weight}`` per query token and the weight of each denotation size's
-``lf:denot.size…`` feature in a table indexed by size, both built when
-the model is, so :func:`predict` builds no key and adds each candidate's
+key of :data:`features.SIZE_KEYS` in a table indexed by size, both built
+when the model is, so :func:`predict` builds no key and adds each candidate's
 weights in the order :func:`score` over :func:`features.assemble` adds
 them, to the same float, and gives a tie to the earliest candidate.
 """
@@ -70,9 +70,7 @@ _ADA_EPS = 1e-8
 # take "_" separators, padding whitespace and any Unicode decimal digit.
 _ASCII_DIGITS = re.compile(r"[0-9]+")
 _DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
-# The keys features.assemble gives: tokenize yields [a-z0-9]+ tokens.
-_PAIR_KEY = re.compile(r"p:[a-z0-9]+\|[a-z0-9]+")
-_LF_KEYS = frozenset(map(features.lf_key, features.LF_FEATURE_NAMES))
+_LF_KEYS = frozenset(features.SIZE_KEYS)
 
 
 class ModelFormatError(TensorparseError):
@@ -88,11 +86,10 @@ class Model:
     ``weights`` is a read-only view over the model's own copy of the
     mapping it is made with, so the derived fields cannot go stale:
     every ``p:<q>|<u>`` key, split at its first ``|``, is the entry ``u``
-    of the row ``q`` in ``rows``, and ``size_weights[min(n, 6)]`` is the
-    weight of the bucket feature of a denotation of ``n`` members, or
-    ``None`` if the model has none (6 is
-    :data:`features.DENOT_SIZE_6PLUS_MIN`).  The derived fields take no
-    part in equality or ``repr``, and ``rows`` is not to be mutated.
+    of the row ``q`` in ``rows``, and ``size_weights`` holds the weight of
+    each key of :data:`features.SIZE_KEYS` in its slot, ``None`` where the
+    model has none.  The derived fields take no part in equality or
+    ``repr``, and ``rows`` is not to be mutated.
     """
 
     weights: Mapping[str, float]
@@ -109,9 +106,7 @@ class Model:
                 rows.setdefault(q, {})[u] = weight
         object.__setattr__(self, "weights", MappingProxyType(weights))
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "size_weights", tuple(
-            weights.get(features.lf_key(features.denotation_size_bucket(n)))
-            for n in range(features.DENOT_SIZE_6PLUS_MIN + 1)))
+        object.__setattr__(self, "size_weights", tuple(map(weights.get, features.SIZE_KEYS)))
 
 
 @dataclass(frozen=True)
@@ -447,7 +442,7 @@ def load_model(path) -> Model:
             raise ModelFormatError(f"line {lineno}: expected key<TAB>weight")
         if key in weights:
             raise ModelFormatError(f"line {lineno}: duplicate key {key!r}")
-        if key not in _LF_KEYS and not _PAIR_KEY.fullmatch(key):
+        if key not in _LF_KEYS and not features.PAIR_KEY.fullmatch(key):
             raise ModelFormatError(f"line {lineno}: unknown feature key {key!r}")
         try:
             weights[key] = float(value)

@@ -1,10 +1,11 @@
 import re
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorparse import features
+from tensorparse.learner import Model, load_model, save_model
 from tensorparse.logform import Candidate, EntityLit
 
 
@@ -73,85 +74,128 @@ def test_tokenize_is_the_split_on_every_other_character(text):
     assert features.tokenize(text) == [t for t in re.split(r"[^a-z0-9]+", text.lower()) if t]
 
 
+# The oracle for the feature map: the size buckets as an if-chain and the
+# pair map spelled out, side by side with nothing taken from features.
+def oracle_size_key(size):
+    if size == 0:
+        return "lf:denot.empty"
+    if size == 1:
+        return "lf:denot.size.1"
+    if size == 2:
+        return "lf:denot.size.2"
+    if size < 6:
+        return "lf:denot.size.3to5"
+    return "lf:denot.size.6plus"
+
+
+def oracle_assemble(query_tokens, utterance_tokens, size):
+    """``(key, value)`` in order: every distinct query token's pairs, in
+    first-occurrence order, with every distinct utterance token, then the
+    size key."""
+    query = []
+    for q in query_tokens:
+        if q not in query:
+            query.append(q)
+    utterance = []
+    for u in utterance_tokens:
+        if u not in utterance:
+            utterance.append(u)
+    pairs = [("p:" + q + "|" + u, 1.0) for q in query for u in utterance]
+    return pairs + [(oracle_size_key(size), 1.0)]
+
+
+token_lists = st.lists(st.sampled_from(["a", "b", "zz", "0", "what", "denot"]), max_size=8)
+
+
+@settings(max_examples=300)
+@example(["a", "b"], ["x", "y"], 5)  # 3to5's last size; utterance-major order differs
+@example(["a", "a", "b"], ["x", "x"], 6)  # 6plus's least size; repeats on each side
+@example([], [], 0)
+@given(token_lists, token_lists, st.integers(0, 100))
+def test_assemble_is_the_oracle_map(query, utterance, size):
+    out = features.assemble(query, make_candidate(size, utterance))
+    assert list(out.items()) == oracle_assemble(query, utterance, size)
+    assert all(type(v) is float for v in out.values())
+
+
+def test_logical_form_features_are_the_oracle_bucket():
+    for size in range(101):
+        assert features.logical_form_features(make_candidate(size)) == {oracle_size_key(size): 1.0}
+
+
+@settings(max_examples=100, deadline=None)
+@example("What 5 countries border ethiopia?", "the adjoins of 5", 7)
+@given(st.one_of(token_text, st.text()), st.one_of(token_text, st.text()), st.integers(0, 100))
+def test_every_assembled_key_loads_back(tmp_path_factory, query, utterance, size):
+    """What assemble writes is what the model file's reader accepts."""
+    vector = features.assemble(features.tokenize(query),
+                               make_candidate(size, features.tokenize(utterance)))
+    model = Model(weights={key: i / 8 for i, key in enumerate(vector)})
+    path = tmp_path_factory.mktemp("model") / "m.model"
+    save_model(model, path)
+    assert load_model(path) == model
+
+
 def test_unigram_features_binary():
-    assert features.unigram_features(["the", "adjoins", "of", "ethiopia"]) == {
-        "the": 1.0, "adjoins": 1.0, "of": 1.0, "ethiopia": 1.0,
+    c = make_candidate(1, utterance_tokens=("x", "x", "y"))
+    assert features.assemble(["a", "a", "b"], c) == {
+        "p:a|x": 1.0, "p:a|y": 1.0, "p:b|x": 1.0, "p:b|y": 1.0, "lf:denot.size.1": 1.0,
     }
-    assert features.unigram_features(["a", "a", "b"]) == {"a": 1.0, "b": 1.0}
-    assert features.unigram_features([]) == {}
 
 
 def test_tensor_pairs_border_example():
-    out = features.tensor_pair_features(
-        {"countries": 1.0, "border": 1.0}, {"adjoins": 1.0, "ethiopia": 1.0}
-    )
-    assert out == {
-        "p:countries|adjoins": 1.0,
-        "p:countries|ethiopia": 1.0,
-        "p:border|adjoins": 1.0,
-        "p:border|ethiopia": 1.0,
-    }
+    c = make_candidate(2, utterance_tokens=("adjoins", "ethiopia"))
+    assert list(features.assemble(["countries", "border"], c).items()) == [
+        ("p:countries|adjoins", 1.0),
+        ("p:countries|ethiopia", 1.0),
+        ("p:border|adjoins", 1.0),
+        ("p:border|ethiopia", 1.0),
+        ("lf:denot.size.2", 1.0),
+    ]
 
 
 def test_tensor_pairs_zero_case():
-    assert features.tensor_pair_features({}, {"a": 1.0}) == {}
+    assert features.assemble(["a"], make_candidate(1, utterance_tokens=())) == {
+        "lf:denot.size.1": 1.0,
+    }
 
 
 def test_tensor_pairs_dimensionality():
-    out = features.tensor_pair_features(
-        {"a": 1.0, "b": 1.0, "c": 1.0}, {"x": 1.0, "y": 1.0}
-    )
-    assert len(out) == 6
+    c = make_candidate(3, utterance_tokens=("x", "y"))
+    assert len(features.assemble(["a", "b", "c"], c)) == 3 * 2 + 1
 
 
-unigram_vecs = st.dictionaries(
-    st.text(alphabet="abcdefgh", min_size=1, max_size=4),
-    st.floats(min_value=-5, max_value=5, allow_nan=False),
-    max_size=8,
-)
-
-
-@given(unigram_vecs, unigram_vecs)
-def test_tensor_pairs_size_product(a, b):
-    assert len(features.tensor_pair_features(a, b)) == len(a) * len(b)
-
-
-@given(unigram_vecs, unigram_vecs, st.floats(min_value=-3, max_value=3, allow_nan=False))
-def test_tensor_pairs_bilinear(a, b, alpha):
-    scaled = {k: alpha * v for k, v in a.items()}
-    expected = {
-        k: alpha * v for k, v in features.tensor_pair_features(a, b).items()
-    }
-    got = features.tensor_pair_features(scaled, b)
-    assert got.keys() == expected.keys()
-    for k in got:
-        assert got[k] == pytest.approx(expected[k], abs=1e-12)
+@given(token_lists, token_lists)
+def test_tensor_pairs_size_product(query, utterance):
+    out = features.assemble(query, make_candidate(1, utterance))
+    assert len(out) == len(set(query)) * len(set(utterance)) + 1
 
 
 @pytest.mark.parametrize(
     "size,name",
     [
-        (0, features.DENOT_EMPTY),
-        (1, features.DENOT_SIZE_1),
-        (2, features.DENOT_SIZE_2),
-        (3, features.DENOT_SIZE_3TO5),
-        (4, features.DENOT_SIZE_3TO5),
-        (5, features.DENOT_SIZE_3TO5),
-        (6, features.DENOT_SIZE_6PLUS),
-        (100, features.DENOT_SIZE_6PLUS),
+        (0, "denot.empty"),
+        (1, "denot.size.1"),
+        (2, "denot.size.2"),
+        (3, "denot.size.3to5"),
+        (4, "denot.size.3to5"),
+        (5, "denot.size.3to5"),
+        (6, "denot.size.6plus"),
+        (100, "denot.size.6plus"),
     ],
 )
 def test_logical_form_features_buckets(size, name):
     out = features.logical_form_features(make_candidate(size))
-    assert out == {features.lf_key(name): 1.0}
-    assert name in features.LF_FEATURE_NAMES
+    assert out == {"lf:" + name: 1.0}
+    assert "lf:" + name in features.SIZE_KEYS
 
 
 def test_the_open_bucket_starts_at_its_least_size():
-    least = features.DENOT_SIZE_6PLUS_MIN
-    assert features.denotation_size_bucket(least - 1) != features.DENOT_SIZE_6PLUS
-    assert {features.denotation_size_bucket(n) for n in range(least, least + 100)} == \
-        {features.DENOT_SIZE_6PLUS}
+    last = len(features.SIZE_KEYS) - 1
+    keys = [next(iter(features.logical_form_features(make_candidate(n))))
+            for n in range(last - 1, last + 100)]
+    assert keys[0] != features.SIZE_KEYS[last]
+    assert set(keys[1:]) == {features.SIZE_KEYS[last]}
 
 
 def test_assemble_union():
@@ -169,14 +213,13 @@ def test_assemble_empty_query():
 
 def test_key_kinds_disjoint():
     # pair keys and lf keys can never collide: distinct prefixes
-    (pair,) = features.tensor_pair_features({"denot": 1.0}, {"empty": 1.0})
-    lf = features.lf_key("denot.empty")
-    assert (pair, lf) == ("p:denot|empty", "lf:denot.empty")
+    c = make_candidate(0, utterance_tokens=("empty",))
+    assert list(features.assemble(["denot"], c)) == ["p:denot|empty", "lf:denot.empty"]
+    assert not any(features.PAIR_KEY.fullmatch(key) for key in features.SIZE_KEYS)
 
 
 def test_determinism_iteration_order():
-    a = {"b": 1.0, "a": 1.0}
-    b = {"y": 1.0, "x": 1.0}
-    first = list(features.tensor_pair_features(a, b))
-    second = list(features.tensor_pair_features(a, b))
+    c = make_candidate(1, utterance_tokens=("y", "x"))
+    first = list(features.assemble(["b", "a"], c))
+    second = list(features.assemble(["b", "a"], c))
     assert first == second

@@ -421,7 +421,7 @@ def test_save_into_missing_directory_names_the_model_file(tmp_path):
 tokens = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=6)
 feature_keys = st.one_of(
     st.builds(lambda q, u: f"p:{q}|{u}", tokens, tokens),
-    st.sampled_from(sorted(features.lf_key(name) for name in features.LF_FEATURE_NAMES)),
+    st.sampled_from(sorted(set(features.SIZE_KEYS))),
 )
 finite_weights = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -456,7 +456,7 @@ utterance_token_lists = st.lists(st.sampled_from(["a", "b", "b|c", "yy"]), max_s
 scoring_keys = st.one_of(
     st.builds(lambda q, u: f"p:{q}|{u}", st.sampled_from(["", "a", "b"]),
               st.sampled_from(["a", "b", "b|c"])),
-    st.sampled_from(sorted(features.lf_key(name) for name in features.LF_FEATURE_NAMES)),
+    st.sampled_from(sorted(set(features.SIZE_KEYS))),
     st.sampled_from(["p:a", "p:a|b|c", "p:|b", "lf:other", "x:a|b", "a|b"]),
 )
 # the scoring keys that load from a model file: those features.assemble gives
@@ -527,15 +527,15 @@ def test_model_rows_split_pair_keys_at_the_first_bar(key, rows):
     {},
     {"p:a|b": 1.5},
     {"lf:denot.size.1": 0.25, "lf:denot.size.6plus": -1.5, "p:a|b": 1.5},
-    {features.lf_key(name): float(i) - 2.5 for i, name in enumerate(sorted(features.LF_FEATURE_NAMES))},
+    {key: float(i) - 2.5 for i, key in enumerate(sorted(set(features.SIZE_KEYS)))},
 ])
 def test_model_size_weights_are_each_sizes_bucket_weight(weights):
     model = Model(weights=weights)
-    last = features.DENOT_SIZE_6PLUS_MIN
+    last = len(features.SIZE_KEYS) - 1
     assert len(model.size_weights) == last + 1
     for n in range(11):
-        expected = weights.get(features.lf_key(features.denotation_size_bucket(n)))
-        assert model.size_weights[min(n, last)] == expected
+        (key,) = features.logical_form_features(make_candidate(EntityLit("e"), (), range(n)))
+        assert model.size_weights[min(n, last)] == weights.get(key)
     # derived: out of equality and repr, as rows is
     other = Model(weights=weights)
     object.__setattr__(other, "size_weights", ())
