@@ -4,6 +4,10 @@ import pytest
 
 from tensorparse import kgraph, toy
 from tensorparse.dataset import load_dataset
+from tensorparse.learner import Model
+from tensorparse.logform import Candidate, EntityLit, Intersect, Join, ReverseJoin
+
+import oracle
 
 MINI_CATALOG = """\
 # mini world
@@ -40,6 +44,29 @@ def graph_from_strings(triples: str, catalog: str) -> kgraph.KnowledgeGraph:
     return kgraph.load_graph(io.StringIO(triples), io.StringIO(catalog))
 
 
+def logical_form(text):
+    """The program's logical form whose text is ``text``."""
+    return _build(oracle.parse(text))
+
+
+def _build(tree):
+    if tree[0] == "ent":
+        return EntityLit(tree[1])
+    if tree[0] == "and":
+        return Intersect(_build(tree[1]), _build(tree[2]))
+    return (Join if tree[0] == "join" else ReverseJoin)(tree[1], _build(tree[2]))
+
+
+def make_candidate(tokens=("the", "x", "of", "y"), denotation=(), form="ent(e)"):
+    """A candidate with the form text ``form``, the utterance ``tokens`` and
+    the members of ``denotation``."""
+    return Candidate(logical_form(form), tuple(tokens), frozenset(denotation))
+
+
+def zero_model():
+    return Model(weights={})
+
+
 @pytest.fixture
 def mini_kg():
     return graph_from_strings(MINI_TRIPLES, MINI_CATALOG)
@@ -47,8 +74,14 @@ def mini_kg():
 
 @pytest.fixture(scope="session")
 def mini_catalog():
-    """``(names, aliases, phrases)`` of the mini catalog, as the graph was given them."""
-    return kgraph._parse_catalog(io.StringIO(MINI_CATALOG))
+    """``(names, aliases, phrases)`` of the mini catalog, read by the oracle."""
+    return oracle.read_catalog(MINI_CATALOG.splitlines())
+
+
+@pytest.fixture(scope="session")
+def mini_graph():
+    """The oracle's graph of the mini triples."""
+    return oracle.Graph(oracle.read_triples(MINI_TRIPLES.splitlines()))
 
 
 @pytest.fixture(scope="session")
@@ -68,9 +101,16 @@ def toy_kg(toy_dir):
 
 @pytest.fixture(scope="session")
 def toy_catalog(toy_dir):
-    """``(names, aliases, phrases)`` of the toy catalog, as the graph was given them."""
+    """``(names, aliases, phrases)`` of the toy catalog, read by the oracle."""
     with open(toy_dir / toy.CATALOG_FILE, encoding="utf-8") as catalog:
-        return kgraph._parse_catalog(catalog)
+        return oracle.read_catalog(catalog)
+
+
+@pytest.fixture(scope="session")
+def toy_graph(toy_dir):
+    """The oracle's graph of the toy triples."""
+    with open(toy_dir / toy.TRIPLES_FILE, encoding="utf-8") as triples:
+        return oracle.Graph(oracle.read_triples(triples))
 
 
 @pytest.fixture(scope="session")

@@ -28,21 +28,8 @@ from tensorparse.features import tokenize
 from tensorparse.kgraph import load_graph
 from tensorparse.logform import GenConfig
 
-
-def brute_force_f1(predicted, gold):
-    # independent oracle: explicit intersection counting over raw sets
-    p = set(predicted)
-    g = set(gold)
-    inter = len([x for x in p if x in g])
-    if not p or not g or inter == 0:
-        return 0.0
-    prec = inter / len(p)
-    rec = inter / len(g)
-    return 2 * prec * rec / (prec + rec)
-
-
-def zero_model():
-    return learner.Model(weights={})
+import oracle
+from conftest import make_candidate, zero_model
 
 
 def test_f1_partial_credit_example():
@@ -90,7 +77,7 @@ def test_f1_matches_brute_force():
     for _ in range(1000):
         p = set(rng.sample(universe, rng.randint(0, 8)))
         g = set(rng.sample(universe, rng.randint(0, 8)))
-        assert f1(p, g) == brute_force_f1(p, g)
+        assert f1(p, g) == oracle.f1(p, g)
 
 
 # Entity names and gold answers across case, punctuation and non-ASCII
@@ -113,7 +100,7 @@ def answer_cases(draw):
     members = st.sampled_from(sorted(kg.display_names))
     denotations = [frozenset({"e0", "e1"})] + draw(
         st.lists(st.frozensets(members, min_size=1), max_size=6))
-    candidates = [logform.Candidate(logform.EntityLit(min(d)), (), d) for d in denotations]
+    candidates = [make_candidate((), d, f"ent({min(d)})") for d in denotations]
     gold = draw(st.lists(st.one_of(st.sampled_from(entity_names), answer_names), max_size=5))
     return kg, candidates, gold
 
@@ -125,7 +112,7 @@ def test_candidate_f1s_are_the_f1_of_raw_names(case):
     # gold answers, both normalized into sets
     kg, candidates, gold = case
     assert candidate_f1s(candidates, gold, kg) == [
-        answer_f1([kg.display_names[e] for e in c.denotation], gold) for c in candidates]
+        oracle.f1([kg.display_names[e] for e in c.denotation], gold) for c in candidates]
 
 
 def test_evaluate_no_candidates(mini_kg):
@@ -165,10 +152,8 @@ def test_candidate_f1s_feed_label_and_evaluate(mini_kg):
     assert tokens == ["what", "adjoins", "ethiopia"]
     assert candidates == logform.generate_candidates(tokens, mini_kg, GenConfig())
     assert scores == candidate_f1s(candidates, gold, mini_kg)
-    assert scores == [
-        brute_force_f1({mini_kg.display_names[e] for e in c.denotation}, gold)
-        for c in candidates
-    ]
+    assert scores == [oracle.f1([mini_kg.display_names[e] for e in c.denotation], gold)
+                      for c in candidates]
     assert max(scores) == 1.0
     assert learner.label_candidates(scores) == [s == 1.0 for s in scores]
     (row,) = evaluate(zero_model(), [example], mini_kg, GenConfig()).per_query

@@ -1,20 +1,12 @@
-import re
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorparse import features
 from tensorparse.learner import Model, load_model, save_model
-from tensorparse.logform import Candidate, EntityLit
 
-
-def make_candidate(denotation_size, utterance_tokens=("the", "x", "of", "y")):
-    return Candidate(
-        logical_form=EntityLit("e"),
-        utterance_tokens=tuple(utterance_tokens),
-        denotation=frozenset(f"e{i}" for i in range(denotation_size)),
-    )
+import oracle
+from conftest import make_candidate
 
 
 def test_tokenize_question():
@@ -71,37 +63,7 @@ def test_normalize_phrase_is_its_tokens_joined(text):
 def test_tokenize_is_the_split_on_every_other_character(text):
     """Each maximal [a-z0-9] run of the lowercased text, as splitting on the
     runs of every other character and dropping empty pieces gives them."""
-    assert features.tokenize(text) == [t for t in re.split(r"[^a-z0-9]+", text.lower()) if t]
-
-
-# The oracle for the feature map: the size buckets as an if-chain and the
-# pair map spelled out, side by side with nothing taken from features.
-def oracle_size_key(size):
-    if size == 0:
-        return "lf:denot.empty"
-    if size == 1:
-        return "lf:denot.size.1"
-    if size == 2:
-        return "lf:denot.size.2"
-    if size < 6:
-        return "lf:denot.size.3to5"
-    return "lf:denot.size.6plus"
-
-
-def oracle_assemble(query_tokens, utterance_tokens, size):
-    """``(key, value)`` in order: every distinct query token's pairs, in
-    first-occurrence order, with every distinct utterance token, then the
-    size key."""
-    query = []
-    for q in query_tokens:
-        if q not in query:
-            query.append(q)
-    utterance = []
-    for u in utterance_tokens:
-        if u not in utterance:
-            utterance.append(u)
-    pairs = [("p:" + q + "|" + u, 1.0) for q in query for u in utterance]
-    return pairs + [(oracle_size_key(size), 1.0)]
+    assert features.tokenize(text) == oracle.tokens(text)
 
 
 token_lists = st.lists(st.sampled_from(["a", "b", "zz", "0", "what", "denot"]), max_size=8)
@@ -113,14 +75,15 @@ token_lists = st.lists(st.sampled_from(["a", "b", "zz", "0", "what", "denot"]), 
 @example([], [], 0)
 @given(token_lists, token_lists, st.integers(0, 100))
 def test_assemble_is_the_oracle_map(query, utterance, size):
-    out = features.assemble(query, make_candidate(size, utterance))
-    assert list(out.items()) == oracle_assemble(query, utterance, size)
-    assert all(type(v) is float for v in out.values())
+    out = features.assemble(query, make_candidate(utterance, range(size)))
+    assert list(out) == oracle.feature_keys(query, utterance, size)
+    assert all(type(v) is float and v == 1.0 for v in out.values())
 
 
 def test_logical_form_features_are_the_oracle_bucket():
     for size in range(101):
-        assert features.logical_form_features(make_candidate(size)) == {oracle_size_key(size): 1.0}
+        out = features.logical_form_features(make_candidate(denotation=range(size)))
+        assert out == {oracle.size_key(size): 1.0}
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,7 +92,7 @@ def test_logical_form_features_are_the_oracle_bucket():
 def test_every_assembled_key_loads_back(tmp_path_factory, query, utterance, size):
     """What assemble writes is what the model file's reader accepts."""
     vector = features.assemble(features.tokenize(query),
-                               make_candidate(size, features.tokenize(utterance)))
+                               make_candidate(features.tokenize(utterance), range(size)))
     model = Model(weights={key: i / 8 for i, key in enumerate(vector)})
     path = tmp_path_factory.mktemp("model") / "m.model"
     save_model(model, path)
@@ -137,14 +100,14 @@ def test_every_assembled_key_loads_back(tmp_path_factory, query, utterance, size
 
 
 def test_unigram_features_binary():
-    c = make_candidate(1, utterance_tokens=("x", "x", "y"))
+    c = make_candidate(("x", "x", "y"), range(1))
     assert features.assemble(["a", "a", "b"], c) == {
         "p:a|x": 1.0, "p:a|y": 1.0, "p:b|x": 1.0, "p:b|y": 1.0, "lf:denot.size.1": 1.0,
     }
 
 
 def test_tensor_pairs_border_example():
-    c = make_candidate(2, utterance_tokens=("adjoins", "ethiopia"))
+    c = make_candidate(("adjoins", "ethiopia"), range(2))
     assert list(features.assemble(["countries", "border"], c).items()) == [
         ("p:countries|adjoins", 1.0),
         ("p:countries|ethiopia", 1.0),
@@ -155,19 +118,19 @@ def test_tensor_pairs_border_example():
 
 
 def test_tensor_pairs_zero_case():
-    assert features.assemble(["a"], make_candidate(1, utterance_tokens=())) == {
+    assert features.assemble(["a"], make_candidate((), range(1))) == {
         "lf:denot.size.1": 1.0,
     }
 
 
 def test_tensor_pairs_dimensionality():
-    c = make_candidate(3, utterance_tokens=("x", "y"))
+    c = make_candidate(("x", "y"), range(3))
     assert len(features.assemble(["a", "b", "c"], c)) == 3 * 2 + 1
 
 
 @given(token_lists, token_lists)
 def test_tensor_pairs_size_product(query, utterance):
-    out = features.assemble(query, make_candidate(1, utterance))
+    out = features.assemble(query, make_candidate(utterance, range(1)))
     assert len(out) == len(set(query)) * len(set(utterance)) + 1
 
 
@@ -185,21 +148,21 @@ def test_tensor_pairs_size_product(query, utterance):
     ],
 )
 def test_logical_form_features_buckets(size, name):
-    out = features.logical_form_features(make_candidate(size))
+    out = features.logical_form_features(make_candidate(denotation=range(size)))
     assert out == {"lf:" + name: 1.0}
     assert "lf:" + name in features.SIZE_KEYS
 
 
 def test_the_open_bucket_starts_at_its_least_size():
     last = len(features.SIZE_KEYS) - 1
-    keys = [next(iter(features.logical_form_features(make_candidate(n))))
+    keys = [next(iter(features.logical_form_features(make_candidate(denotation=range(n)))))
             for n in range(last - 1, last + 100)]
     assert keys[0] != features.SIZE_KEYS[last]
     assert set(keys[1:]) == {features.SIZE_KEYS[last]}
 
 
 def test_assemble_union():
-    c = make_candidate(1, utterance_tokens=("adjoins",))
+    c = make_candidate(("adjoins",), range(1))
     assert features.assemble(["borders"], c) == {
         "p:borders|adjoins": 1.0,
         "lf:denot.size.1": 1.0,
@@ -207,19 +170,19 @@ def test_assemble_union():
 
 
 def test_assemble_empty_query():
-    c = make_candidate(0)
+    c = make_candidate()
     assert features.assemble([], c) == {"lf:denot.empty": 1.0}
 
 
 def test_key_kinds_disjoint():
     # pair keys and lf keys can never collide: distinct prefixes
-    c = make_candidate(0, utterance_tokens=("empty",))
+    c = make_candidate(("empty",))
     assert list(features.assemble(["denot"], c)) == ["p:denot|empty", "lf:denot.empty"]
     assert not any(features.PAIR_KEY.fullmatch(key) for key in features.SIZE_KEYS)
 
 
 def test_determinism_iteration_order():
-    c = make_candidate(1, utterance_tokens=("y", "x"))
+    c = make_candidate(("y", "x"), range(1))
     first = list(features.assemble(["b", "a"], c))
     second = list(features.assemble(["b", "a"], c))
     assert first == second

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import tensorparse
 from tensorparse import kgraph, toy
-from tensorparse.features import normalize_phrase, tokenize
 from tensorparse.kgraph import (
     GraphParseError,
     KnowledgeGraph,
@@ -22,9 +21,9 @@ from tensorparse.kgraph import (
     denotation,
     load_graph,
 )
-from tensorparse.logform import EntityLit, Intersect, Join, ReverseJoin
 
-from conftest import MINI_CATALOG, MINI_TRIPLES, graph_from_strings
+import oracle
+from conftest import MINI_CATALOG, MINI_TRIPLES, graph_from_strings, logical_form
 
 
 def test_duplicate_triples_deduplicate():
@@ -104,30 +103,6 @@ def test_catalog_rejects_ids_a_form_cannot_hold(kind, template, bad_id):
     assert f"{kind} id {bad_id!r} must be" in str(exc.value)
 
 
-def oracle_indexes(triples):
-    """``(triples, forward, backward)`` as the graph built them before its
-    per-entity indexes: tuple keys over a kept triple set."""
-    triples = frozenset(triples)
-    forward: dict = {}
-    backward: dict = {}
-    for s, r, o in triples:
-        forward.setdefault((s, r), set()).add(o)
-        backward.setdefault((o, r), set()).add(s)
-    return (triples, {k: frozenset(v) for k, v in forward.items()},
-            {k: frozenset(v) for k, v in backward.items()})
-
-
-def oracle_alias_index(names, aliases):
-    alias_index: dict = {}
-    for eid, name in names.items():
-        keys = {normalize_phrase(a) for a in aliases.get(eid, ())}
-        keys.add(normalize_phrase(name))
-        keys.discard("")
-        for key in keys:
-            alias_index.setdefault(key, set()).add(eid)
-    return {k: tuple(sorted(v)) for k, v in alias_index.items()}
-
-
 def read_entries(kg):
     """``(relation, members)`` for every entry the graph's reads return, once
     every entity has been read both ways."""
@@ -145,29 +120,25 @@ def assert_matches_oracle(kg, triples, catalog):
     into ``e`` with the subjects of its backward index; both list nothing
     for an entity that no triple leads out of or into.  ``phrase_tokens``
     holds each relation's phrase tokenized, and ``names`` each entity's name
-    normalized, which splits into the name's tokens.  ``denotation`` of a
-    join or reverse join of each relation over each entity reads the
-    oracle's entry for it.  Each alias key, an entity's name or alias
-    normalized, gives the ids of every entity it names, ascending, as the
-    index's one tuple, and ``alias_prefixes`` holds every proper token
-    prefix of every key.
+    normalized, which splits into the name's tokens.  Each alias key, an
+    entity's name or alias normalized, gives the ids of every entity it
+    names, ascending, as the index's one tuple, and ``alias_prefixes``
+    holds every proper token prefix of every key.
     ``outgoing`` flattened over every entity gives the oracle's triple set,
     and ``len(kg.triples)`` its size.
     """
     names, aliases, phrases = catalog
     assert kg.display_names == names
-    expected, forward, backward = oracle_indexes(triples)
+    graph = oracle.Graph(triples)
     for e in names:
-        for listed, index in ((list(kg.outgoing(e)), forward), (list(kg.incoming(e)), backward)):
+        for listed, index in ((list(kg.outgoing(e)), graph.forward),
+                              (list(kg.incoming(e)), graph.backward)):
             assert dict(listed) == {r: members for (x, r), members in index.items() if x == e}
             assert len(listed) == len(dict(listed))
             assert all(type(members) is frozenset for _, members in listed)
-        for r in phrases:
-            assert denotation(Join(r, EntityLit(e)), kg) == forward.get((e, r), frozenset())
-            assert denotation(ReverseJoin(r, EntityLit(e)), kg) == backward.get((e, r), frozenset())
-    assert {(e, r, o) for e in names for r, objs in kg.outgoing(e) for o in objs} == expected
-    assert len(kg.triples) == len(expected)
-    keys = oracle_alias_index(names, aliases)
+    assert {(e, r, o) for e in names for r, objs in kg.outgoing(e) for o in objs} == graph.triples
+    assert len(kg.triples) == len(graph.triples)
+    keys = oracle.alias_index(names, aliases)
     assert kg._alias_index.keys() == keys.keys()
     for key, ids in keys.items():
         found = kg.entities_by_alias(key)
@@ -176,21 +147,19 @@ def assert_matches_oracle(kg, triples, catalog):
     assert kg.alias_prefixes == {" ".join(key.split()[:i])
                                  for key in keys for i in range(1, len(key.split()))}
     assert type(kg.alias_prefixes) is frozenset
-    assert kg.names == {eid: normalize_phrase(name) for eid, name in names.items()}
-    assert all(tuple(kg.names[eid].split()) == tuple(tokenize(name))
-               for eid, name in names.items())
-    assert kg.phrase_tokens == {rid: tuple(tokenize(phrase)) for rid, phrase in phrases.items()}
+    assert kg.names == {eid: oracle.normalize(name) for eid, name in names.items()}
+    assert all(kg.names[eid].split() == oracle.tokens(name) for eid, name in names.items())
+    assert kg.phrase_tokens == {rid: tuple(oracle.tokens(phrase)) for rid, phrase in phrases.items()}
 
 
 def test_index_inversion_exhaustive(mini_kg, mini_catalog, toy_kg, toy_catalog, toy_dir):
-    mini = [tuple(line.split("\t")) for line in MINI_TRIPLES.splitlines()]
-    assert_matches_oracle(mini_kg, mini, mini_catalog)
+    assert_matches_oracle(mini_kg, oracle.read_triples(MINI_TRIPLES.splitlines()), mini_catalog)
     assert list(mini_kg.incoming("p1")) == []  # p1 is never an object
     assert list(mini_kg.outgoing("achilles")) == []  # nor achilles a subject
     assert dict(mini_kg.outgoing("p1")) == {
         "actor": {"brad_pitt"}, "film": {"troy"}, "character": {"achilles"}}
-    lines = (toy_dir / toy.TRIPLES_FILE).read_text(encoding="utf-8").splitlines()
-    toy_triples = [tuple(line.split("\t")) for line in lines if line and line[0] != "#"]
+    with open(toy_dir / toy.TRIPLES_FILE, encoding="utf-8") as lines:
+        toy_triples = oracle.read_triples(lines)
     assert len(toy_triples) == 96
     assert_matches_oracle(toy_kg, toy_triples, toy_catalog)
 
@@ -351,17 +320,16 @@ def test_concurrent_first_reads_agree_with_the_oracle(toy_dir):
     # graph in its own order; a finalize that another thread can catch
     # half done, or that hands a thread a dict other than the one recorded,
     # fails.
-    lines = (toy_dir / toy.TRIPLES_FILE).read_text(encoding="utf-8").splitlines()
-    _, forward, backward = oracle_indexes(
-        tuple(line.split("\t")) for line in lines if line and line[0] != "#")
-    oracle = {"outgoing": forward, "incoming": backward}
+    with open(toy_dir / toy.TRIPLES_FILE, encoding="utf-8") as lines:
+        graph = oracle.Graph(oracle.read_triples(lines))
+    indexes = {"outgoing": graph.forward, "incoming": graph.backward}
     threads = (os.cpu_count() or 1) + 2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for graph in range(100):
             kg = load_files(toy_dir, toy.TRIPLES_FILE)
-            reads = [(e, direction) for e in kg.names for direction in oracle]
+            reads = [(e, direction) for e in kg.names for direction in indexes]
             got = [None] * threads
             start = threading.Barrier(threads, timeout=60)
 
@@ -382,7 +350,7 @@ def test_concurrent_first_reads_agree_with_the_oracle(toy_dir):
             for listed in got:
                 assert len(listed) == len(reads)
                 for e, direction, entries in listed:
-                    index = oracle[direction]
+                    index = indexes[direction]
                     assert dict(entries) == {r: m for (x, r), m in index.items() if x == e}
                     for r, members in entries:
                         assert type(members) is frozenset
@@ -493,15 +461,15 @@ def test_unknown_id_that_is_not_printable_is_echoed_as_its_repr():
             with pytest.raises(ReferentialError) as exc:
                 KnowledgeGraph(*catalog, [triple])
             assert str(exc.value) == f"{message}: {bad!r}"
-        for lf, message in [(EntityLit(bad), "unknown entity id"),
-                            (Join(bad, EntityLit("s")), "unknown relation id")]:
+        for form, message in [(f"ent({bad})", "unknown entity id"),
+                              (f"join({bad}, ent(s))", "unknown relation id")]:
             with pytest.raises(ReferentialError) as exc:
-                denotation(lf, kg)
+                denotation(logical_form(form), kg)
             assert str(exc.value) == f"{message}: {bad!r}"
     with pytest.raises(ReferentialError, match="^unknown entity id: caf\u00e9 x$"):
-        denotation(EntityLit("caf\u00e9 x"), kg)  # printable, so echoed as it is
+        denotation(logical_form("ent(caf\u00e9 x)"), kg)  # printable, so echoed as it is
     with pytest.raises(ReferentialError, match="^unknown relation id: caf\u00e9 x$"):
-        denotation(Join("caf\u00e9 x", EntityLit("s")), kg)
+        denotation(logical_form("join(caf\u00e9 x, ent(s))"), kg)
 
 
 def test_directly_built_graph_holds_its_phrase_tokens():
@@ -513,36 +481,30 @@ def test_directly_built_graph_holds_its_phrase_tokens():
 
 
 def test_denotation_forward_join(mini_kg):
-    lf = Join("currency", EntityLit("brazil"))
+    lf = logical_form("join(currency, ent(brazil))")
     assert denotation(lf, mini_kg) == {"brazilian_real"}
 
 
 def test_denotation_two_constraint(mini_kg):
     # hand-executed on the seeded performance node: backward(actor) gives
     # {p1}, backward(film) gives {p1}, forward(character) gives {achilles}
-    lf = Join(
-        "character",
-        Intersect(
-            ReverseJoin("actor", EntityLit("brad_pitt")),
-            ReverseJoin("film", EntityLit("troy")),
-        ),
-    )
+    lf = logical_form("join(character, and(rev(actor, ent(brad_pitt)), rev(film, ent(troy))))")
     assert denotation(lf, mini_kg) == {"achilles"}
 
 
 def test_denotation_empty_not_error(mini_kg):
-    assert denotation(Join("currency", EntityLit("ethiopia")), mini_kg) == frozenset()
+    assert denotation(logical_form("join(currency, ent(ethiopia))"), mini_kg) == frozenset()
 
 
 def test_denotation_unresolved_id(mini_kg):
     with pytest.raises(ReferentialError):
-        denotation(EntityLit("atlantis"), mini_kg)
+        denotation(logical_form("ent(atlantis)"), mini_kg)
     with pytest.raises(ReferentialError):
-        denotation(Join("owns", EntityLit("brazil")), mini_kg)
+        denotation(logical_form("join(owns, ent(brazil))"), mini_kg)
 
 
 def test_denotation_repeatable(mini_kg):
-    lf = ReverseJoin("adjoins", EntityLit("ethiopia"))
+    lf = logical_form("rev(adjoins, ent(ethiopia))")
     assert denotation(lf, mini_kg) == denotation(lf, mini_kg)
 
 
@@ -557,15 +519,14 @@ def random_graph(rng):
 
 
 def random_form(rng, depth=0):
+    """Form text of any shape over ``e0``-``e2`` and ``r0``, ``r1``."""
     choices = ["ent", "join", "rev", "and"] if depth < 3 else ["ent"]
     kind = rng.choice(choices)
     if kind == "ent":
-        return EntityLit(f"e{rng.randrange(3)}")
-    if kind == "join":
-        return Join(rng.choice(("r0", "r1")), random_form(rng, depth + 1))
-    if kind == "rev":
-        return ReverseJoin(rng.choice(("r0", "r1")), random_form(rng, depth + 1))
-    return Intersect(random_form(rng, depth + 1), random_form(rng, depth + 1))
+        return f"ent(e{rng.randrange(3)})"
+    if kind in ("join", "rev"):
+        return f"{kind}({rng.choice(('r0', 'r1'))}, {random_form(rng, depth + 1)})"
+    return f"and({random_form(rng, depth + 1)}, {random_form(rng, depth + 1)})"
 
 
 def test_intersection_subset_property():
@@ -574,9 +535,9 @@ def test_intersection_subset_property():
         kg = random_graph(rng)
         a = random_form(rng)
         b = random_form(rng)
-        both = denotation(Intersect(a, b), kg)
-        assert both <= denotation(a, kg)
-        assert both <= denotation(b, kg)
+        both = denotation(logical_form(f"and({a}, {b})"), kg)
+        assert both <= denotation(logical_form(a), kg)
+        assert both <= denotation(logical_form(b), kg)
 
 
 def _run_fresh(code):
@@ -649,7 +610,7 @@ def test_indexes_match_oracle_on_random_graphs(catalog, data):
     }
     kg = KnowledgeGraph(names, aliases, phrases, iter(triples))
     # len counts the distinct triples and readies no entity
-    assert len(kg.triples) == len(oracle_indexes(triples)[0])
+    assert len(kg.triples) == len(oracle.Graph(triples).triples)
     assert kg._forward_done == {} and kg._backward_done == {}
     assert_matches_oracle(kg, triples, (names, aliases, phrases))
     # each subject's flat list holds the (r, o) pair of every triple out of
@@ -669,30 +630,14 @@ def test_indexes_match_oracle_on_random_graphs(catalog, data):
             assert [r for r, _ in read(e)] == list(dict.fromkeys(pairs[::2]))
 
 
-def oracle_denotation(lf, forward, backward):
-    """``denotation`` executed over the tuple-keyed maps of :func:`oracle_indexes`."""
-    if isinstance(lf, EntityLit):
-        return {lf.entity_id}
-    if isinstance(lf, Join):
-        return {o for s in oracle_denotation(lf.sub, forward, backward)
-                for o in forward.get((s, lf.relation_id), ())}
-    if isinstance(lf, ReverseJoin):
-        return {s for o in oracle_denotation(lf.sub, forward, backward)
-                for s in backward.get((o, lf.relation_id), ())}
-    return (oracle_denotation(lf.left, forward, backward)
-            & oracle_denotation(lf.right, forward, backward))
-
-
-def forms_over(entities, relations):
-    """Logical forms of any shape over the given ids."""
-    entity_ids = st.sampled_from(sorted(entities))
-    relation_ids = st.sampled_from(sorted(relations))
+def forms_over(entity_ids, relation_ids, max_leaves=5):
+    """Form text of any shape over the ids the two strategies draw."""
     return st.recursive(
-        st.builds(EntityLit, entity_ids),
-        lambda sub: st.one_of(st.builds(Join, relation_ids, sub),
-                              st.builds(ReverseJoin, relation_ids, sub),
-                              st.builds(Intersect, sub, sub)),
-        max_leaves=5,
+        st.builds("ent({})".format, entity_ids),
+        lambda sub: st.one_of(st.builds("join({}, {})".format, relation_ids, sub),
+                              st.builds("rev({}, {})".format, relation_ids, sub),
+                              st.builds("and({}, {})".format, sub, sub)),
+        max_leaves=max_leaves,
     )
 
 
@@ -701,11 +646,12 @@ def forms_over(entities, relations):
 def test_denotation_matches_oracle_on_random_graphs(catalog, data):
     names, aliases, phrases, triples = catalog
     kg = KnowledgeGraph(names, aliases, phrases, triples)
-    _, forward, backward = oracle_indexes(triples)
-    for lf in data.draw(st.lists(forms_over(names, phrases), min_size=1, max_size=5)):
-        got = denotation(lf, kg)
+    graph = oracle.Graph(triples)
+    forms = forms_over(st.sampled_from(sorted(names)), st.sampled_from(sorted(phrases)))
+    for form in data.draw(st.lists(forms, min_size=1, max_size=5)):
+        got = denotation(logical_form(form), kg)
         assert type(got) is frozenset
-        assert got == oracle_denotation(lf, forward, backward)
+        assert got == graph.denotation(form)
 
 
 # Lines that load_graph skips but counts: comments, some holding tabs and some

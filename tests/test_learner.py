@@ -26,9 +26,10 @@ from tensorparse.learner import (
     top_features,
     train,
 )
-from tensorparse.logform import Candidate, EntityLit, GenConfig, Join, serialize
+from tensorparse.logform import GenConfig, serialize
 
-from conftest import MINI_CATALOG, graph_from_strings
+import oracle
+from conftest import MINI_CATALOG, graph_from_strings, make_candidate, zero_model
 
 # a tiny separable corpus over the mini graph: "moneyword" uniquely
 # signals the currency relation
@@ -46,14 +47,6 @@ SEP_DATA = [
 @pytest.fixture
 def sep_kg():
     return graph_from_strings(SEP_TRIPLES, MINI_CATALOG)
-
-
-def make_candidate(form, tokens, denotation):
-    return Candidate(form, tuple(tokens), frozenset(denotation))
-
-
-def zero_model():
-    return Model(weights={})
 
 
 def test_score_zero_model():
@@ -83,20 +76,20 @@ def test_score_monotone_in_matching_feature():
 
 def test_predict_empty_and_single(mini_kg):
     assert predict(zero_model(), ["q"], []) is None
-    only = make_candidate(Join("currency", EntityLit("brazil")), ["the"], {"x"})
+    only = make_candidate(["the"], {"x"}, "join(currency, ent(brazil))")
     assert predict(zero_model(), ["q"], [only]) is only
 
 
 def test_predict_prefers_weighted(mini_kg):
     m = Model(weights={"p:q|good": 1.0})
-    good = make_candidate(Join("currency", EntityLit("brazil")), ["good"], {"x"})
-    bad = make_candidate(Join("adjoins", EntityLit("brazil")), ["bad"], {"x"})
+    good = make_candidate(["good"], {"x"}, "join(currency, ent(brazil))")
+    bad = make_candidate(["bad"], {"x"}, "join(adjoins, ent(brazil))")
     assert predict(m, ["q"], [bad, good]) is good
 
 
 def test_predict_tie_goes_to_the_earliest():
-    a = make_candidate(Join("adjoins", EntityLit("brazil")), ["same"], {"x"})
-    b = make_candidate(Join("currency", EntityLit("brazil")), ["same"], {"x"})
+    a = make_candidate(["same"], {"x"}, "join(adjoins, ent(brazil))")
+    b = make_candidate(["same"], {"x"}, "join(currency, ent(brazil))")
     assert serialize(a.logical_form) < serialize(b.logical_form)
     # in generation's order the earliest is the smallest form; in any other
     # order it is still the earliest
@@ -110,8 +103,8 @@ def test_predict_unique_maximum_serializes_nothing(monkeypatch):
 
     monkeypatch.setattr(logform, "serialize", refuse)
     m = Model(weights={"p:q|good": 1.0})
-    good = make_candidate(Join("currency", EntityLit("brazil")), ["good"], {"x"})
-    bad = make_candidate(Join("adjoins", EntityLit("brazil")), ["bad"], {"x"})
+    good = make_candidate(["good"], {"x"}, "join(currency, ent(brazil))")
+    bad = make_candidate(["bad"], {"x"}, "join(adjoins, ent(brazil))")
     assert predict(m, ["q"], [bad, good, bad]) is good
     # nor does a tie
     assert predict(zero_model(), ["q"], [good, bad]) is good
@@ -120,10 +113,9 @@ def test_predict_unique_maximum_serializes_nothing(monkeypatch):
 
 def test_predict_three_way_tie_takes_the_earliest():
     m = Model(weights={"p:q|same": 1.0, "p:q|low": -1.0})
-    forms = [Join("actor", EntityLit("p1")), Join("character", EntityLit("p1")),
-             Join("film", EntityLit("p1"))]
-    tied = [make_candidate(form, ["same"], {"x"}) for form in forms]
-    low = make_candidate(EntityLit("brazil"), ["low"], {"x"})  # smallest form, lower score
+    forms = ["join(actor, ent(p1))", "join(character, ent(p1))", "join(film, ent(p1))"]
+    tied = [make_candidate(["same"], {"x"}, form) for form in forms]
+    low = make_candidate(["low"], {"x"}, "ent(brazil)")  # smallest form, lower score
     texts = [serialize(c.logical_form) for c in (low, *tied)]
     assert texts == sorted(texts)
     # generation's order, its reverse and one more order
@@ -136,8 +128,8 @@ def test_predict_argmax_scale_invariant():
     m = Model(weights={"p:q|a": 0.7, "p:q|b": 0.3, "lf:denot.size.1": 0.1})
     scaled = Model(weights={k: 10.0 * v for k, v in m.weights.items()})
     cands = [
-        make_candidate(Join("currency", EntityLit("brazil")), ["a"], {"x"}),
-        make_candidate(Join("adjoins", EntityLit("brazil")), ["b"], {"x", "y"}),
+        make_candidate(["a"], {"x"}, "join(currency, ent(brazil))"),
+        make_candidate(["b"], {"x", "y"}, "join(adjoins, ent(brazil))"),
     ]
     assert predict(m, ["q"], cands) is predict(scaled, ["q"], cands)
 
@@ -469,11 +461,10 @@ scoring_weights = st.one_of(
     st.sampled_from([1e16, -1e16, 1.0, 0.1, 0.2, 0.3]),
 )
 scored_candidates = st.lists(
-    st.builds(make_candidate,
-              st.builds(Join, st.sampled_from(["actor", "adjoins", "currency"]),
-                        st.builds(EntityLit, st.sampled_from(["brazil", "p1"]))),
-              utterance_token_lists,
-              st.sets(st.sampled_from("uvwxyz0"))),
+    st.builds(make_candidate, utterance_token_lists, st.sets(st.sampled_from("uvwxyz0")),
+              st.builds("join({}, ent({}))".format,
+                        st.sampled_from(["actor", "adjoins", "currency"]),
+                        st.sampled_from(["brazil", "p1"]))),
     max_size=6,
 )
 
@@ -484,8 +475,8 @@ scored_candidates = st.lists(
 # query-major: 1e16 + 1.0 rounds to 1e16, so "a" then "b" gives 0.0 and
 # utterance-major order would give 1.0
 @example(weights={"p:a|a": 1e16, "p:a|b": 1.0, "p:b|a": -1e16}, query=["a", "b", "a"],
-         candidates=[make_candidate(Join("actor", EntityLit("p1")), ["a", "b"], ()),
-                     make_candidate(Join("actor", EntityLit("brazil")), ["b"], ())],
+         candidates=[make_candidate(["a", "b"], (), "join(actor, ent(p1))"),
+                     make_candidate(["b"], (), "join(actor, ent(brazil))")],
          from_file=False)
 def test_predict_scores_are_score_of_assemble(tmp_path_factory, weights, query, candidates,
                                               from_file):
@@ -495,7 +486,8 @@ def test_predict_scores_are_score_of_assemble(tmp_path_factory, weights, query, 
         save_model(Model(weights={k: w for k, w in weights.items() if loadable_key.fullmatch(k)}),
                    path)
         model = load_model(path)
-    expected = [score(model, features.assemble(query, c)) for c in candidates]
+    expected = [oracle.score(model.weights, query, c.utterance_tokens, len(c.denotation))
+                for c in candidates]
     assert list(map(_pack, learner._scores(model, query, candidates))) == list(map(_pack, expected))
     if not candidates:
         assert predict(model, query, candidates) is None
@@ -534,7 +526,7 @@ def test_model_size_weights_are_each_sizes_bucket_weight(weights):
     last = len(features.SIZE_KEYS) - 1
     assert len(model.size_weights) == last + 1
     for n in range(11):
-        (key,) = features.logical_form_features(make_candidate(EntityLit("e"), (), range(n)))
+        (key,) = features.logical_form_features(make_candidate((), range(n)))
         assert model.size_weights[min(n, last)] == weights.get(key)
     # derived: out of equality and repr, as rows is
     other = Model(weights=weights)
@@ -575,17 +567,6 @@ def test_model_weights_are_read_only(tmp_path, sep_kg):
 # weights go in key order.
 
 
-def reference_f1(predicted, gold):
-    """Set F1 over raw names, counted by hand: the toy corpus' gold answers
-    are entity names as written."""
-    p, g = set(predicted), set(gold)
-    hits = sum(1 for x in p if x in g)
-    if hits == 0:
-        return 0.0
-    precision, recall = hits / len(p), hits / len(g)
-    return 2 * precision * recall / (precision + recall)
-
-
 def reference_build_instances(data, kg, gen_cfg):
     instances = []
     any_positive = False
@@ -594,13 +575,14 @@ def reference_build_instances(data, kg, gen_cfg):
         if not tokens:
             continue
         candidates = logform.generate_candidates(tokens, kg, gen_cfg)
-        scores = [reference_f1({kg.display_names[e] for e in c.denotation}, example.answers)
+        scores = [oracle.f1([kg.display_names[e] for e in c.denotation], example.answers)
                   for c in candidates]
         best = max(scores, default=0.0)
-        for candidate, s in zip(candidates, scores):
+        for c, s in zip(candidates, scores):
             positive = best > 0.0 and s == best
             any_positive |= positive
-            instances.append((features.assemble(tokens, candidate), 1.0 if positive else 0.0))
+            keys = oracle.feature_keys(tokens, c.utterance_tokens, len(c.denotation))
+            instances.append((dict.fromkeys(keys, 1.0), 1.0 if positive else 0.0))
     return instances, any_positive
 
 

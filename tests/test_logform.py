@@ -1,5 +1,4 @@
 import io
-import itertools
 import sys
 
 import pytest
@@ -7,35 +6,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tensorparse import kgraph, logform
-from tensorparse.features import assemble, normalize_phrase, tokenize
+from tensorparse.features import tokenize
 from tensorparse.kgraph import KnowledgeGraph
-from tensorparse.learner import Model, predict, score
-from tensorparse.logform import (
-    Candidate,
-    EntityLit,
-    GenConfig,
-    Intersect,
-    Join,
-    LogicalForm,
-    ReverseJoin,
-    generate_candidates,
-    serialize,
-)
+from tensorparse.learner import Model, predict
+from tensorparse.logform import EntityLit, GenConfig, Join, generate_candidates, serialize
 
-from test_kgraph import catalogs
+import oracle
+from conftest import logical_form
+from test_kgraph import catalogs, forms_over
 
 # every id a catalog accepts
 ids = st.text(st.characters(exclude_characters=logform.ID_FORBIDDEN), min_size=1, max_size=6)
-
-forms = st.recursive(
-    st.builds(EntityLit, ids),
-    lambda sub: st.one_of(
-        st.builds(Join, ids, sub),
-        st.builds(ReverseJoin, ids, sub),
-        st.builds(Intersect, sub, sub),
-    ),
-    max_leaves=6,
-)
 
 
 def test_serialize_join():
@@ -43,49 +24,18 @@ def test_serialize_join():
     assert serialize(lf) == "join(currency, ent(brazil))"
 
 
-def decode(text: str) -> LogicalForm:
-    """The form that ``serialize`` wrote as ``text``.
-
-    ``serialize`` writes ``", "`` between arguments and no other whitespace,
-    and no id holds ``(``, ``)`` or ``,``, so each id ends at the first of
-    those after it.
-    """
-    form, rest = _decode(text)
-    assert rest == "", text
-    return form
-
-
-def _decode(text: str):
-    """``(form, rest of text)`` for the form that begins ``text``."""
-    head, _, rest = text.partition("(")
-    if head == "ent":
-        entity_id, _, rest = rest.partition(")")
-        return EntityLit(entity_id), rest
-    if head in ("join", "rev"):
-        relation_id, _, rest = rest.partition(", ")
-        sub, rest = _decode(rest)
-        assert rest[:1] == ")", text
-        return (Join if head == "join" else ReverseJoin)(relation_id, sub), rest[1:]
-    assert head == "and", text
-    left, rest = _decode(rest)
-    assert rest[:2] == ", ", text
-    right, rest = _decode(rest[2:])
-    assert rest[:1] == ")", text
-    return Intersect(left, right), rest[1:]
-
-
 def test_parse_nested():
     text = "join(character, and(rev(actor, ent(brad_pitt)), rev(film, ent(troy))))"
-    lf = decode(text)
-    assert lf == Join("character", Intersect(ReverseJoin("actor", EntityLit("brad_pitt")),
-                                             ReverseJoin("film", EntityLit("troy"))))
-    assert serialize(lf) == text
+    assert oracle.parse(text) == ("join", "character", ("and", ("rev", "actor", ("ent", "brad_pitt")),
+                                                      ("rev", "film", ("ent", "troy"))))
+    assert serialize(logical_form(text)) == text
 
 
-@given(forms)
-def test_round_trip(lf):
-    # serialize is injective over every id a catalog accepts
-    assert decode(serialize(lf)) == lf
+@given(forms_over(ids, ids, max_leaves=6))
+def test_round_trip(text):
+    # serialize writes back the text that each form is built from, so it is
+    # injective over every id a catalog accepts
+    assert serialize(logical_form(text)) == text
 
 
 def test_id_forbidden_holds_every_space():
@@ -93,10 +43,16 @@ def test_id_forbidden_holds_every_space():
     assert spaces <= logform.ID_FORBIDDEN
 
 
+def generated(query_tokens, kg, cap=200):
+    """``(form text, utterance tokens, denotation)`` of each candidate that
+    generation gives, in its order."""
+    return [(serialize(c.logical_form), c.utterance_tokens, c.denotation)
+            for c in generate_candidates(query_tokens, kg, GenConfig(max_candidates=cap))]
+
+
 def generated_utterance(query, form, kg):
     """The utterance tokens generation gives ``form`` for ``query``."""
-    cands = generate_candidates(tokenize(query), kg, GenConfig())
-    return {serialize(c.logical_form): c.utterance_tokens for c in cands}[form]
+    return {text: utterance for text, utterance, _ in generated(tokenize(query), kg)}[form]
 
 
 def test_utterance_t1(mini_kg):
@@ -123,13 +79,10 @@ def test_utterance_t3(mini_kg):
 
 
 def test_generate_currency_query(mini_kg):
-    cands = generate_candidates(
-        ["what", "currency", "does", "brazil", "use"], mini_kg, GenConfig()
-    )
-    by_form = {serialize(c.logical_form): c for c in cands}
-    target = by_form["join(currency, ent(brazil))"]
-    assert target.utterance_tokens == ("the", "currency", "of", "brazil")
-    assert target.denotation == {"brazilian_real"}
+    by_form = {text: rest for text, *rest in generated(tokenize("what currency does brazil use"),
+                                                       mini_kg)}
+    assert by_form["join(currency, ent(brazil))"] == [("the", "currency", "of", "brazil"),
+                                                      {"brazilian_real"}]
 
 
 def test_generate_from_any_spelling_of_the_question(mini_kg):
@@ -166,11 +119,9 @@ def test_generate_deterministic_and_sorted(mini_kg):
 
 def test_generate_two_constraint(mini_kg):
     tokens = ["who", "did", "brad", "pitt", "play", "in", "troy"]
-    cands = generate_candidates(tokens, mini_kg, GenConfig())
-    forms = {serialize(c.logical_form): c for c in cands}
+    denotations = {text: denotation for text, _, denotation in generated(tokens, mini_kg)}
     key = "join(character, and(rev(actor, ent(brad_pitt)), rev(film, ent(troy))))"
-    assert key in forms
-    assert forms[key].denotation == {"achilles"}
+    assert denotations[key] == {"achilles"}
 
 
 def test_generation_keys_forms_without_serializing_them(toy_kg, toy_data, mini_kg,
@@ -183,26 +134,11 @@ def test_generation_keys_forms_without_serializing_them(toy_kg, toy_data, mini_k
     t3_cands = generate_candidates(["who", "did", "brad", "pitt", "play", "in", "troy"],
                                    mini_kg, GenConfig())
     assert calls == []
-    assert toy_cands and any(isinstance(c.logical_form.sub, Intersect) for c in t3_cands)
-    for cands in toy_cands, t3_cands:
-        forms = [serialize(c.logical_form) for c in cands]
+    toy_forms, t3_forms = ([serialize(c.logical_form) for c in cands]
+                           for cands in (toy_cands, t3_cands))
+    assert toy_forms and any(oracle.parse(form)[2][0] == "and" for form in t3_forms)
+    for forms in toy_forms, t3_forms:
         assert forms == sorted(set(forms))
-
-
-def test_generated_forms_are_template_shaped(mini_kg):
-    tokens = ["who", "did", "brad", "pitt", "play", "in", "troy"]
-    for c in generate_candidates(tokens, mini_kg, GenConfig()):
-        lf = c.logical_form
-        assert isinstance(lf.sub, EntityLit) or (
-            isinstance(lf, Join) and _two_constraint_parts(lf) is not None
-        )
-        assert decode(serialize(lf)) == lf
-
-
-def test_cached_denotation_matches_fresh(mini_kg):
-    tokens = ["who", "did", "brad", "pitt", "play", "in", "troy"]
-    for c in generate_candidates(tokens, mini_kg, GenConfig()):
-        assert c.denotation == kgraph.denotation(c.logical_form, mini_kg)
 
 
 def test_forms_that_denote_nothing_are_not_generated(mini_kg):
@@ -213,13 +149,14 @@ def test_forms_that_denote_nothing_are_not_generated(mini_kg):
     assert forms == {"join(adjoins, ent(ethiopia))", "rev(adjoins, ent(ethiopia))"}
 
 
-def test_empty_inner_intersection_pruned(mini_kg):
+def test_empty_inner_intersection_pruned(mini_kg, mini_graph):
     # brazil and troy never co-constrain any node, so no T3 form pairs them
     tokens = ["brazil", "troy"]
-    for c in generate_candidates(tokens, mini_kg, GenConfig()):
-        lf = c.logical_form
-        if isinstance(lf, Join) and isinstance(lf.sub, Intersect):
-            assert kgraph.denotation(lf.sub, mini_kg)
+    for text, _, _ in generated(tokens, mini_kg):
+        # the argument of join(r, ...): r holds no ", "
+        inner = text.partition(", ")[2][:-1]
+        if inner.startswith("and("):
+            assert mini_graph.denotation(inner)
 
 
 def test_gen_config_validation():
@@ -230,62 +167,6 @@ def test_gen_config_validation():
 def test_empty_query_rejected(mini_kg):
     with pytest.raises(ValueError):
         generate_candidates([], mini_kg, GenConfig())
-
-
-class UnsupportedShapeError(Exception):
-    """Logical form does not match any utterance template."""
-
-
-def _two_constraint_parts(lf: Join):
-    """Return (r, r1, e1, r2, e2) ids if lf has the T3 shape, else None."""
-    inner = lf.sub
-    if not isinstance(inner, Intersect):
-        return None
-    left, right = inner.left, inner.right
-    if not (isinstance(left, ReverseJoin) and isinstance(right, ReverseJoin)):
-        return None
-    if not (isinstance(left.sub, EntityLit) and isinstance(right.sub, EntityLit)):
-        return None
-    return (
-        lf.relation_id,
-        left.relation_id,
-        left.sub.entity_id,
-        right.relation_id,
-        right.sub.entity_id,
-    )
-
-
-def canonical_utterance(lf: LogicalForm, catalog) -> str:
-    """Rule-based natural-language rendering of a template-shaped form, from
-    the catalog's ``(names, aliases, phrases)`` maps."""
-    names, _, phrases = catalog
-    if isinstance(lf, Join):
-        phrase = phrases[lf.relation_id]
-        if isinstance(lf.sub, EntityLit):
-            return f"the {phrase} of {names[lf.sub.entity_id]}"
-        parts = _two_constraint_parts(lf)
-        if parts is not None:
-            _, r1, e1, r2, e2 = parts
-            return (
-                f"the {phrase} of the thing whose {phrases[r1]} is {names[e1]}"
-                f" and whose {phrases[r2]} is {names[e2]}"
-            )
-    elif isinstance(lf, ReverseJoin) and isinstance(lf.sub, EntityLit):
-        return f"the things whose {phrases[lf.relation_id]} is {names[lf.sub.entity_id]}"
-    raise UnsupportedShapeError(f"no utterance template for {serialize(lf)}")
-
-
-def brute_force_linked(query_tokens, catalog):
-    """Ids of the entities that any span of the query names, every span
-    length from 1 to n, ascending; read from the catalog's ``(names,
-    aliases, phrases)`` maps, not the alias index."""
-    names, aliases, _ = catalog
-    n = len(query_tokens)
-    spans = {normalize_phrase(" ".join(query_tokens[i:j]))
-             for i in range(n) for j in range(i + 1, n + 1)}
-    return [eid for eid, name in sorted(names.items())
-            if not spans.isdisjoint(
-                set(map(normalize_phrase, (name, *aliases.get(eid, ())))) - {""})]
 
 
 def test_linking_reaches_the_longest_alias(mini_kg):
@@ -354,80 +235,16 @@ def test_linked_entities_match_brute_force(named_and_query):
     catalog = ({f"e{i}": name for i, (name, _) in enumerate(named)},
                {f"e{i}": tuple(others) for i, (_, others) in enumerate(named)}, {"r": "r"})
     kg = KnowledgeGraph(*catalog, [])
-    assert logform._linked_entities(query, kg) == brute_force_linked(query, catalog)
+    assert logform._linked_entities(query, kg) == oracle.linked(query, catalog)
 
 
-def reference_generate_candidates(query_tokens, kg, catalog):
-    """``generate_candidates`` as it was before it read the graph's indexes
-    and before each template rendered its own utterance, linking through
-    every span of the query, with no cap, over the graph ``kg`` built from
-    ``catalog``, its ``(names, aliases, phrases)`` maps.
-
-    It emits T1 and T2 forms for every relation of the catalog.  For every
-    ordered pair of linked entities it tries every (r1, r2) relation pair
-    and keeps the pair when ``kgraph.denotation`` of the inner intersection
-    is non-empty: L^2 R^2 probes; each kept pair gets a T3 form for every
-    relation.  Each form's denotation is ``kgraph.denotation`` of it, empty
-    or not, and its utterance is worked out again from its shape by
-    ``canonical_utterance``, so a swapped r1/r2 or e1/e2 in the
-    generator's text shows here.
-    """
-    if not query_tokens:
-        raise ValueError("query_tokens must be non-empty")
-    linked = brute_force_linked(list(query_tokens), catalog)
-    rel_ids = sorted(catalog[2])
-    forms: dict = {}
-
-    def add(lf):
-        forms.setdefault(serialize(lf), lf)
-
-    for eid in linked:
-        for rid in rel_ids:
-            add(Join(rid, EntityLit(eid)))
-            add(ReverseJoin(rid, EntityLit(eid)))
-    if len(linked) >= 2:
-        for e1 in linked:
-            for e2 in linked:
-                if e1 == e2:
-                    continue
-                for r1 in rel_ids:
-                    for r2 in rel_ids:
-                        inner = Intersect(
-                            ReverseJoin(r1, EntityLit(e1)),
-                            ReverseJoin(r2, EntityLit(e2)),
-                        )
-                        if not kgraph.denotation(inner, kg):
-                            continue
-                        for r in rel_ids:
-                            add(Join(r, inner))
-
-    out = []
-    for _, lf in sorted(forms.items()):
-        utterance = canonical_utterance(lf, catalog)
-        out.append(
-            Candidate(
-                logical_form=lf,
-                utterance_tokens=tuple(tokenize(utterance)),
-                denotation=kgraph.denotation(lf, kg),
-            )
-        )
-    return out
-
-
-def filtered_reference(query_tokens, kg, catalog, cap):
-    """The reference's forms that denote something, cap lifted, then the
-    first ``cap`` of them."""
-    return [c for c in reference_generate_candidates(query_tokens, kg, catalog)
-            if c.denotation][:cap]
-
-
-def assert_matches_reference(query_tokens, kg, catalog, cap):
-    """``generate_candidates`` is the filtered reference, and each denotation
-    is non-empty and what ``kgraph.denotation`` gives its form."""
-    got = generate_candidates(query_tokens, kg, GenConfig(max_candidates=cap))
-    assert got == filtered_reference(query_tokens, kg, catalog, cap), query_tokens
-    for c in got:
-        assert c.denotation and c.denotation == kgraph.denotation(c.logical_form, kg)
+def assert_matches_reference(kg, catalog, graph, query_tokens, cap):
+    """``generate_candidates`` gives the first ``cap`` of the oracle's
+    reference forms, over the graph ``kg`` built from ``catalog``, its
+    ``(names, aliases, phrases)`` maps, and the triples of the oracle's
+    ``graph``: the same text, utterance tokens and denotation, in order."""
+    expected = oracle.generate(query_tokens, catalog, graph)[:cap]
+    assert generated(query_tokens, kg, cap) == expected, query_tokens
 
 
 CAPS = [1, 3, 200, 10**9]
@@ -445,21 +262,25 @@ MINI_QUERIES = [
 
 @pytest.mark.parametrize("cap", CAPS)
 @pytest.mark.parametrize("query", MINI_QUERIES)
-def test_generate_matches_reference_on_mini(mini_kg, mini_catalog, query, cap):
-    assert_matches_reference(tokenize(query), mini_kg, mini_catalog, cap)
+def test_generate_matches_reference_on_mini(mini_kg, mini_catalog, mini_graph, query, cap):
+    assert_matches_reference(mini_kg, mini_catalog, mini_graph, tokenize(query), cap)
 
 
-def test_generate_matches_reference_on_toy(toy_kg, toy_catalog, toy_data):
-    for cap in CAPS:
-        for example in toy_data:
-            assert_matches_reference(tokenize(example.question), toy_kg, toy_catalog, cap)
+def test_generate_matches_reference_on_toy(toy_kg, toy_catalog, toy_graph, toy_data):
+    # the dataset's questions, and each alias of the catalog as a question
+    aliases = [alias for listed in toy_catalog[1].values() for alias in listed]
+    for question in [example.question for example in toy_data] + aliases:
+        tokens = tokenize(question)
+        expected = oracle.generate(tokens, toy_catalog, toy_graph)
+        for cap in CAPS:
+            assert generated(tokens, toy_kg, cap) == expected[:cap], tokens
 
 
 @st.composite
 def graphs_and_queries(draw):
-    """``(graph, catalog, query)``: a graph read by ``load_graph``, the
-    ``(names, aliases, phrases)`` maps of its catalog, and a query naming 2-3
-    of its entities.
+    """``(kg, catalog, graph, query)``: a graph read by ``load_graph``, the
+    ``(names, aliases, phrases)`` maps of its catalog, the oracle's graph of
+    its triples, and a query naming 2-3 of its entities.
 
     Each entity's id is one of its aliases, so a query can link it whatever
     text its other aliases hold.  Half the graphs gain a subject that points
@@ -484,87 +305,38 @@ def graphs_and_queries(draw):
     query = ["which"]
     for eid in named:
         query += tokenize(draw(st.sampled_from(aliases[eid])))
-    return kg, (names, aliases, phrases), query
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs_and_queries(), st.sampled_from(CAPS))
-def test_generate_matches_reference_on_random_graphs(graph_and_query, cap):
-    kg, catalog, query = graph_and_query
-    assert_matches_reference(query, kg, catalog, cap)
-
-
-def previous_generate_candidates(query_tokens, kg, cfg):
-    """``generate_candidates`` as it was when T3 read the outer relations
-    anew for every (r1, r2) pair, kept to check that reading them once per
-    set of shared subjects changes no output."""
-    if not query_tokens:
-        raise ValueError("query_tokens must be non-empty")
-    linked = [(eid, tuple(kg.names[eid].split()))
-              for eid in logform._linked_entities(list(query_tokens), kg)]
-    phrase = kg.phrase_tokens
-    forms: dict = {}
-
-    def add(lf, utterance, denotation):
-        forms[serialize(lf)] = (lf, utterance, denotation)
-
-    for eid, name in linked:
-        lit = EntityLit(eid)
-        for rid, objects in kg.outgoing(eid):
-            add(Join(rid, lit), ("the", *phrase[rid], "of", *name), objects)
-        for rid, subjects in kg.incoming(eid):
-            add(ReverseJoin(rid, lit), ("the", "things", "whose", *phrase[rid], "is", *name),
-                subjects)
-    for (e1, name1), (e2, name2) in itertools.permutations(linked, 2):
-        for r1, subjects1 in kg.incoming(e1):
-            for r2, subjects2 in kg.incoming(e2):
-                things = subjects1 & subjects2
-                if things:
-                    inner = Intersect(ReverseJoin(r1, EntityLit(e1)),
-                                      ReverseJoin(r2, EntityLit(e2)))
-                    thing = ("the", "thing", "whose", *phrase[r1], "is", *name1,
-                             "and", "whose", *phrase[r2], "is", *name2)
-                    outer: dict = {}
-                    for s in things:
-                        for rid, objects in kg.outgoing(s):
-                            outer[rid] = outer[rid] | objects if rid in outer else objects
-                    for rid, objects in outer.items():
-                        add(Join(rid, inner), ("the", *phrase[rid], "of", *thing), objects)
-
-    return [Candidate(lf, utterance, denotation)
-            for _, (lf, utterance, denotation) in sorted(forms.items())[: cfg.max_candidates]]
+    return kg, (names, aliases, phrases), oracle.Graph(triples), query
 
 
 HUB_QUERY = tokenize("alpha and beta")
 
 
-def hub_graph(triples, relations):
-    """Subjects ``s0``, ``s1``, ... with facts into ``alpha``, ``beta`` and
-    ``gamma``, which only the question names."""
+def hub_catalog(triples, relations):
+    """The ``(names, aliases, phrases)`` maps of a graph of subjects ``s0``,
+    ``s1``, ... with facts into ``alpha``, ``beta`` and ``gamma``, which
+    only the question names."""
     names = {"alpha", "beta", "gamma", *(s for s, _, _ in triples)}
-    return KnowledgeGraph({e: e for e in names}, {e: (e,) for e in names},
-                          {r: r for r in relations}, triples)
+    return {e: e for e in names}, {e: (e,) for e in names}, {r: r for r in relations}
 
 
 @st.composite
 def hubs(draw):
-    """A hub graph: every subject takes each relation into ``alpha``,
-    ``beta``, ``gamma`` or nothing, so many (r1, r2) pairs share one set of
-    subjects."""
+    """``(kg, catalog, graph, query)`` of a hub graph, as
+    :func:`graphs_and_queries` gives them: every subject takes each relation
+    into ``alpha``, ``beta``, ``gamma`` or nothing, so many (r1, r2) pairs
+    share one set of subjects."""
     relations = [f"r{j}" for j in range(draw(st.integers(1, 6)))]
     targets = st.sampled_from(("alpha", "beta", "gamma", None))
     triples = [(f"s{i}", r, o) for i in range(draw(st.integers(1, 12)))
                for r in relations for o in [draw(targets)] if o]
-    return hub_graph(triples, relations)
+    catalog = hub_catalog(triples, relations)
+    return KnowledgeGraph(*catalog, triples), catalog, oracle.Graph(triples), HUB_QUERY
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(graphs_and_queries(), hubs().map(lambda kg: (kg, None, HUB_QUERY))),
-       st.sampled_from(CAPS))
-def test_generate_matches_the_previous_generator(graph_and_query, cap):
-    kg, _, query = graph_and_query
-    cfg = GenConfig(max_candidates=cap)
-    assert generate_candidates(query, kg, cfg) == previous_generate_candidates(query, kg, cfg)
+@given(st.one_of(graphs_and_queries(), hubs()), st.sampled_from(CAPS))
+def test_generate_matches_reference_on_random_graphs(graph_and_query, cap):
+    assert_matches_reference(*graph_and_query, cap)
 
 
 def test_t3_reads_each_shared_subject_once_per_set_of_them(monkeypatch):
@@ -572,8 +344,9 @@ def test_t3_reads_each_shared_subject_once_per_set_of_them(monkeypatch):
     # into beta: all 2 * 5 * 5 ordered (r1, r2) pairs share the one set of
     # all 200 subjects, whose outgoing relations are read once.
     relations = [f"r{j}" for j in range(10)]
-    kg = hub_graph([(f"s{i}", r, "alpha" if j < 5 else "beta")
-                    for i in range(200) for j, r in enumerate(relations)], relations)
+    triples = [(f"s{i}", r, "alpha" if j < 5 else "beta")
+               for i in range(200) for j, r in enumerate(relations)]
+    kg = KnowledgeGraph(*hub_catalog(triples, relations), triples)
     read = []
     outgoing = kg.outgoing
 
@@ -589,18 +362,20 @@ def test_t3_reads_each_shared_subject_once_per_set_of_them(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(graphs_and_queries(), hubs().map(lambda kg: (kg, None, HUB_QUERY))),
-       st.sampled_from(CAPS), st.data())
+@given(st.one_of(graphs_and_queries(), hubs()), st.sampled_from(CAPS), st.data())
 def test_predict_on_generated_lists_takes_the_smallest_best_form(graph_and_query, cap, data):
-    kg, _, query = graph_and_query
+    kg, _, _, query = graph_and_query
     candidates = generate_candidates(query, kg, GenConfig(max_candidates=cap))
-    # weights on keys the candidates assemble, from a few values, so that
+    # weights on the candidates' feature keys, from a few values, so that
     # some scores tie
-    keys = sorted({key for c in candidates for key in assemble(query, c)}) or ["p:a|a"]
-    weights = data.draw(st.dictionaries(st.sampled_from(keys),
+    keys = sorted({key for c in candidates
+                   for key in oracle.feature_keys(query, c.utterance_tokens, len(c.denotation))})
+    weights = data.draw(st.dictionaries(st.sampled_from(keys or ["p:a|a"]),
                                         st.sampled_from([-1.0, 0.5, 1.0, 2.0]), max_size=8))
     for model in (Model(weights={}), Model(weights=weights)):
         smallest_best = min(
             candidates, default=None,
-            key=lambda c: (-score(model, assemble(query, c)), serialize(c.logical_form)))
+            key=lambda c: (-oracle.score(model.weights, query, c.utterance_tokens,
+                                         len(c.denotation)),
+                           serialize(c.logical_form)))
         assert predict(model, query, candidates) is smallest_best
