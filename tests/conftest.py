@@ -1,8 +1,15 @@
+import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from tensorparse import kgraph, toy
+import tensorparse
+from tensorparse import cli, kgraph, toy
 from tensorparse.dataset import load_dataset
 from tensorparse.learner import Model
 from tensorparse.logform import Candidate, EntityLit, Intersect, Join, ReverseJoin
@@ -67,6 +74,24 @@ def zero_model():
     return Model(weights={})
 
 
+SRC = os.path.dirname(os.path.dirname(tensorparse.__file__))
+
+
+def run_python(*args, env=None, stdout=subprocess.PIPE):
+    """``python *args`` as a process, with ``src`` first on ``PYTHONPATH``
+    and ``env`` over this process' environment.  stderr is captured, and so
+    is stdout unless ``stdout`` is a file or descriptor to write it to; both
+    as bytes."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          env={**os.environ, **(env or {}), "PYTHONPATH": path}, timeout=120)
+
+
+def run_cli(*args, env=None, stdout=subprocess.PIPE):
+    """``python -m tensorparse *args`` through :func:`run_python`."""
+    return run_python("-m", "tensorparse", *args, env=env, stdout=stdout)
+
+
 @pytest.fixture
 def mini_kg():
     return graph_from_strings(MINI_TRIPLES, MINI_CATALOG)
@@ -86,9 +111,38 @@ def mini_graph():
 
 @pytest.fixture(scope="session")
 def toy_dir(tmp_path_factory):
+    """The toy corpus of ``gen-toy --seed 0``."""
     out = tmp_path_factory.mktemp("toy")
     toy.gen_toy(out, seed=0)
     return out
+
+
+class ToyCli(NamedTuple):
+    """The toy corpus (seed 0) and the model ``train --seed 42`` writes from
+    it, the one ``test_golden`` pins, as command lines name them."""
+
+    dir: Path
+    model: Path
+    train_stdout: str
+
+    @property
+    def kg(self):
+        return ["--kg", str(self.dir / toy.TRIPLES_FILE),
+                "--catalog", str(self.dir / toy.CATALOG_FILE)]
+
+    @property
+    def data(self):
+        return ["--data", str(self.dir / toy.DATASET_FILE)]
+
+
+@pytest.fixture(scope="session")
+def toy_cli(toy_dir, tmp_path_factory):
+    trained = ToyCli(toy_dir, tmp_path_factory.mktemp("model") / "toy.model", "")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["train", *trained.kg, *trained.data, "--out", str(trained.model),
+                         "--seed", "42"]) == 0
+    return trained._replace(train_stdout=out.getvalue())
 
 
 @pytest.fixture(scope="session")

@@ -21,9 +21,9 @@ status 2.  A hypothesis test makes 1-4 random edits to one input file of
 same: exit status 0, 1 or 2, one ``error:`` line on status 1, and no
 non-finite number printed on status 0.
 
-The cases run in-process on the toy corpus with ``--epochs 1`` and
-``--folds 2``.  The last occurrence of a repeated flag wins, so each case
-appends its flag to a valid command line.
+The cases run in-process on the toy corpus and its seed-42 model, and
+train with ``--epochs 1`` and ``--folds 2``.  The last occurrence of a
+repeated flag wins, so each case appends its flag to a valid command line.
 """
 
 import contextlib
@@ -102,14 +102,10 @@ CASES = _cases()
 
 
 @pytest.fixture(scope="module")
-def corpus(toy_dir, tmp_path_factory):
-    """A valid model plus one file (or directory) for each kind of bad file."""
+def corpus(toy_cli, tmp_path_factory):
+    """The toy model plus one file (or directory) for each kind of bad file."""
     root = tmp_path_factory.mktemp("fuzz")
-    model = root / "toy.model"
-    assert cli.main(["train", "--kg", str(toy_dir / "triples.tsv"),
-                     "--catalog", str(toy_dir / "catalog.tsv"),
-                     "--data", str(toy_dir / "dataset.jsonl"),
-                     "--out", str(model), "--epochs", "1"]) == 0
+    model = toy_cli.model
     bad = {"non-utf8": root / "non-utf8", "truncated-header": root / "truncated",
            "directory": root / "directory", "nan-weight": root / "nan.model",
            "duplicate-key": root / "duplicate.model",
@@ -126,7 +122,7 @@ def corpus(toy_dir, tmp_path_factory):
     bad["duplicate-key"].write_text("".join(lines + lines[1:2]))
     bad["v1-model"].write_text("".join(["tensorparse-model v1 e7c395ea56a2f041\n"] + lines[1:]))
     bad["foreign-key"].write_text("".join(lines + ["lf:other\t0.5\n"]))
-    catalog = (toy_dir / "catalog.tsv").read_text()
+    catalog = (toy_cli.dir / "catalog.tsv").read_text()
     bad["forbidden-id"].write_text(catalog + "E\tpeso, ent(x)\tPeso\t\n")
     bad["blank-lines"].write_text("\n  \n\t\n")
     bad["unknown-id"].write_text("brazil\tcurrency\tbrazilian_real\n"

@@ -1,13 +1,13 @@
 import io
 import os
-import subprocess
-import sys
+import re
 
 import pytest
 
-import tensorparse
-from tensorparse import cli, evaluator, kgraph, learner, logform
+from tensorparse import cli, evaluator, features, kgraph, learner, logform
 from tensorparse.dataset import DatasetError, load_dataset
+
+from conftest import run_cli
 
 
 def load(text):
@@ -51,36 +51,10 @@ def test_load_dataset_preserves_order():
     assert [ex.question for ex in examples] == ["b?", "a?"]
 
 
-@pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
-    """gen-toy then train once; later commands reuse the artifacts."""
-    root = tmp_path_factory.mktemp("cli")
-    assert cli.main(["gen-toy", "--out", str(root), "--seed", "0"]) == 0
-    model = root / "toy.model"
-    rc = cli.main([
-        "train",
-        "--kg", str(root / "triples.tsv"),
-        "--catalog", str(root / "catalog.tsv"),
-        "--data", str(root / "dataset.jsonl"),
-        "--out", str(model),
-        "--epochs", "5",
-        "--seed", "42",
-    ])
-    assert rc == 0
-    assert model.exists()
-    return root
-
-
-def test_cli_eval(workspace, capsys):
-    report = workspace / "report.txt"
-    rc = cli.main([
-        "eval",
-        "--kg", str(workspace / "triples.tsv"),
-        "--catalog", str(workspace / "catalog.tsv"),
-        "--data", str(workspace / "dataset.jsonl"),
-        "--model", str(workspace / "toy.model"),
-        "--report", str(report),
-    ])
+def test_cli_eval(toy_cli, tmp_path, capsys):
+    report = tmp_path / "report.txt"
+    rc = cli.main(["eval", *toy_cli.kg, *toy_cli.data, "--model", str(toy_cli.model),
+                   "--report", str(report)])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("averageF1=")
@@ -89,7 +63,7 @@ def test_cli_eval(workspace, capsys):
     assert len(lines) == 1 + 210
 
 
-def test_cli_eval_report_keeps_one_row_per_question(workspace, tmp_path):
+def test_cli_eval_report_keeps_one_row_per_question(toy_cli, tmp_path):
     data = tmp_path / "odd.jsonl"
     data.write_text(
         '{"question": "what currency\\tdoes brazil\\nuse?", "answers": ["Brazilian real"]}\n'
@@ -99,14 +73,8 @@ def test_cli_eval_report_keeps_one_row_per_question(workspace, tmp_path):
         encoding="utf-8",
     )
     report = tmp_path / "report.txt"
-    rc = cli.main([
-        "eval",
-        "--kg", str(workspace / "triples.tsv"),
-        "--catalog", str(workspace / "catalog.tsv"),
-        "--data", str(data),
-        "--model", str(workspace / "toy.model"),
-        "--report", str(report),
-    ])
+    rc = cli.main(["eval", *toy_cli.kg, "--data", str(data), "--model", str(toy_cli.model),
+                   "--report", str(report)])
     assert rc == 0
     lines = report.read_bytes().decode("utf-8").split("\n")
     assert lines[-1] == ""
@@ -118,35 +86,33 @@ def test_cli_eval_report_keeps_one_row_per_question(workspace, tmp_path):
     ]
 
 
-def test_cli_predict(workspace, capsys):
-    rc = cli.main([
-        "predict",
-        "--kg", str(workspace / "triples.tsv"),
-        "--catalog", str(workspace / "catalog.tsv"),
-        "--model", str(workspace / "toy.model"),
-        "--question", "what currency does brazil use?",
-    ])
+# the tokenizer lowercases, then drops every character outside [a-z0-9]
+@pytest.mark.parametrize("question", ["what currency does brazil use?",
+                                      "WHAT currency does Brazil use?!",
+                                      "what currency does brazil use¿"],
+                         ids=["plain", "capitals", "inverted-mark"])
+def test_cli_predict(toy_cli, capsys, question):
+    rc = cli.main(["predict", *toy_cli.kg, "--model", str(toy_cli.model),
+                   "--question", question])
     assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "join(currency, ent(brazil))"
-    assert lines[1] == "the currency of brazil"
-    assert lines[2] == "Brazilian real"
+    assert capsys.readouterr().out.splitlines() == [
+        "join(currency, ent(brazil))", "the currency of brazil", "Brazilian real"]
 
 
-def test_cli_predict_links_a_four_token_alias(workspace, tmp_path, capsys):
+def test_cli_predict_links_a_four_token_alias(toy_cli, tmp_path, capsys):
     # "fenwick" alone names nothing: only the whole four-token name links
     catalog = tmp_path / "catalog.tsv"
-    catalog.write_text((workspace / "catalog.tsv").read_text()
+    catalog.write_text((toy_cli.dir / "catalog.tsv").read_text()
                        + "E\tfenwick\tGrand Duchy of Fenwick\t\n"
                        + "E\tfenwick_pound\tFenwick pound\t\n")
     triples = tmp_path / "triples.tsv"
-    triples.write_text((workspace / "triples.tsv").read_text()
+    triples.write_text((toy_cli.dir / "triples.tsv").read_text()
                        + "fenwick\tcurrency\tfenwick_pound\n")
     rc = cli.main([
         "predict",
         "--kg", str(triples),
         "--catalog", str(catalog),
-        "--model", str(workspace / "toy.model"),
+        "--model", str(toy_cli.model),
         "--question", "what currency does the grand duchy of fenwick use?",
     ])
     assert rc == 0
@@ -154,7 +120,7 @@ def test_cli_predict_links_a_four_token_alias(workspace, tmp_path, capsys):
         "join(currency, ent(fenwick))", "the currency of grand duchy of fenwick", "Fenwick pound"]
 
 
-def test_cli_predict_prints_display_names_in_display_text_order(workspace, tmp_path, capsys):
+def test_cli_predict_prints_display_names_in_display_text_order(toy_cli, tmp_path, capsys):
     # by id m1, m2 would print alpha first, and so would the normalized names
     # alpha, zeta; by display text "Zeta" sorts before "alpha"
     catalog = tmp_path / "catalog.tsv"
@@ -165,7 +131,7 @@ def test_cli_predict_prints_display_names_in_display_text_order(workspace, tmp_p
         "predict",
         "--kg", str(triples),
         "--catalog", str(catalog),
-        "--model", str(workspace / "toy.model"),
+        "--model", str(toy_cli.model),
         "--question", "what is part of the hub?",
     ])
     assert rc == 0
@@ -173,97 +139,90 @@ def test_cli_predict_prints_display_names_in_display_text_order(workspace, tmp_p
         "rev(part, ent(hub))", "the things whose part is hub", "Zeta", "alpha"]
 
 
-def test_cli_eval_generates_under_the_models_cap(workspace, tmp_path):
-    kg = ["--kg", str(workspace / "triples.tsv"), "--catalog", str(workspace / "catalog.tsv")]
-    data = ["--data", str(workspace / "dataset.jsonl")]
+def test_cli_train_with_no_positive_writes_the_zero_model(toy_cli, tmp_path, capsys):
+    # no candidate answers Atlantis; with the zero model the four Brazil
+    # candidates all score 0.0, and predict prints the earliest, the smallest form
+    data = tmp_path / "none.jsonl"
+    data.write_text('{"question": "what currency does brazil use?", "answers": ["Atlantis"]}\n')
+    model = tmp_path / "zero.model"
+    assert cli.main(["train", *toy_cli.kg, "--data", str(data), "--out", str(model)]) == 0
+    assert capsys.readouterr() == (
+        "final training loss = n/a\n",
+        "warning: no query produced a positive candidate; wrote zero model\n")
+    assert cli.main(["predict", *toy_cli.kg, "--model", str(model),
+                     "--question", "what currency does brazil use?"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "join(adjoins, ent(brazil))", "the adjoins of brazil", "Austria", "Canada"]
+
+
+def test_cli_eval_generates_under_the_models_cap(toy_cli, tmp_path):
     model, report = tmp_path / "m.model", tmp_path / "report.txt"
-    assert cli.main(["train", *kg, *data, "--out", str(model), "--epochs", "1",
+    assert cli.main(["train", *toy_cli.kg, *toy_cli.data, "--out", str(model), "--epochs", "1",
                      "--max-candidates", "3"]) == 0
-    assert cli.main(["eval", *kg, *data, "--model", str(model), "--report", str(report)]) == 0
+    assert cli.main(["eval", *toy_cli.kg, *toy_cli.data, "--model", str(model),
+                     "--report", str(report)]) == 0
     rows = [line.split("\t") for line in report.read_text().splitlines()[1:]]
     assert len(rows) == 210 and max(int(fields[5]) for fields in rows) <= 3
-    with open(workspace / "triples.tsv") as t, open(workspace / "catalog.tsv") as c:
+    with open(toy_cli.dir / "triples.tsv") as t, open(toy_cli.dir / "catalog.tsv") as c:
         graph = kgraph.load_graph(t, c)
-    with open(workspace / "dataset.jsonl") as fh:
+    with open(toy_cli.dir / "dataset.jsonl") as fh:
         examples = load_dataset(fh)
     expected = evaluator.evaluate(learner.load_model(model), examples, graph,
                                   logform.GenConfig(max_candidates=3))
     assert report.read_text() == evaluator.format_report(expected)
 
 
-def test_cli_predict_no_candidates(workspace, capsys):
-    rc = cli.main([
-        "predict",
-        "--kg", str(workspace / "triples.tsv"),
-        "--catalog", str(workspace / "catalog.tsv"),
-        "--model", str(workspace / "toy.model"),
-        "--question", "hello hello hello",
-    ])
+def test_cli_predict_no_candidates(toy_cli, capsys):
+    rc = cli.main(["predict", *toy_cli.kg, "--model", str(toy_cli.model),
+                   "--question", "hello hello hello"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_inspect(workspace, capsys):
-    rc = cli.main(["inspect", "--model", str(workspace / "toy.model"), "--top-k", "5"])
+def test_cli_inspect(toy_cli, capsys):
+    rc = cli.main(["inspect", "--model", str(toy_cli.model), "--top-k", "10"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 10
     for line in lines:
         key, weight = line.split("\t")
-        float(weight)
-        assert key.startswith(("p:", "lf:"))
+        assert features.PAIR_KEY.fullmatch(key) or key in features.SIZE_KEYS, line
+        assert re.fullmatch(r"-?[0-9]+\.[0-9]{6}", weight), line
 
 
-def test_cli_cv(workspace, capsys):
-    rc = cli.main([
-        "cv",
-        "--kg", str(workspace / "triples.tsv"),
-        "--catalog", str(workspace / "catalog.tsv"),
-        "--data", str(workspace / "dataset.jsonl"),
-        "--folds", "2",
-        "--order", "random",
-        "--epochs", "2",
-    ])
+def test_cli_cv(toy_cli, capsys):
+    rc = cli.main(["cv", *toy_cli.kg, *toy_cli.data, "--folds", "2", "--order", "random",
+                   "--epochs", "2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "fold 0:" in out
     assert "mean averageF1=" in out
 
 
-def test_cli_missing_file_is_domain_error(workspace, capsys):
-    rc = cli.main([
-        "eval",
-        "--kg", str(workspace / "no-such-file.tsv"),
-        "--catalog", str(workspace / "catalog.tsv"),
-        "--data", str(workspace / "dataset.jsonl"),
-        "--model", str(workspace / "toy.model"),
-    ])
+def test_cli_missing_file_is_domain_error(toy_cli, capsys):
+    rc = cli.main(["eval", *toy_cli.kg, *toy_cli.data, "--model", str(toy_cli.model),
+                   "--kg", str(toy_cli.dir / "no-such-file.tsv")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
-def test_cli_reads_the_model_before_the_graph(workspace, tmp_path, capsys, command):
+def test_cli_reads_the_model_before_the_graph(toy_cli, tmp_path, capsys, command):
     # The model file is read before the graph loads, so a bad one is the error
     # shown even when the graph is missing too, and shown without the wait.
     model = tmp_path / "bad.model"
     model.write_text("not a model\n", encoding="utf-8")
-    argv = [command, "--kg", str(tmp_path / "no-such-triples.tsv"),
-            "--catalog", str(workspace / "catalog.tsv"), "--model", str(model)]
-    argv += (["--data", str(workspace / "dataset.jsonl")] if command == "eval"
+    argv = [command, *toy_cli.kg, "--kg", str(tmp_path / "no-such-triples.tsv"),
+            "--model", str(model)]
+    argv += (toy_cli.data if command == "eval"
              else ["--question", "what currency does brazil use?"])
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: bad model header: 'not a model'\n"
 
 
-def test_cli_predict_rejects_an_empty_question_before_the_graph(workspace, capsys):
-    rc = cli.main([
-        "predict",
-        "--kg", str(workspace / "no-such-triples.tsv"),
-        "--catalog", str(workspace / "catalog.tsv"),
-        "--model", str(workspace / "toy.model"),
-        "--question", "?!",
-    ])
+def test_cli_predict_rejects_an_empty_question_before_the_graph(toy_cli, capsys):
+    rc = cli.main(["predict", *toy_cli.kg, "--kg", str(toy_cli.dir / "no-such-triples.tsv"),
+                   "--model", str(toy_cli.model), "--question", "?!"])
     assert rc == 1
     assert capsys.readouterr().err == "error: question has no tokens\n"
 
@@ -280,17 +239,10 @@ def test_cli_unknown_flag_usage_error():
     assert exc.value.code == 2
 
 
-def test_cli_train_deterministic(workspace, tmp_path):
+def test_cli_train_deterministic(toy_cli, tmp_path):
     out_a = tmp_path / "a.model"
     out_b = tmp_path / "b.model"
-    argv = [
-        "train",
-        "--kg", str(workspace / "triples.tsv"),
-        "--catalog", str(workspace / "catalog.tsv"),
-        "--data", str(workspace / "dataset.jsonl"),
-        "--epochs", "3",
-        "--seed", "7",
-    ]
+    argv = ["train", *toy_cli.kg, *toy_cli.data, "--epochs", "3", "--seed", "7"]
     assert cli.main(argv + ["--out", str(out_a)]) == 0
     assert cli.main(argv + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
@@ -299,19 +251,17 @@ def test_cli_train_deterministic(workspace, tmp_path):
 @pytest.mark.parametrize("flag", [["--max-span", "0"], ["--max-candidates", "0"]],
                          ids=["max-span", "max-candidates"])
 @pytest.mark.parametrize("command", ["train", "eval", "predict", "cv"])
-def test_cli_bad_gen_config_is_one_line_error(workspace, tmp_path, capsys, command, flag):
+def test_cli_bad_gen_config_is_one_line_error(toy_cli, tmp_path, capsys, command, flag):
     """A cap below 1 is a one-line error.  ``--max-span`` is gone (linking
     reaches the catalog's longest alias), and ``eval`` and ``predict`` take
     the cap from the model, so those flags are usage errors."""
-    argv = [command,
-            "--kg", str(workspace / "triples.tsv"),
-            "--catalog", str(workspace / "catalog.tsv")]
+    argv = [command, *toy_cli.kg]
     if command != "predict":
-        argv += ["--data", str(workspace / "dataset.jsonl")]
+        argv += toy_cli.data
     argv += {
         "train": ["--out", str(tmp_path / "m.model")],
-        "eval": ["--model", str(workspace / "toy.model")],
-        "predict": ["--model", str(workspace / "toy.model"),
+        "eval": ["--model", str(toy_cli.model)],
+        "predict": ["--model", str(toy_cli.model),
                     "--question", "what currency does brazil use?"],
         "cv": [],
     }[command]
@@ -328,79 +278,51 @@ def test_cli_bad_gen_config_is_one_line_error(workspace, tmp_path, capsys, comma
 
 
 def test_python_m_tensorparse_runs_as_a_process(tmp_path):
-    package_root = os.path.dirname(os.path.dirname(tensorparse.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-
-    def run(*args):
-        return subprocess.run([sys.executable, "-m", "tensorparse", *args],
-                              env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=120)
-
     toy = tmp_path / "toy"
-    made = run("gen-toy", "--out", str(toy), "--seed", "0")
+    made = run_cli("gen-toy", "--out", str(toy), "--seed", "0")
     assert made.returncode == 0, made.stderr
     assert (toy / "dataset.jsonl").is_file()
-    bad = run("train", "--kg", str(toy / "triples.tsv"), "--catalog", str(toy / "catalog.tsv"),
-              "--data", str(toy / "dataset.jsonl"), "--out", str(tmp_path / "m.model"),
-              "--epochs", "0")
+    bad = run_cli("train", "--kg", str(toy / "triples.tsv"), "--catalog", str(toy / "catalog.tsv"),
+                  "--data", str(toy / "dataset.jsonl"), "--out", str(tmp_path / "m.model"),
+                  "--epochs", "0")
     assert bad.returncode == 1
-    assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
+    assert bad.stderr.startswith(b"error: ") and bad.stderr.count(b"\n") == 1
     assert not (tmp_path / "m.model").exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
-def test_eval_report_to_dev_stdout_streams_into_a_pipe(workspace, tmp_path):
+def test_eval_report_to_dev_stdout_streams_into_a_pipe(toy_cli, tmp_path):
     # the real path of a pipe's /dev/stdout does not exist, so the report is
     # written into the pipe itself, followed by the summary line
-    package_root = os.path.dirname(os.path.dirname(tensorparse.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    args = ["eval", "--kg", str(workspace / "triples.tsv"),
-            "--catalog", str(workspace / "catalog.tsv"),
-            "--data", str(workspace / "dataset.jsonl"), "--model", str(workspace / "toy.model")]
-    done = subprocess.run([sys.executable, "-m", "tensorparse", *args, "--report", "/dev/stdout"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == b""
+    args = ["eval", *toy_cli.kg, *toy_cli.data, "--model", str(toy_cli.model)]
+    done = run_cli(*args, "--report", "/dev/stdout")
+    assert (done.returncode, done.stderr) == (0, b"")
     report = tmp_path / "report.txt"
-    summary = subprocess.run([sys.executable, "-m", "tensorparse", *args, "--report", str(report)],
-                             capture_output=True, timeout=120,
-                             env={**os.environ, "PYTHONPATH": path})
+    summary = run_cli(*args, "--report", str(report))
     assert summary.returncode == 0, summary.stderr
     assert done.stdout == report.read_bytes() + summary.stdout
     assert summary.stdout.startswith(b"averageF1=") and summary.stdout.count(b"\n") == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
-def test_report_and_model_to_dev_stdout_keep_the_line_printed_after_them(workspace, tmp_path):
+def test_report_and_model_to_dev_stdout_keep_the_line_printed_after_them(toy_cli, tmp_path):
     # with stdout a regular file, /dev/stdout names that file: replacing it
     # would send the line printed next to the old, unlinked file
-    package_root = os.path.dirname(os.path.dirname(tensorparse.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    graph = ["--kg", str(workspace / "triples.tsv"), "--catalog", str(workspace / "catalog.tsv"),
-             "--data", str(workspace / "dataset.jsonl")]
-    eval_args = ["eval", *graph, "--model", str(workspace / "toy.model")]
-    train_args = ["train", *graph, "--epochs", "5", "--seed", "42"]
-
     def run(args, out_path):
         with open(out_path, "wb") as out:
-            done = subprocess.run([sys.executable, "-m", "tensorparse", *args], stdout=out,
-                                  stderr=subprocess.PIPE, timeout=120,
-                                  env={**os.environ, "PYTHONPATH": path})
+            done = run_cli(*args, stdout=out)
         assert (done.returncode, done.stderr) == (0, b"")
         return out_path.read_bytes()
 
+    eval_args = ["eval", *toy_cli.kg, *toy_cli.data, "--model", str(toy_cli.model)]
     report = tmp_path / "report.txt"
     summary = run([*eval_args, "--report", str(report)], tmp_path / "summary.txt")
     assert summary.startswith(b"averageF1=") and summary.count(b"\n") == 1
     assert run([*eval_args, "--report", "/dev/stdout"], tmp_path / "out.txt") == (
         report.read_bytes() + summary)
-    model = tmp_path / "m.model"
-    loss = run([*train_args, "--out", str(model)], tmp_path / "loss.txt")
-    assert loss.startswith(b"final training loss = ") and loss.count(b"\n") == 1
-    assert model.read_bytes() == (workspace / "toy.model").read_bytes()
-    assert run([*train_args, "--out", "/dev/stdout"], tmp_path / "m.txt") == (
-        model.read_bytes() + loss)
+    train_args = ["train", *toy_cli.kg, *toy_cli.data, "--seed", "42", "--out", "/dev/stdout"]
+    assert run(train_args, tmp_path / "m.txt") == (
+        toy_cli.model.read_bytes() + toy_cli.train_stdout.encode("utf-8"))
 
 
 @pytest.mark.parametrize("weights", [1, 2000])
@@ -410,17 +332,10 @@ def test_a_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path, weights):
     model = tmp_path / "m.model"
     model.write_text("tensorparse-model v2 max_candidates=200\n"
                      + "".join(f"p:a|t{i}\t1.5\n" for i in range(weights)))
-    package_root = os.path.dirname(os.path.dirname(tensorparse.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before the child starts, so its every write fails
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "tensorparse", "inspect", "--model", str(model),
-             "--top-k", "100000"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path})
+        done = run_cli("inspect", "--model", str(model), "--top-k", "100000", stdout=write_end)
     finally:
         os.close(write_end)
-    assert done.returncode == 1
-    assert done.stderr == ""
+    assert (done.returncode, done.stderr) == (1, b"")

@@ -2,15 +2,12 @@ import io
 import os
 import random
 import signal
-import subprocess
-import sys
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tensorparse
 from tensorparse import TensorparseError, cli, evaluator, learner, logform, toy
 from tensorparse.dataset import DatasetExample
 from tensorparse.evaluator import (
@@ -29,7 +26,7 @@ from tensorparse.kgraph import load_graph
 from tensorparse.logform import GenConfig
 
 import oracle
-from conftest import make_candidate, zero_model
+from conftest import make_candidate, run_python, zero_model
 
 
 def test_f1_partial_credit_example():
@@ -569,15 +566,11 @@ finally:
 
 @needs_fork
 def test_an_interrupted_fold_process_never_runs_the_callers_code(toy_dir):
-    package_root = os.path.dirname(os.path.dirname(tensorparse.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", INTERRUPTED_CHILD, str(toy_dir / toy.TRIPLES_FILE),
-         str(toy_dir / toy.CATALOG_FILE), str(toy_dir / toy.DATASET_FILE)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == ("cross-validation: the process training fold 1 exited with status 1\n"
-                           "caller's code ran in the parent\n")
+    done = run_python("-c", INTERRUPTED_CHILD, str(toy_dir / toy.TRIPLES_FILE),
+                      str(toy_dir / toy.CATALOG_FILE), str(toy_dir / toy.DATASET_FILE))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (b"cross-validation: the process training fold 1 exited with status 1\n"
+                           b"caller's code ran in the parent\n")
 
 
 def test_cv_prepares_each_question_once(toy_kg, toy_data, monkeypatch):

@@ -6,13 +6,20 @@ A change that alters them on purpose states the behaviour change and
 updates the pins with it.  The model's header line and its body (the
 weight lines) are also pinned apart, so a header change shows that the
 weights did not move.
+
+The same bytes come out of ``python -m tensorparse`` under two
+``PYTHONHASHSEED``s, which order every set of strings differently, and out
+of a ``cv`` on one CPU, which trains every fold in one process.
 """
 
 import hashlib
+import os
 
 import pytest
 
 from tensorparse import cli
+
+from conftest import run_cli, run_python
 
 MODEL_SHA256 = "2acecf90c48e8cf04f417616e28fcfb152a70e9747836ed7797b64b1a3172bc3"
 MODEL_HEADER = b"tensorparse-model v2 max_candidates=200\n"
@@ -31,29 +38,68 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
-    assert cli.main(["gen-toy", "--out", str(root), "--seed", "0"]) == 0
-    return root, ["--kg", str(root / "triples.tsv"), "--catalog", str(root / "catalog.tsv"),
-                  "--data", str(root / "dataset.jsonl")]
-
-
-def test_toy_model_and_report_are_byte_identical(corpus, capsys):
-    root, args = corpus
-    model, report = root / "toy.model", root / "report.txt"
-    assert cli.main(["train", *args, "--out", str(model), "--seed", "42"]) == 0
-    assert capsys.readouterr().out == TRAIN_STDOUT
-    assert cli.main(["eval", *args, "--model", str(model), "--report", str(report)]) == 0
-    header, body = model.read_bytes().split(b"\n", 1)
+def test_toy_model_and_report_are_byte_identical(toy_cli, tmp_path):
+    report = tmp_path / "report.txt"
+    assert toy_cli.train_stdout == TRAIN_STDOUT
+    assert cli.main(["eval", *toy_cli.kg, *toy_cli.data, "--model", str(toy_cli.model),
+                     "--report", str(report)]) == 0
+    header, body = toy_cli.model.read_bytes().split(b"\n", 1)
     assert header + b"\n" == MODEL_HEADER
     assert sha256(body) == MODEL_BODY_SHA256
-    assert sha256(model.read_bytes()) == MODEL_SHA256
+    assert sha256(toy_cli.model.read_bytes()) == MODEL_SHA256
     assert sha256(report.read_bytes()) == REPORT_SHA256
 
 
 @pytest.mark.parametrize("order", sorted(CV_STDOUT_SHA256))
-def test_toy_cv_output_is_byte_identical(corpus, capsys, order):
-    _, args = corpus
-    assert cli.main(["cv", *args, "--order", order]) == 0
+def test_toy_cv_output_is_byte_identical(toy_cli, capsys, order):
+    assert cli.main(["cv", *toy_cli.kg, *toy_cli.data, "--order", order]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == CV_STDOUT_SHA256[order]
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1"])
+def test_string_hash_order_leaves_every_output_byte_identical(toy_cli, tmp_path, hashseed):
+    # the alias index's keys are among the sets of strings each seed reorders
+    env = {"PYTHONHASHSEED": hashseed}
+    model, report = tmp_path / "toy.model", tmp_path / "report.txt"
+    done = run_cli("train", *toy_cli.kg, *toy_cli.data, "--out", str(model), "--seed", "42",
+                   env=env)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode("utf-8") == TRAIN_STDOUT
+    assert sha256(model.read_bytes()) == MODEL_SHA256
+    done = run_cli("eval", *toy_cli.kg, *toy_cli.data, "--model", str(model),
+                   "--report", str(report), env=env)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert sha256(report.read_bytes()) == REPORT_SHA256
+    done = run_cli("cv", *toy_cli.kg, *toy_cli.data, "--order", "alphabetical", env=env)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert sha256(done.stdout) == CV_STDOUT_SHA256["alphabetical"]
+
+
+# cv in a process kept to one CPU, as taskset keeps it, that then reports
+# how many CPUs it may use and how many processes it forked
+ONE_CPU_CV = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from tensorparse import cli, evaluator
+fork, forks = os.fork, []
+
+
+def counting_fork():
+    forks.append(None)
+    return fork()
+
+
+os.fork = counting_fork
+code = cli.main(sys.argv[1:])
+print(f"{evaluator._usable_cpus()} usable CPU, {len(forks)} forks", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs os.sched_setaffinity and 2 usable CPUs")
+@pytest.mark.parametrize("order", sorted(CV_STDOUT_SHA256))
+def test_toy_cv_on_one_cpu_trains_every_fold_here(toy_cli, order):
+    done = run_python("-c", ONE_CPU_CV, "cv", *toy_cli.kg, *toy_cli.data, "--order", order)
+    assert (done.returncode, done.stderr) == (0, b"1 usable CPU, 0 forks\n")
+    assert sha256(done.stdout) == CV_STDOUT_SHA256[order]
