@@ -21,11 +21,22 @@ class DatasetExample:
     answers: tuple[str, ...]
 
 
+_decode = json.JSONDecoder().raw_decode
+
+
 def load_dataset(source: Iterable[str]) -> list[DatasetExample]:
     """Parse JSONL lines ``{"question": ..., "answers": [...]}``.
 
     Blank lines are skipped and file order is preserved; an error names
     its line.
+
+    Each stripped line is decoded by one ``raw_decode`` call, the C scan
+    that ``json.loads`` wraps: the wrapper's frames and whitespace matches,
+    which a stripped line does not need, took about a quarter of the load.
+    The loader makes the wrapper's two other checks itself, with ``json``'s
+    messages: a line that starts with U+FEFF, which the scan rejects, is
+    ``Unexpected UTF-8 BOM (decode using utf-8-sig)``, and text after the
+    document is ``Extra data``.
     """
     examples = []
     for lineno, raw in enumerate(source, start=1):
@@ -33,12 +44,16 @@ def load_dataset(source: Iterable[str]) -> list[DatasetExample]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj, end = _decode(line)
         except json.JSONDecodeError as exc:
-            raise DatasetError(f"invalid JSON ({exc.msg})", lineno) from exc
+            msg = ("Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[0] == "\ufeff"
+                   else exc.msg)
+            raise DatasetError(f"invalid JSON ({msg})", lineno) from exc
         except (ValueError, RecursionError) as exc:
             # an integer past Python's digit limit, or nesting past the recursion limit
             raise DatasetError(f"invalid JSON ({exc})", lineno) from exc
+        if end != len(line):
+            raise DatasetError("invalid JSON (Extra data)", lineno)
         if not isinstance(obj, dict):
             raise DatasetError("expected a JSON object", lineno)
         question = obj.get("question")

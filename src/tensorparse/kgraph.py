@@ -199,8 +199,12 @@ class KnowledgeGraph:
         names: dict = {}
         for eid, display in display_names.items():
             name = names[eid] = normalize_phrase(display)
-            keys = {name, *map(normalize_phrase, aliases.get(eid, ()))}
-            keys.discard("")
+            listed = aliases.get(eid)
+            if listed is None:  # most entities: the name is the one key
+                keys = (name,) if name else ()
+            else:
+                keys = {name, *map(normalize_phrase, listed)}
+                keys.discard("")
             own = (eid,)
             for key in keys:
                 ids = alias_index.get(key)
@@ -263,9 +267,8 @@ def _parse_catalog(catalog_source: Iterable[str]) -> tuple[dict, dict, dict]:
     aliases: dict = {}
     phrases: dict = {}
     for lineno, line in enumerate(catalog_source, start=1):
-        head = line.lstrip()
-        if not head or head[0] == "#":
-            continue  # a blank line or a comment
+        # Dispatched on the kind first: a line whose first field is E or R is
+        # neither blank nor a comment, so only the others are tested for those.
         fields = line.rstrip("\n").rstrip("\r").split("\t")
         kind = fields[0]
         if kind == "E":
@@ -281,9 +284,10 @@ def _parse_catalog(catalog_source: Iterable[str]) -> tuple[dict, dict, dict]:
             if eid in names:
                 raise GraphParseError(f"duplicate entity id {eid!r}", lineno)
             names[eid] = name
-            listed = tuple(filter(None, alias_field.split("|")))
-            if listed:
-                aliases[eid] = listed
+            if alias_field:
+                listed = tuple(filter(None, alias_field.split("|")))
+                if listed:
+                    aliases[eid] = listed
         elif kind == "R":
             if len(fields) != 5:
                 raise GraphParseError(
@@ -298,7 +302,9 @@ def _parse_catalog(catalog_source: Iterable[str]) -> tuple[dict, dict, dict]:
                 raise GraphParseError(f"duplicate relation id {rid!r}", lineno)
             phrases[rid] = phrase
         else:
-            raise GraphParseError(f"unknown record kind {kind!r}", lineno)
+            head = line.lstrip()
+            if head and head[0] != "#":  # not a blank line or a comment
+                raise GraphParseError(f"unknown record kind {kind!r}", lineno)
     return names, aliases, phrases
 
 

@@ -2,11 +2,12 @@
 
 Standard library only, nothing from ``tensorparse`` (``test_oracle.py``
 checks this): each function takes text (catalog maps or lines, triples of
-ids, form text, tokens, feature keys) and computes its answer from the
-definition, so a test compares the program's output text with an answer
-the program had no part in.
+ids, dataset lines, form text, tokens, feature keys) and computes its
+answer from the definition, so a test compares the program's output text
+with an answer the program had no part in.
 """
 
+import json
 import re
 from fractions import Fraction
 
@@ -48,6 +49,38 @@ def read_catalog(lines):
 
 def read_triples(lines):
     return [tuple(fields) for fields in _fields(lines)]
+
+
+def read_dataset(lines):
+    """``(pairs, error)`` of dataset lines: the ``(question, answers)`` pair
+    of each line up to the first bad one, and ``None`` or that line's
+    ``(message, line number)``.
+
+    Each line, stripped, is blank or one ``json.loads`` document: an object
+    whose ``"question"`` is a non-empty string and whose ``"answers"`` is a
+    non-empty list of strings.
+    """
+    pairs = []
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return pairs, (f"invalid JSON ({exc.msg})", number)
+        except (ValueError, RecursionError) as exc:
+            return pairs, (f"invalid JSON ({exc})", number)
+        if not isinstance(obj, dict):
+            return pairs, ("expected a JSON object", number)
+        question, answers = obj.get("question"), obj.get("answers")
+        if not isinstance(question, str) or not question:
+            return pairs, ("missing or empty string field 'question'", number)
+        if not isinstance(answers, list) or not answers or not all(
+                isinstance(a, str) for a in answers):
+            return pairs, ("missing or empty string-array field 'answers'", number)
+        pairs.append((question, tuple(answers)))
+    return pairs, None
 
 
 class Graph:

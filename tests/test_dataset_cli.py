@@ -1,13 +1,18 @@
 import io
+import json
 import os
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tensorparse import cli, evaluator, features, kgraph, learner, logform
+from tensorparse import cli, evaluator, features, kgraph, learner, logform, toy
 from tensorparse.dataset import DatasetError, load_dataset
 
+import oracle
 from conftest import run_cli
+from test_cli_fuzz import mutations
 
 
 def load(text):
@@ -49,6 +54,48 @@ def test_load_dataset_preserves_order():
         '{"question":"b?","answers":["1"]}\n{"question":"a?","answers":["2"]}\n'
     )
     assert [ex.question for ex in examples] == ["b?", "a?"]
+
+
+# The toy dataset's lines, as gen_toy writes them.
+TOY_LINES = [json.dumps(ex, sort_keys=True) for ex in toy.build_examples(0)]
+
+# Lines around the document lines: blank, whitespace (and U+200B, which
+# str.strip keeps), a BOM before a line, and text after its object.
+WHITESPACE = " \t\x0b\x0c\x1c\x85\u00a0\u2028\u3000"
+space = st.text(WHITESPACE, max_size=3)
+dataset_lines = st.one_of(
+    st.sampled_from(TOY_LINES),
+    st.builds("{}{}{}".format, space, st.sampled_from(TOY_LINES), space),
+    st.text(WHITESPACE + "\u200b", max_size=3),
+    st.builds("{}\ufeff{}".format, space, st.sampled_from(["", *TOY_LINES[:3]])),
+    st.builds("{}{}{}".format, st.sampled_from(TOY_LINES), space,
+              st.sampled_from(["x", "}", "]", "{}", "0", '"a"', ",", "\ufeff", "\u200b"])),
+)
+dataset_files = st.one_of(
+    mutations("".join(line + "\n" for line in TOY_LINES)),
+    st.builds(str.join, st.sampled_from(["\n", "\r\n"]),
+              st.lists(dataset_lines, min_size=1, max_size=8)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dataset_files)
+@example("[" * 100_000 + "]" * 100_000 + "\n")  # nested past the recursion limit
+@example('{"question": "q?", "answers": ["a", ' + "9" * 5_000 + "]}\n")  # past the digit limit
+@example(TOY_LINES[0] + "\n\ufeff" + TOY_LINES[1] + "\n")
+@example(TOY_LINES[0] + "\n" + TOY_LINES[1] + " {}\n")
+def test_load_dataset_matches_the_oracle(text):
+    """The examples of the oracle's ``json.loads`` loop, or its first error
+    with the same message and line number."""
+    lines = list(io.StringIO(text, newline=None))  # split as open() splits a text file
+    pairs, error = oracle.read_dataset(lines)
+    if error is None:
+        assert [(ex.question, ex.answers) for ex in load_dataset(lines)] == pairs
+        return
+    message, number = error
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(lines)
+    assert (str(exc.value), exc.value.line_number) == (f"line {number}: {message}", number)
 
 
 def test_cli_eval(toy_cli, tmp_path, capsys):

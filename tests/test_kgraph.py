@@ -578,15 +578,17 @@ ids = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_.", min_size=1, max
 @st.composite
 def catalogs(draw):
     """``(names, aliases, phrases, triples)``: the catalog maps in the shape
-    the catalog parse returns, each entity listing its name among its
-    aliases, and triples over their ids."""
+    the catalog parse returns, and triples over their ids.  Some entities
+    list no alias, so have no aliases entry, and the others list their name
+    among their aliases; some names, such as ``"!!"``, normalize to ``""``."""
     names = {}
     aliases = {}
     for eid in draw(st.lists(ids, min_size=1, max_size=6, unique=True)):
-        name = names[eid] = draw(field_text.filter(bool))
-        listed = draw(st.lists(field_text.filter(bool), max_size=3))
-        listed.insert(draw(st.integers(0, len(listed))), name)
-        aliases[eid] = tuple(listed)
+        name = names[eid] = draw(st.one_of(field_text.filter(bool), st.sampled_from(["!!", " - "])))
+        if draw(st.booleans()):
+            listed = draw(st.lists(field_text.filter(bool), max_size=3))
+            listed.insert(draw(st.integers(0, len(listed))), name)
+            aliases[eid] = tuple(listed)
     phrases = {rid: draw(field_text.filter(bool))
                for rid in draw(st.lists(ids, min_size=1, max_size=4, unique=True))}
     triples = draw(st.lists(st.tuples(st.sampled_from(sorted(names)),
@@ -691,7 +693,8 @@ def test_load_graph_round_trip(tmp_path_factory, catalog, data):
     names, aliases, phrases, triples = catalog
     maps = (names, aliases, phrases)
     root = tmp_path_factory.mktemp("graph")
-    catalog_lines = [f"E\t{eid}\t{name}\t{'|'.join(aliases[eid])}" for eid, name in names.items()]
+    catalog_lines = [f"E\t{eid}\t{name}\t{'|'.join(aliases.get(eid, ()))}"
+                     for eid, name in names.items()]
     # the domain and range type fields are read past, whatever they hold
     catalog_lines += [f"R\t{rid}\t{phrase}\t{data.draw(field_text)}\t{data.draw(field_text)}"
                       for rid, phrase in phrases.items()]
@@ -706,7 +709,8 @@ def test_load_graph_round_trip(tmp_path_factory, catalog, data):
     # The same graph from files with skipped lines and CRLF endings scattered
     # through both, whether the reader keeps a line's CR (newline="") or not.
     newline = data.draw(st.sampled_from([None, ""]))
-    write_lines(root / "catalog.tsv", scattered(data.draw, catalog_lines))
+    dirty_catalog = scattered(data.draw, catalog_lines)
+    write_lines(root / "catalog.tsv", dirty_catalog)
     dirty = scattered(data.draw, triple_lines)
     write_lines(root / "dirty.tsv", dirty)
     with open(root / "catalog.tsv", encoding="utf-8", newline=newline) as fh:
@@ -735,3 +739,25 @@ def test_load_graph_round_trip(tmp_path_factory, catalog, data):
     assert str(exc.value).startswith(f"line {number}: ")
     if error is GraphParseError:
         assert exc.value.line_number == number
+
+    # And one bad catalog line: a record led by whitespace, an unknown kind or
+    # a wrong field count.
+    record = data.draw(st.sampled_from(catalog_lines))
+    kind = record[0]
+    line = data.draw(st.sampled_from([
+        data.draw(st.sampled_from([" ", "\t", "\u3000"])) + record,
+        "X" + record[1:], kind.lower() + record[1:],
+        record.rsplit("\t", 1)[0], record + "\t",
+    ]))
+    fields = line.split("\t")
+    message = (f"unknown record kind {fields[0]!r}" if fields[0] != kind else
+               f"line needs {4 if kind == 'E' else 5} tab-separated fields, got {len(fields)}")
+    dirty_catalog.insert(data.draw(st.integers(0, len(dirty_catalog))),
+                         line + data.draw(st.sampled_from(["\n", "\r\n"])))
+    write_lines(root / "catalog.tsv", dirty_catalog)
+    with open(root / "catalog.tsv", encoding="utf-8", newline="") as fh:
+        (number,) = [n for n, text in enumerate(fh, start=1) if text.rstrip("\r\n") == line]
+    with pytest.raises(GraphParseError) as exc:
+        load_files(root, "dirty.tsv", newline)
+    assert exc.value.line_number == number
+    assert str(exc.value).startswith(f"line {number}: ") and str(exc.value).endswith(message)

@@ -288,7 +288,7 @@ def graphs_and_queries(draw):
     """
     names, aliases, phrases, triples = draw(catalogs())
     assume(len(names) >= 2)
-    aliases = {eid: (*listed, eid) for eid, listed in aliases.items()}
+    aliases = {eid: (*aliases.get(eid, ()), eid) for eid in names}
     named = draw(st.lists(st.sampled_from(sorted(names)), min_size=2, max_size=3, unique=True))
     if draw(st.booleans()):
         subject = draw(st.sampled_from(sorted(names)))
