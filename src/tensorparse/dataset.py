@@ -1,4 +1,19 @@
-"""JSON Lines question/answer dataset loading."""
+"""JSON Lines question/answer dataset loading.
+
+One :class:`DatasetExample` is built per dataset line, so it keeps its
+fields in ``__slots__`` and its ``__init__`` writes each one through its
+slot's member descriptor: the generated frozen ``__init__`` calls
+``object.__setattr__`` once per field, about twice the cost, and a slotted
+record has no instance dict.  The slots are declared in the class body, not
+by ``dataclass(slots=True)``, whose recreated class makes the frozen
+``__setattr__``/``__delattr__`` raise ``TypeError``, not
+``FrozenInstanceError``, for a name that is not a field; ``dataclass``
+still generates those two, ``__eq__``, ``__hash__`` and ``__repr__``.
+``__reduce__`` rebuilds a record through ``__init__``, since pickle's
+default would restore the slots through the frozen ``__setattr__``.
+:class:`evaluator.PerQueryResult`, one per evaluated question, is laid out
+the same way.
+"""
 
 from __future__ import annotations
 
@@ -17,9 +32,20 @@ class DatasetError(TensorparseError):
 
 @dataclass(frozen=True)
 class DatasetExample:
+    __slots__ = ("question", "answers")
     question: str
     answers: tuple[str, ...]
 
+    def __init__(self, question, answers):
+        _set_question(self, question)
+        _set_answers(self, answers)
+
+    def __reduce__(self):
+        return type(self), (self.question, self.answers)
+
+
+_set_question = DatasetExample.question.__set__
+_set_answers = DatasetExample.answers.__set__
 
 _decode = json.JSONDecoder().raw_decode
 
@@ -60,11 +86,10 @@ def load_dataset(source: Iterable[str]) -> list[DatasetExample]:
         answers = obj.get("answers")
         if not isinstance(question, str) or not question:
             raise DatasetError("missing or empty string field 'question'", lineno)
-        if (
-            not isinstance(answers, list)
-            or not answers
-            or not all(isinstance(a, str) for a in answers)
-        ):
+        if not isinstance(answers, list) or not answers:
             raise DatasetError("missing or empty string-array field 'answers'", lineno)
-        examples.append(DatasetExample(question=question, answers=tuple(answers)))
+        for answer in answers:
+            if not isinstance(answer, str):
+                raise DatasetError("missing or empty string-array field 'answers'", lineno)
+        examples.append(DatasetExample(question, tuple(answers)))
     return examples

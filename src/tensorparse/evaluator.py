@@ -13,6 +13,10 @@ candidates and scores each one's F1, and training rows
 (:func:`learner.question_rows`), evaluation and cross-validation folds
 all read that result.  No other function generates candidates for a
 dataset question or scores them.
+
+:class:`PerQueryResult`, one per evaluated question, is a slotted frozen
+dataclass written through its slots' member descriptors, laid out as
+:class:`dataset.DatasetExample` is and for the same reason.
 """
 
 from __future__ import annotations
@@ -77,12 +81,35 @@ def candidate_f1s(
 
 @dataclass(frozen=True)
 class PerQueryResult:
+    __slots__ = ("index", "question", "predicted_form", "predicted_f1", "oracle_f1",
+                 "candidate_count")
     index: int
     question: str
     predicted_form: Optional[str]
     predicted_f1: float
     oracle_f1: float
     candidate_count: int
+
+    def __init__(self, index, question, predicted_form, predicted_f1, oracle_f1,
+                 candidate_count):
+        _set_index(self, index)
+        _set_question(self, question)
+        _set_predicted_form(self, predicted_form)
+        _set_predicted_f1(self, predicted_f1)
+        _set_oracle_f1(self, oracle_f1)
+        _set_candidate_count(self, candidate_count)
+
+    def __reduce__(self):
+        return type(self), (self.index, self.question, self.predicted_form,
+                            self.predicted_f1, self.oracle_f1, self.candidate_count)
+
+
+_set_index = PerQueryResult.index.__set__
+_set_question = PerQueryResult.question.__set__
+_set_predicted_form = PerQueryResult.predicted_form.__set__
+_set_predicted_f1 = PerQueryResult.predicted_f1.__set__
+_set_oracle_f1 = PerQueryResult.oracle_f1.__set__
+_set_candidate_count = PerQueryResult.candidate_count.__set__
 
 
 @dataclass(frozen=True)
@@ -127,16 +154,8 @@ def _report(model: learner.Model, data: list[DatasetExample], questions) -> Eval
             pred_form = logform.serialize(predicted.logical_form)
             # by identity: == would compare forms down every earlier candidate
             pred_f1 = next(s for c, s in zip(candidates, scores) if c is predicted)
-        rows.append(
-            PerQueryResult(
-                index=index,
-                question=example.question,
-                predicted_form=pred_form,
-                predicted_f1=pred_f1,
-                oracle_f1=max(scores, default=0.0),
-                candidate_count=len(candidates),
-            )
-        )
+        rows.append(PerQueryResult(index, example.question, pred_form, pred_f1,
+                                   max(scores, default=0.0), len(candidates)))
     n = len(rows)
     avg = sum(r.predicted_f1 for r in rows) / n
     oracle_avg = sum(r.oracle_f1 for r in rows) / n

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorparse import cli, evaluator, features, kgraph, learner, logform, toy
-from tensorparse.dataset import DatasetError, load_dataset
+from tensorparse.dataset import DatasetError, DatasetExample, load_dataset
 
 import oracle
 from conftest import run_cli
@@ -84,13 +84,21 @@ dataset_files = st.one_of(
 @example('{"question": "q?", "answers": ["a", ' + "9" * 5_000 + "]}\n")  # past the digit limit
 @example(TOY_LINES[0] + "\n\ufeff" + TOY_LINES[1] + "\n")
 @example(TOY_LINES[0] + "\n" + TOY_LINES[1] + " {}\n")
+# a non-string answer first, last or alone
+@example(TOY_LINES[0] + '\n{"question": "q?", "answers": [1, "a"]}\n')
+@example(TOY_LINES[0] + '\n{"question": "q?", "answers": ["a", null]}\n')
+@example(TOY_LINES[0] + '\n{"question": "q?", "answers": [["a"]]}\n')
 def test_load_dataset_matches_the_oracle(text):
-    """The examples of the oracle's ``json.loads`` loop, or its first error
-    with the same message and line number."""
+    """The examples of the oracle's ``json.loads`` loop, equal and
+    hash-equal to records built by keyword, or its first error with the
+    same message and line number."""
     lines = list(io.StringIO(text, newline=None))  # split as open() splits a text file
     pairs, error = oracle.read_dataset(lines)
     if error is None:
-        assert [(ex.question, ex.answers) for ex in load_dataset(lines)] == pairs
+        examples = load_dataset(lines)
+        expected = [DatasetExample(question=q, answers=a) for q, a in pairs]
+        assert examples == expected
+        assert list(map(hash, examples)) == list(map(hash, expected))
         return
     message, number = error
     with pytest.raises(DatasetError) as exc:

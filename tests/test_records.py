@@ -1,6 +1,7 @@
-"""The records built per form and candidate write their fields in an
-``__init__`` of their own, and those built per dataset line and report row
-take the generated one; everything else about them must be what
+"""The records built per form and candidate write their fields into the
+instance dict in an ``__init__`` of their own, and those built per dataset
+line and report row keep them in class-body ``__slots__``, written through
+the slots' member descriptors; everything else about them must be what
 ``@dataclass(frozen=True)`` generates."""
 
 import dataclasses
@@ -29,6 +30,9 @@ RECORDS = [
      (3, "where?", None, 0.5, 0.75, 0)),
 ]
 
+# the records that keep their fields in slots, with no instance dict
+SLOTTED = (DatasetExample, PerQueryResult)
+
 parametrized = pytest.mark.parametrize("cls, values, others", RECORDS,
                                        ids=[cls.__name__ for cls, _, _ in RECORDS])
 
@@ -49,7 +53,11 @@ def test_positional_and_keyword_construction_agree(cls, values, others):
     by_keyword = cls(**dict(zip(names(cls), values)))
     assert by_position == by_keyword
     assert [getattr(by_position, n) for n in names(cls)] == list(values)
-    assert vars(by_keyword) == dict(zip(names(cls), values))
+    if cls in SLOTTED:
+        assert cls.__slots__ == tuple(names(cls))
+        assert not hasattr(by_keyword, "__dict__")
+    else:
+        assert vars(by_keyword) == dict(zip(names(cls), values))
     params = inspect.signature(cls).parameters.values()
     ref_params = inspect.signature(reference(cls)).parameters.values()
     assert [(p.name, p.kind, p.default) for p in params] == \
