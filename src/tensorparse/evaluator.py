@@ -12,7 +12,10 @@ One pass per question: :func:`prepare` tokenizes it, generates its
 candidates and scores each one's F1, and training rows
 (:func:`learner.question_rows`), evaluation and cross-validation folds
 all read that result.  No other function generates candidates for a
-dataset question or scores them.
+dataset question or scores them.  Cross-validation also lays out the
+run's training rows once (:class:`learner.Layout`), before its fold
+processes fork, so each inherits the layout and trains a fold from its
+list of question positions.
 
 :class:`PerQueryResult`, one per evaluated question, is a slotted frozen
 dataclass written through its slots' member descriptors, laid out as
@@ -259,22 +262,23 @@ def _pin(cpus: list, process: int) -> None:
             pass
 
 
-def _fit_share(fold_rows, first: int, step: int, names, cfg: learner.TrainConfig) -> list:
-    """:func:`learner.fit_rows` of folds ``first``, ``first + step``, ...: a
-    ``(weights, epoch losses)`` pair per fold, up to the first fold that
-    raises, whose exception ends the list."""
+def _fit_share(layout: learner.Layout, folds: list, first: int, step: int,
+               cfg: learner.TrainConfig) -> list:
+    """:func:`learner.fit_questions` of folds ``first``, ``first + step``,
+    ...: a ``(weights, epoch losses)`` pair per fold, up to the first fold
+    that raises, whose exception ends the list."""
     fits = []
-    for rows in fold_rows[first::step]:
+    for questions in folds[first::step]:
         try:
-            fits.append(learner.fit_rows(rows, names, cfg))
+            fits.append(learner.fit_questions(layout, questions, cfg))
         except Exception as exc:  # raised by _fit_folds, in fold order
             fits.append(exc)
             break
     return fits
 
 
-def _fit_share_and_exit(write: int, fold_rows, first: int, step: int, names, cfg,
-                        cpus: list) -> NoReturn:
+def _fit_share_and_exit(write: int, layout: learner.Layout, folds: list, first: int, step: int,
+                        cfg: learner.TrainConfig, cpus: list) -> NoReturn:
     """In a forked process: keep to ``cpus[first]`` (:func:`_pin`), pickle
     :func:`_fit_share` into the pipe end ``write``, then end the process, so
     it never returns into its caller."""
@@ -282,19 +286,20 @@ def _fit_share_and_exit(write: int, fold_rows, first: int, step: int, names, cfg
     try:
         _pin(cpus, first)
         with open(write, "wb") as out:
-            pickle.dump(_fit_share(fold_rows, first, step, names, cfg), out,
+            pickle.dump(_fit_share(layout, folds, first, step, cfg), out,
                         pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
 
 
-def _fit_folds(fold_rows, names, cfg: learner.TrainConfig) -> list:
-    """:func:`learner.fit_rows` of each fold's rows, in fold order.
+def _fit_folds(layout: learner.Layout, folds: list, cfg: learner.TrainConfig) -> list:
+    """:func:`learner.fit_questions` of each fold's question positions in
+    ``layout``, in fold order.
 
     Fold ``i`` trains in process ``i mod C``, C = min(folds, usable CPUs).
     Process 0 is this one; the other C - 1 are forked, so they inherit the
-    rows, and each sends back its folds' pairs, or the exception it
+    layout, and each sends back its folds' pairs, or the exception it
     raised, pickled over a pipe.  Where CPUs can be chosen, process ``j``
     keeps to usable CPU ``j`` (mod their count) while it trains: a kernel
     that balances no load between CPUs (a cpuset whose
@@ -306,10 +311,10 @@ def _fit_folds(fold_rows, names, cfg: learner.TrainConfig) -> list:
     run raises: the lowest failing fold's exception.  No forked process
     outlives the call.
     """
-    folds = len(fold_rows)
+    count = len(folds)
     procs = 1
     if hasattr(os, "fork") and threading.active_count() == 1:
-        procs = min(folds, _usable_cpus())
+        procs = min(count, _usable_cpus())
     cpus = []
     if procs > 1 and hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
@@ -326,13 +331,13 @@ def _fit_folds(fold_rows, names, cfg: learner.TrainConfig) -> list:
                 os.close(write)
                 break
             if pid == 0:
-                _fit_share_and_exit(write, fold_rows, first, procs, names, cfg, cpus)
+                _fit_share_and_exit(write, layout, folds, first, procs, cfg, cpus)
             os.close(write)
             children.append((pid, reader, first))
         try:
             _pin(cpus, 0)
             for first in [0, *range(len(children) + 1, procs)]:
-                shares[first] = _fit_share(fold_rows, first, procs, names, cfg)
+                shares[first] = _fit_share(layout, folds, first, procs, cfg)
         finally:
             if cpus:
                 os.sched_setaffinity(0, cpus)
@@ -355,7 +360,7 @@ def _fit_folds(fold_rows, names, cfg: learner.TrainConfig) -> list:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     fits = []
-    for i in range(folds):
+    for i in range(count):
         # a share stops at its first failure, which comes before any later fold of it
         fit = shares[i % procs][i // procs]
         if isinstance(fit, BaseException):
@@ -374,10 +379,11 @@ def cross_validate(
     """Train and evaluate per fold; returns (reports, summary).
 
     Each question goes through :func:`prepare` once.  Its training rows
-    are built from that, with one key index for the whole run, and each
-    fold trains on its questions' rows with the run's ids: the same model
-    as :func:`learner.train` on that fold's data.  The folds train at
-    once, in up to one process per usable CPU (:func:`_fit_folds`); each
+    are built from that, with one key index for the whole run, and laid
+    out once for the whole run (:class:`learner.Layout`); each fold trains
+    on its questions' positions in that layout: the same model as
+    :func:`learner.train` on that fold's data.  The folds train at once,
+    in up to one process per usable CPU (:func:`_fit_folds`); each
     fold's model is built and its test fold reported here, in fold order,
     from the same prepared questions, so nothing is generated or
     F1-scored twice.
@@ -385,9 +391,12 @@ def cross_validate(
     splits = _split_positions(data, spec)
     questions = [prepare(example, kg, gen_cfg) for example in data]
     index: dict = {}
-    rows = [learner.question_rows(question, index) for question in questions]
-    fits = _fit_folds([[rows[i] for i in train_pos] for train_pos, _ in splits],
-                      list(index), train_cfg)
+    # no name holds the rows or their layout, so both are freed once the
+    # folds are fitted
+    fits = _fit_folds(
+        learner.Layout([learner.question_rows(question, index) for question in questions],
+                       list(index)),
+        [train_pos for train_pos, _ in splits], train_cfg)
     reports = []
     for (_, test_pos), (weights, _) in zip(splits, fits):
         model = learner.Model(weights=weights, gen_cfg=gen_cfg)

@@ -16,20 +16,30 @@ prepared question into its rows, ``(feature ids, label)`` for every
 candidate, ids taken from a key index shared by the whole run (every
 assembled feature has value 1.0, so the ids are the vector).  No
 candidate is left out: generation emits only forms that denote
-something, a few per question.  :func:`fit_rows` trains on any set of
-questions' rows with the run's own ids: columns come from co-occurrence,
-a score adds its features in the instance's own order, and the L2
-penalty and the model go in key order, the model file's, so no float
-depends on an id's number.  So cross-validation prepares each question
-and builds its rows once, and every fold's :func:`fit_rows` gives the
-model :func:`train` gives on that fold.
+something, a few per question.
+
+Training has two parts.  A :class:`Layout` is built once per run from
+all its questions' rows: each id's column, each row's columns, and the
+ids in key order, the model file's.  :func:`fit_questions` then fits any
+subset of those questions, with no layout work of its own: a score adds
+its features in the instance's own order, and the L2 penalty and the
+model go in key order, so no float depends on an id's number.
+:func:`train` fits all of its layout's questions; cross-validation
+prepares each question, builds its rows and the layout once, and every
+fold's :func:`fit_questions` gives the model :func:`train` gives on that
+fold.
 
 Columns: ids that occur in exactly the same instances get the same
 gradient at the same steps from the same zero start, so their weights
 and squared-gradient sums stay bit-identical and one column, a slot of
 the flat weight and squared-gradient lists, holds them all.  A score
 still adds every id's column weight in the instance's id order; the
-AdaGrad step runs once per distinct column.  The returned :class:`Model`
+AdaGrad step runs once per distinct column.  The run's columns refine a
+fold's own: ids held by the same instances of the run are held by the
+same instances of the fold, and a column the fold never holds stays 0.0.
+The step loop calls no function written in Python: the logistic is
+computed in line and each epoch's shuffle makes ``random.shuffle``'s
+draws itself (:func:`_shuffle`).  The returned :class:`Model`
 maps key text to weight, the keys the model file holds, and keeps the
 :class:`GenConfig` it was trained with, whose cap the file's header holds.
 
@@ -132,19 +142,13 @@ class TrainResult:
     all_negative: bool  # warning: no query had a positive candidate
 
 
-def sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def score(model: Model, vector: dict) -> float:
     """Linear score: the weights of ``vector``'s keys, added in its key order.
 
-    The classifier probability is sigmoid(score).  :func:`predict` gives
-    every candidate the float ``score(model, features.assemble(...))``
-    gives, without building the vector; this is its specification.
+    The classifier probability is the logistic of the score.
+    :func:`predict` gives every candidate the float ``score(model,
+    features.assemble(...))`` gives, without building the vector; this is
+    its specification.
     """
     return dot(vector, model.weights)
 
@@ -236,43 +240,116 @@ def _columns(instances, n):
     return [column.setdefault(tuple(held), len(column)) for held in occurrences]
 
 
-def _fit(instances, names, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:
-    """Per-coordinate AdaGrad with proximal L2 over interned instances.
+class Layout:
+    """A run's training rows laid out once for :func:`fit_questions`.
 
-    ``names[i]`` is the key of id ``i``; keys of ids that no instance
-    holds stay out of the model.  A score adds its ids' weights in the
-    instance's own order; the L2 penalty and the returned ``{name:
-    weight}`` dict, zero weights dropped, go in key order, the model
-    file's.  Returns that dict and the per-epoch losses, every float what
-    the same loop over string-keyed dicts gives.
+    Built from every question's :func:`question_rows` and ``names``, the
+    key of each id.  ``width`` is the number of columns (:func:`_columns`
+    over all the run's instances); ``instances[k]`` lays out question
+    ``k``'s rows as ``(column tuple, distinct columns, label)``, the
+    column of each id in the row's id order, then each column once;
+    ``held`` lists each id that some row holds, in key order, the model
+    file's, and ``held_cols`` their columns.
     """
-    col = _columns(instances, len(names))
-    m = max(col, default=-1) + 1
-    weights = [0.0] * m
-    grad_sq = [0.0] * m
-    # An instance is scored over the column of each of its ids, in id order,
-    # and updated once per distinct column.
-    shared = []
-    for ids, label in instances:
-        cols = tuple(map(col.__getitem__, ids))
-        shared.append((cols, tuple(dict.fromkeys(cols)), label))
-    held = sorted({i for ids, _ in instances for i in ids}, key=names.__getitem__)
-    held_cols = [col[i] for i in held]
-    rng = random.Random(cfg.seed)
-    order = list(range(len(instances)))
-    lr, l2, eps, sqrt, log = cfg.learning_rate, cfg.l2, _ADA_EPS, math.sqrt, math.log
+
+    __slots__ = ("names", "width", "instances", "held", "held_cols")
+
+    def __init__(self, rows_per_question, names):
+        col = _columns([row for rows in rows_per_question for row in rows], len(names))
+        self.names = names
+        self.width = max(col, default=-1) + 1
+        self.instances = []
+        for rows in rows_per_question:
+            laid_out = []
+            for ids, label in rows:
+                cols = tuple(map(col.__getitem__, ids))
+                laid_out.append((cols, tuple(dict.fromkeys(cols)), label))
+            self.instances.append(laid_out)
+        self.held = sorted({i for rows in rows_per_question for ids, _ in rows for i in ids},
+                           key=names.__getitem__)
+        self.held_cols = [col[i] for i in self.held]
+
+
+def fit_questions(layout: Layout, questions, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:
+    """The weights and epoch losses :func:`train` gives on the questions at
+    positions ``questions`` of ``layout``, in that order: ``({}, ())`` if
+    no row of theirs is positive.
+
+    The run's columns refine those of any subset of its rows (ids held by
+    the same rows of the run are held by the same rows of the subset), and
+    a column that no row of the subset holds stays at 0.0, adds 0.0 to the
+    L2 penalty and is left out of the model, so every float is the one a
+    layout of the subset's rows alone gives.
+    """
+    instances = [row for k in questions for row in layout.instances[k]]
+    if not any(label for _, _, label in instances):
+        return {}, ()
+    return _fit(layout, instances, cfg)
+
+
+def _draws(n: int) -> list:
+    """``(i, bit length of i + 1)`` for each ``i`` from ``n - 1`` down to 1:
+    the swaps of a shuffle of ``n`` items, as :func:`_shuffle` takes them."""
+    return [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+
+
+def _shuffle(order: list, draws: list, getrandbits) -> None:
+    """Shuffle ``order`` in place as ``random.Random.shuffle`` does, drawing
+    from the generator whose ``getrandbits`` is given; ``draws`` is
+    ``_draws(len(order))``.
+
+    ``shuffle`` swaps position ``i`` with ``randbelow(i + 1)``, which calls
+    ``getrandbits(k)``, ``k`` the bit length of ``i + 1``, until the value
+    is at most ``i``: the same draws, with no call per swap but theirs.
+    """
+    for i, k in draws:
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+
+
+def _fit(layout: Layout, instances, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:
+    """Per-coordinate AdaGrad with proximal L2 over laid-out instances.
+
+    A score adds its ids' column weights in the instance's own order and
+    the AdaGrad step runs once per distinct column; the L2 penalty and the
+    returned ``{name: weight}`` dict, zero weights dropped, go in key
+    order, the model file's.  Returns that dict and the per-epoch losses,
+    every float what the same loop over string-keyed dicts gives.
+
+    Each epoch shuffles the instance order as ``random.Random(cfg.seed)``
+    would (:func:`_shuffle`), and a step computes the logistic in line, so
+    the step loop calls no function written in Python.
+    """
+    weights = [0.0] * layout.width
+    grad_sq = [0.0] * layout.width
+    n = len(instances)
+    order = list(range(n))
+    draws = _draws(n)
+    getrandbits = random.Random(cfg.seed).getrandbits
+    lr, l2, eps, sqrt, log, exp = cfg.learning_rate, cfg.l2, _ADA_EPS, math.sqrt, math.log, math.exp
+    held_cols = layout.held_cols
     epoch_losses = []
     for _ in range(cfg.epochs):
-        rng.shuffle(order)
+        _shuffle(order, draws, getrandbits)
         loss = 0.0
         for idx in order:
-            cols, distinct, label = shared[idx]
+            cols, distinct, label = instances[idx]
             s = 0.0
             for c in cols:
                 s += weights[c]
-            p = sigmoid(s)
-            # log-loss measured before the update
-            loss += -log(max(p if label else 1.0 - p, 1e-300))
+            if s >= 0:
+                p = 1.0 / (1.0 + exp(-s))
+            else:
+                e = exp(s)
+                p = e / (1.0 + e)
+            # log-loss measured before the update; a NaN is not clamped, so a
+            # diverged fit reports its loss as nan
+            q = p if label else 1.0 - p
+            if 1e-300 > q:
+                q = 1e-300
+            loss -= log(q)
             g = p - label
             g2 = g * g
             for c in distinct:
@@ -283,10 +360,12 @@ def _fit(instances, names, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:
                 weights[c] = (weights[c] - eta * g) / (1.0 + eta * l2)
         held_weights = [weights[c] for c in held_cols]
         penalty = 0.5 * l2 * sum(map(mul, held_weights, held_weights))
-        epoch_losses.append(loss / len(instances) + penalty)
+        epoch_losses.append(loss / n + penalty)
     if not math.isfinite(epoch_losses[-1]):
         raise ConfigError(f"training diverged: final epoch loss is {epoch_losses[-1]}")
-    model_weights = {names[i]: weights[c] for i, c in zip(held, held_cols) if weights[c] != 0.0}
+    names = layout.names
+    model_weights = {names[i]: weights[c] for i, c in zip(layout.held, held_cols)
+                     if weights[c] != 0.0}
     return model_weights, tuple(epoch_losses)
 
 
@@ -308,26 +387,15 @@ def train(
     from .evaluator import prepare  # evaluator imports this module
 
     index: dict = {}
-    rows = [question_rows(prepare(example, kg, gen_cfg), index) for example in data]
-    weights, epoch_losses = fit_rows(rows, list(index), cfg)
+    # the rows are laid out, then dropped: the fit reads only the layout
+    layout = Layout([question_rows(prepare(example, kg, gen_cfg), index) for example in data],
+                    list(index))
+    weights, epoch_losses = fit_questions(layout, range(len(data)), cfg)
     return TrainResult(
         model=Model(weights=weights, gen_cfg=gen_cfg),
         epoch_losses=epoch_losses,
         all_negative=not epoch_losses,
     )
-
-
-def fit_rows(rows_per_question, names, cfg: TrainConfig) -> tuple[dict, tuple[float, ...]]:
-    """The weights and epoch losses :func:`train` gives on questions already
-    turned into rows by :func:`question_rows`: ``({}, ())`` if no row is positive.
-
-    ``names`` is the key list of the index the rows were built with, which
-    may also hold keys of questions left out.
-    """
-    instances = [row for rows in rows_per_question for row in rows]
-    if not any(label for _, label in instances):
-        return {}, ()
-    return _fit(instances, names, cfg)
 
 
 def top_features(model: Model, k: int) -> list[tuple[str, float]]:

@@ -8,6 +8,7 @@ with an answer the program had no part in.
 """
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -257,6 +258,19 @@ def score(weights, query_tokens, utterance_tokens, size):
         if key in weights:
             total += weights[key]
     return total
+
+
+# AdaGrad's guard: a step divides by the root of its squared gradients plus this.
+ADA_EPS = 1e-8
+
+
+def logistic(x):
+    """1 / (1 + e^-x), through e^x where x is negative, so that no
+    exponential overflows: the ranker's probability of a score."""
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 def explicit_kernel(q1, u1, q2, u2):

@@ -121,3 +121,26 @@ def test_fewer_than_two_pairs_is_a_usage_error(tmp_path):
         bench_pairs.main(["--parent", str(parent), "--change", str(parent), "--workload", "toy",
                           "--pairs", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--seeds", "x"], "--seeds 'x': expected a range such as 1-10 or a list such as 1,7"),
+    (["--seeds", "3-1"], "--seeds '3-1': expected a range such as 1-10 or a list such as 1,7"),
+    (["--seeds", "1-2-3"], "--seeds '1-2-3': expected a range such as 1-10 or a list such as 1,7"),
+    (["--seeds", "1,"], "--seeds '1,': expected a range such as 1-10 or a list such as 1,7"),
+    (["--seconds", "0"], "--seconds '0': expected a positive number"),
+    (["--seconds", "-1"], "--seconds '-1': expected a positive number"),
+    (["--seconds", "abc"], "--seconds 'abc': expected a positive number"),
+    (["--seconds", "nan"], "--seconds 'nan': expected a positive number"),
+    (["--seconds", "inf"], "--seconds 'inf': expected a positive number"),
+])
+def test_bad_seeds_or_seconds_are_a_usage_error_before_any_run(tmp_path, capsys, flags, error):
+    ran = tmp_path / "ran"
+    parent = checkout(tmp_path / "parent", f"open({str(ran)!r}, 'a').close()\n" + fixed(2.0))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(parent), "--change", str(parent), "--workload", "toy",
+                          "--pairs", "2", *flags])
+    assert exc.value.code == 2
+    assert not ran.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f": error: {error}\n")

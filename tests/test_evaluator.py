@@ -305,28 +305,36 @@ def test_cv_fold_models_match_train_on_the_fold(toy_corpora, toy_seed, mode, max
     cfg = learner.TrainConfig(epochs=2)
     gen_cfg = GenConfig(max_candidates=max_candidates)
     spec = SplitSpec(mode=mode, folds=5, seed=toy_seed)
-    recorded = []
-    fit_folds = evaluator._fit_folds
+    recorded, built = [], []
+    fit_folds, question_rows = evaluator._fit_folds, learner.question_rows
 
-    def recording_fit_folds(fold_rows, names, train_cfg):
+    def recording_question_rows(*args):
+        built.append(question_rows(*args))
+        return built[-1]
+
+    def recording_fit_folds(layout, folds, train_cfg):
         # runs in this process; the folds train in the processes it forks
-        recorded.append((fold_rows, names, fit_folds(fold_rows, names, train_cfg)))
+        recorded.append((layout, folds, fit_folds(layout, folds, train_cfg)))
         return recorded[-1][2]
 
     forks = count_forks(monkeypatch)
     monkeypatch.setattr(evaluator, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(learner, "question_rows", recording_question_rows)
     monkeypatch.setattr(evaluator, "_fit_folds", recording_fit_folds)
     reports, _ = cross_validate(data, kg, gen_cfg, cfg, spec)
     monkeypatch.undo()
     assert len(forks) == 2
     assert_no_child_left()
-    ((fold_rows, names, fits),) = recorded
+    ((layout, folds, fits),) = recorded
     splits = fold_examples(data, spec)
-    assert len(fold_rows) == len(fits) == len(reports) == len(splits) == 5
-    for (train_data, test_data), rows, (weights, epoch_losses), report in zip(
-        splits, fold_rows, fits, reports
+    assert len(built) == len(data)
+    assert len(folds) == len(fits) == len(reports) == len(splits) == 5
+    for (train_data, test_data), fold, (weights, epoch_losses), report in zip(
+        splits, folds, fits, reports
     ):
+        assert [data[i] for i in fold] == train_data
         # the fold's rows, keyed, are the rows of the fold indexed alone
+        rows, names = [built[i] for i in fold], layout.names
         index: dict = {}
         alone_rows = [learner.question_rows(prepare(example, kg, gen_cfg), index)
                       for example in train_data]
@@ -371,14 +379,14 @@ def test_each_fold_process_keeps_to_a_cpu_of_its_own(toy_kg, toy_data, monkeypat
     # process on its parent's CPU
     usable = os.sched_getaffinity(0)
     seen = tmp_path / "cpus.txt"
-    fit = learner._fit
+    fit = learner.fit_questions
 
     def recording_fit(*args):
         with open(seen, "a") as fh:  # one short append per fold, from every process
             fh.write(f"{os.getpid()} {sorted(os.sched_getaffinity(0))}\n")
         return fit(*args)
 
-    monkeypatch.setattr(learner, "_fit", recording_fit)
+    monkeypatch.setattr(learner, "fit_questions", recording_fit)
     monkeypatch.setattr(evaluator, "_usable_cpus", lambda: 2)
     cross_validate(toy_data[:40], toy_kg, GenConfig(), learner.TrainConfig(epochs=1),
                    SplitSpec(mode="random", folds=4, seed=0))
@@ -446,14 +454,14 @@ def cv_args(toy_dir, *flags):
 def test_a_fold_process_killed_mid_fold_is_a_one_line_error(toy_dir, toy_kg, toy_data,
                                                             monkeypatch, capsys):
     parent = os.getpid()
-    fit = learner._fit
+    fit = learner.fit_questions
 
     def killed_in_a_child(*args):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return fit(*args)
 
-    monkeypatch.setattr(learner, "_fit", killed_in_a_child)
+    monkeypatch.setattr(learner, "fit_questions", killed_in_a_child)
     monkeypatch.setattr(evaluator, "_usable_cpus", lambda: 2)
     message = (f"cross-validation: the process training fold 1"
                f" was killed by signal {int(signal.SIGKILL)}")
@@ -472,14 +480,14 @@ def test_an_interrupted_cv_leaves_no_fold_process(toy_kg, toy_data, monkeypatch)
     # this process is interrupted in its own first fold while the forked
     # ones still train theirs
     parent = os.getpid()
-    fit = learner._fit
+    fit = learner.fit_questions
 
     def interrupted_here(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         return fit(*args)
 
-    monkeypatch.setattr(learner, "_fit", interrupted_here)
+    monkeypatch.setattr(learner, "fit_questions", interrupted_here)
     monkeypatch.setattr(evaluator, "_usable_cpus", lambda: 3)
     forks = count_forks(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
@@ -508,24 +516,18 @@ def test_cv_raises_the_lowest_failing_folds_error(toy_kg, toy_data, monkeypatch,
     # then fails fold 2
     data = toy_data[:60]
     spec = SplitSpec(mode="random", folds=5, seed=0)
-    built, question_rows, fit = [], learner.question_rows, learner._fit
+    fit = learner.fit_questions
 
-    def recording_question_rows(*args):
-        built.append(question_rows(*args))
-        return built[-1]
-
-    def failing_fit(instances, names, cfg):
-        # a fold is told by the one test question whose rows it leaves out,
-        # each row the same object in a forked process
-        held = set(map(id, instances))
+    def failing_fit(layout, questions, cfg):
+        # a fold is told by the one test question it leaves out
+        held = set(questions)
         (fold,) = [i for i, (_, test) in enumerate(evaluator._split_positions(data, spec))
-                   if id(built[test[0]][0]) not in held]
+                   if test[0] not in held]
         if fold:
             raise ConfigError(f"fold {fold} failed")
-        return fit(instances, names, cfg)
+        return fit(layout, questions, cfg)
 
-    monkeypatch.setattr(learner, "question_rows", recording_question_rows)
-    monkeypatch.setattr(learner, "_fit", failing_fit)
+    monkeypatch.setattr(learner, "fit_questions", failing_fit)
     monkeypatch.setattr(evaluator, "_usable_cpus", lambda: cpus)
     with pytest.raises(ConfigError, match="^fold 1 failed$"):
         cross_validate(data, toy_kg, GenConfig(), learner.TrainConfig(epochs=1), spec)
@@ -543,7 +545,7 @@ with open(triples) as t, open(catalog) as c:
 with open(dataset) as fh:
     data = load_dataset(fh)[:40]
 parent = os.getpid()
-fit = learner._fit
+fit = learner.fit_questions
 
 
 def interrupted_in_a_child(*args):
@@ -552,7 +554,7 @@ def interrupted_in_a_child(*args):
     return fit(*args)
 
 
-learner._fit = interrupted_in_a_child
+learner.fit_questions = interrupted_in_a_child
 evaluator._usable_cpus = lambda: 3
 try:
     evaluator.cross_validate(data, kg, logform.GenConfig(), learner.TrainConfig(epochs=1),

@@ -51,7 +51,7 @@ def sep_kg():
 
 def test_score_zero_model():
     assert score(zero_model(), {"p:a|b": 1.0}) == 0.0
-    assert learner.sigmoid(0.0) == 0.5
+    assert oracle.logistic(0.0) == 0.5
 
 
 def test_score_dot():
@@ -600,7 +600,7 @@ def reference_fit(instances, cfg):
             s = 0.0
             for key, value in vector.items():
                 s += weights.get(key, 0.0) * value
-            p = learner.sigmoid(s)
+            p = oracle.logistic(s)
             # log-loss measured before the update
             loss += -math.log(max(p if label else 1.0 - p, 1e-300))
             base_grad = p - label
@@ -608,7 +608,7 @@ def reference_fit(instances, cfg):
                 g = base_grad * value
                 acc = grad_sq.get(key, 0.0) + g * g
                 grad_sq[key] = acc
-                eta = cfg.learning_rate / (math.sqrt(acc) + learner._ADA_EPS)
+                eta = cfg.learning_rate / (math.sqrt(acc) + oracle.ADA_EPS)
                 w = weights.get(key, 0.0) - eta * g
                 if cfg.l2:
                     w /= 1.0 + eta * cfg.l2  # proximal shrinkage
@@ -662,11 +662,13 @@ def test_train_matches_dict_loop_on_toy(toy_corpora, toy_seed, max_candidates, m
 
 
 def fit_both(keyed_instances, cfg):
-    """learner._fit on the interned instances, and the reference on the dicts."""
+    """learner._fit on the interned instances laid out as one question, and
+    the reference on the dicts."""
     index: dict = {}
     interned = [(tuple(index.setdefault(k, len(index)) for k in keys), label)
                 for keys, label in keyed_instances]
-    weights, losses = learner._fit(interned, list(index), cfg)
+    layout = learner.Layout([interned], list(index))
+    weights, losses = learner._fit(layout, layout.instances[0], cfg)
     vectors = [({k: 1.0 for k in keys}, label) for keys, label in keyed_instances]
     return (list(weights.items()), losses), reference_fit(vectors, cfg)
 
@@ -784,3 +786,46 @@ def interned_instances(draw):
 def test_columns_group_ids_by_the_instances_that_hold_them(case):
     instances, n = case
     assert learner._columns(instances, n) == brute_force_columns(instances, n)
+
+
+@st.composite
+def questions_and_a_subset(draw):
+    """``(rows per question, names, subset)``: interned rows of several
+    questions over one key index, as :func:`learner.question_rows` builds
+    them, and some of the questions' positions in any order, as a fold's
+    training side lists them."""
+    # ids in no key order
+    names = draw(st.permutations([f"f{i}" for i in range(draw(st.integers(1, 10)))]))
+    row = st.tuples(st.lists(st.integers(0, len(names) - 1), min_size=1, max_size=len(names),
+                             unique=True).map(tuple),
+                    st.sampled_from([0.0, 1.0]))
+    rows = draw(st.lists(st.lists(row, max_size=4), min_size=1, max_size=6))
+    subset = draw(st.lists(st.integers(0, len(rows) - 1), unique=True))
+    return rows, names, subset
+
+
+@settings(max_examples=300, deadline=None)
+@given(questions_and_a_subset(), train_configs)
+def test_fitting_a_subset_through_the_run_layout_is_fitting_it_alone(case, cfg):
+    rows, names, subset = case
+    # the subset's rows alone, re-interned in the order train would meet them
+    index: dict = {}
+    alone = [[(tuple(index.setdefault(names[i], len(index)) for i in ids), label)
+              for ids, label in rows[k]] for k in subset]
+    expected = learner.fit_questions(learner.Layout(alone, list(index)), range(len(alone)), cfg)
+    weights, losses = learner.fit_questions(learner.Layout(rows, names), subset, cfg)
+    assert (list(weights.items()), losses) == (list(expected[0].items()), expected[1])
+
+
+@example(n=540, seed=1, epochs=2)
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 1200), seed=st.integers(0, 2**128), epochs=st.integers(1, 3))
+def test_the_written_out_shuffle_is_randoms(n, seed, epochs):
+    ours, theirs = list(range(n)), list(range(n))
+    rng, reference = random.Random(seed), random.Random(seed)
+    draws = learner._draws(n)
+    for _ in range(epochs):
+        learner._shuffle(ours, draws, rng.getrandbits)
+        reference.shuffle(theirs)
+        assert ours == theirs
+    assert rng.getstate() == reference.getstate()

@@ -18,7 +18,9 @@ as not better, and ``--out`` records it with its exit status and output.
 ``--out`` writes every run's result object with its side, seed, the commit
 of its checkout (and whether that checkout had uncommitted changes) and
 the arguments it ran with.  The exit status is 1 if any run failed or any
-result is not ``correct`` with 0 failed operations.
+result is not ``correct`` with 0 failed operations.  ``--seeds`` that name
+no seed and a ``--seconds`` that is not a positive number are usage
+errors (exit status 2), reported before any run.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +153,18 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2, for quartiles")
+    try:
+        seeds = aa.seeds(args.seeds)
+    except ValueError:
+        seeds = []
+    if not seeds:
+        p.error(f"--seeds {args.seeds!r}: expected a range such as 1-10 or a list such as 1,7")
+    try:
+        seconds = float(args.seconds)
+    except ValueError:
+        seconds = math.nan
+    if not 0 < seconds < math.inf:
+        p.error(f"--seconds {args.seconds!r}: expected a positive number")
     for checkout in (args.parent, args.change):
         if not (checkout / "pipebench" / "run.py").is_file():
             p.error(f"no pipebench/run.py under {checkout}")
@@ -159,7 +174,7 @@ def main(argv=None) -> int:
     metrics = end_to_end_metrics()
     runs = []
     summaries = {}
-    for seed in aa.seeds(args.seeds):
+    for seed in seeds:
         run_args = ["--workload", args.workload, "--seed", str(seed),
                     "--seconds", args.seconds, "--trace", "0"]
         by_side = {side: [] for side in SIDES}
